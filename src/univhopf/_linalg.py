@@ -40,18 +40,6 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
     )
 
 
-def mat_vec(a: Mat, v: Vec) -> Vec:
-    return tuple(sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in a)
-
-
-def vec_add(u: Vec, v: Vec) -> Vec:
-    return tuple(x + y for x, y in zip(u, v))
-
-
-def vec_scale(c: Fraction, v: Vec) -> Vec:
-    return tuple(c * x for x in v)
-
-
 def kron(a: Mat, b: Mat) -> Mat:
     """Kronecker product; index (i*rows(b)+k, j*cols(b)+l)."""
     if not a:

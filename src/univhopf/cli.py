@@ -21,7 +21,7 @@ from .coact import (
 from .errors import InputError, PreconditionError, ResourceLimitError
 from .finmonoid import grothendieck_group, unit_group
 from .grading import grading_support, universal_group_of_grading
-from .grouppres import abelian_invariants, todd_coxeter_order
+from .grouppres import DEFAULT_COSET_LIMIT, abelian_invariants, todd_coxeter_order
 from .hopf import (
     check_hopf_axioms_fd,
     hopf_envelope_presentation,
@@ -33,11 +33,13 @@ from .lio import (
     locally_initial_objects,
     universal_object_of,
 )
+from .ncalg import DEFAULT_DEGREE_BOUND
 from .setsuniversal import (
     universal_acting_group_sets,
     universal_coacting_sets,
     universal_measuring_comonoid_sets,
 )
+from .signature import DEFAULT_ENUM_CAP
 
 COMMANDS = (
     "support",
@@ -292,10 +294,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("inputs", nargs="*", help="input documents ('-' for stdin)")
-    parser.add_argument("--degree-bound", type=int, default=6)
+    parser.add_argument("--degree-bound", type=int, default=DEFAULT_DEGREE_BOUND)
     parser.add_argument("--antipode-levels", type=int, default=3)
-    parser.add_argument("--coset-limit", type=int, default=100_000)
-    parser.add_argument("--enum-cap", type=int, default=10_000_000)
+    parser.add_argument("--coset-limit", type=int, default=DEFAULT_COSET_LIMIT)
+    parser.add_argument("--enum-cap", type=int, default=DEFAULT_ENUM_CAP)
     parser.add_argument("--format", choices=("json", "text"), default="json")
     return parser
 

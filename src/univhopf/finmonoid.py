@@ -4,6 +4,7 @@ unit groups, and group completions (as presentations)."""
 from dataclasses import dataclass
 
 from .errors import InputError, PreconditionError
+from .signature import omega_congruence_closure, set_magma_from_monoid_table
 
 
 @dataclass(frozen=True)
@@ -14,11 +15,15 @@ class FinMonoid:
     def __post_init__(self):
         n = len(self.table)
         rng = range(n)
+        if n == 0:
+            raise InputError(
+                "multiplication table is empty; a monoid needs at least its unit"
+            )
         if any(len(row) != n for row in self.table):
             raise InputError("multiplication table is not square")
         if any(x not in rng for row in self.table for x in row):
             raise InputError("table entry out of range")
-        if self.unit not in rng and n > 0:
+        if self.unit not in rng:
             raise InputError("unit index out of range")
         e = self.unit
         if any(self.table[e][x] != x or self.table[x][e] != x for x in rng):
@@ -61,60 +66,11 @@ class Congruence:
         return out
 
 
-def _normalize_partition(parent, n):
-    # relabel representatives by first appearance
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    label = {}
-    out = []
-    for x in range(n):
-        r = find(x)
-        if r not in label:
-            label[r] = len(label)
-        out.append(label[r])
-    return tuple(out)
-
-
 def congruence_closure(m: FinMonoid, pairs) -> Congruence:
-    """Least translation-closed equivalence on m containing the given pairs.
-
-    Union-find plus a worklist: every newly merged pair is saturated by all
-    left and right translations.
-    """
-    n = m.size
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    work = []
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            return
-        if rb < ra:
-            ra, rb = rb, ra
-        parent[rb] = ra
-        work.append((ra, rb))
-
-    for a, b in pairs:
-        if not (0 <= a < n and 0 <= b < n):
-            raise InputError(f"pair ({a}, {b}) out of range")
-        union(a, b)
-    while work:
-        a, b = work.pop()
-        for c in range(n):
-            union(m.mul(c, a), m.mul(c, b))
-            union(m.mul(a, c), m.mul(b, c))
-    return Congruence(_normalize_partition(parent, n))
+    """Least translation-closed equivalence on m containing the given pairs:
+    the operation-respecting closure of the pairs in m's mu/unit magma."""
+    magma = set_magma_from_monoid_table(m.table, m.unit)
+    return Congruence(omega_congruence_closure(magma, pairs))
 
 
 def is_congruence(m: FinMonoid, c: Congruence) -> bool:
@@ -133,7 +89,8 @@ def quotient_monoid(m: FinMonoid, c: Congruence):
     """Quotient table on congruence classes; returns (monoid, projection)."""
     if len(c.class_of) != m.size:
         raise InputError("congruence size does not match the monoid")
-    assert is_congruence(m, c), "partition is not translation-closed"
+    if not is_congruence(m, c):
+        raise PreconditionError("partition is not translation-closed")
     k = c.num_classes
     reps = [None] * k
     for x in range(m.size):

@@ -10,7 +10,10 @@ from .grouppres import GroupPresentation
 from .signature import (
     DEFAULT_ENUM_CAP,
     FinSetMagma,
+    enumerate_set_homs,
     is_set_homomorphism,
+    omega_automorphisms,
+    omega_congruence_closure,
 )
 
 
@@ -33,57 +36,6 @@ def _monoid_of(magma: FinSetMagma) -> FinMonoid:
         return monoid_from_rows(rows, unit)
     except InputError as exc:
         raise PreconditionError(f"the carrier is not a monoid: {exc}") from exc
-
-
-def omega_congruence_closure(magma: FinSetMagma, pairs):
-    """Least equivalence containing the pairs and respected by every
-    operation: equivalent input tuples get componentwise equivalent outputs."""
-    n = magma.size
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b) -> bool:
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            return False
-        if rb < ra:
-            ra, rb = rb, ra
-        parent[rb] = ra
-        return True
-
-    for a, b in pairs:
-        if not (0 <= a < n and 0 <= b < n):
-            raise InputError(f"pair ({a}, {b}) out of range")
-        union(a, b)
-    changed = True
-    while changed:
-        changed = False
-        for name, s, t in magma.signature.ops:
-            if s == 0:
-                continue
-            for args1 in product(range(n), repeat=s):
-                canon1 = tuple(find(x) for x in args1)
-                for args2 in product(range(n), repeat=s):
-                    if tuple(find(x) for x in args2) != canon1 or args2 <= args1:
-                        continue
-                    out1 = magma.apply(name, args1)
-                    out2 = magma.apply(name, args2)
-                    for o1, o2 in zip(out1, out2):
-                        if union(o1, o2):
-                            changed = True
-    label = {}
-    out = []
-    for x in range(n):
-        r = find(x)
-        if r not in label:
-            label[r] = len(label)
-        out.append(label[r])
-    return tuple(out)
 
 
 class SetComodFrame:
@@ -144,19 +96,17 @@ def _grothendieck_of_magma(magma: FinSetMagma) -> GroupPresentation:
 def universal_measuring_comonoid_sets(
     a: FinSetMagma, b: FinSetMagma, maps="all", cap: int = DEFAULT_ENUM_CAP
 ):
-    """The members of the given map set that are operation-preserving."""
+    """The members of the given map set that are operation-preserving.
+
+    With maps="all" this is the hom set of enumerate_set_homs, under the same
+    up-front cap on b.size ** a.size candidate maps.
+    """
     if maps == "all":
-        total = b.size**a.size
-        if total > cap:
-            raise ResourceLimitError(
-                f"{total} candidate maps exceed the enumeration cap {cap}"
-            )
-        candidates = [f for f in product(range(b.size), repeat=a.size)]
-    else:
-        candidates = [tuple(f) for f in maps]
-        for f in candidates:
-            if len(f) != a.size or any(not 0 <= x < b.size for x in f):
-                raise InputError(f"map {f} is not a map between the carriers")
+        return enumerate_set_homs(a, b, cap)
+    candidates = [tuple(f) for f in maps]
+    for f in candidates:
+        if len(f) != a.size or any(not 0 <= x < b.size for x in f):
+            raise InputError(f"map {f} is not a map between the carriers")
     return [f for f in candidates if is_set_homomorphism(f, a, b)]
 
 
@@ -167,53 +117,43 @@ def universal_acting_group_sets(
 
     V must contain the identity and be closed under composition.  Returns
     (members, group) where group is a FinMonoid on the member list and
-    members[i] is the underlying map of element i.
+    members[i] is the underlying map of element i, the identity first.  With
+    maps="all" (every self-map) the members are omega_automorphisms(a); the
+    cap still bounds the a.size ** a.size candidate maps, checked up front.
     """
-    ident = tuple(range(a.size))
     if maps == "all":
         total = a.size**a.size
         if total > cap:
             raise ResourceLimitError(
                 f"{total} candidate maps exceed the enumeration cap {cap}"
             )
-        # the set of all self-maps is a submonoid by construction
-        v = [f for f in product(range(a.size), repeat=a.size)]
-    else:
-        v = [tuple(f) for f in maps]
-        for f in v:
-            if len(f) != a.size or any(not 0 <= x < a.size for x in f):
-                raise InputError(f"map {f} is not a self-map of the carrier")
-        vset = set(v)
-        if ident not in vset:
-            raise PreconditionError("the map set does not contain the identity")
-        for f in v:
-            for g in v:
-                if tuple(f[g[x]] for x in range(a.size)) not in vset:
-                    raise PreconditionError(
-                        "the map set is not closed under composition"
-                    )
-    members = []
+        members, table = omega_automorphisms(a, cap)
+        return members, monoid_from_rows(table, 0)
+    ident = tuple(range(a.size))
+    v = [tuple(f) for f in maps]
     for f in v:
-        has_inverse = any(
-            tuple(f[g[x]] for x in range(a.size)) == ident
-            and tuple(g[f[x]] for x in range(a.size)) == ident
-            for g in v
-        )
-        if has_inverse and is_set_homomorphism(f, a, a):
-            members.append(f)
-    members.sort()
-    # identity first for a tidy table
-    members.remove(ident)
-    members.insert(0, ident)
+        if len(f) != a.size or any(not 0 <= x < a.size for x in f):
+            raise InputError(f"map {f} is not a self-map of the carrier")
+    vset = set(v)
+    if ident not in vset:
+        raise PreconditionError("the map set does not contain the identity")
+    for f in v:
+        for g in v:
+            if tuple(f[x] for x in g) not in vset:
+                raise PreconditionError("the map set is not closed under composition")
+    # f is invertible in V iff it is a bijection whose inverse (the points
+    # sorted by their image) lies in V; the identity, the least permutation,
+    # sorts first
+    members = sorted(
+        f
+        for f in v
+        if len(set(f)) == a.size
+        and tuple(sorted(range(a.size), key=f.__getitem__)) in vset
+        and is_set_homomorphism(f, a, a)
+    )
     pos = {f: i for i, f in enumerate(members)}
-    rows = [
-        [pos[tuple(f[g[x]] for x in range(a.size))] for g in members] for f in members
-    ]
-    group = monoid_from_rows(rows, 0)
-    from .finmonoid import is_group
-
-    assert is_group(group)
-    return members, group
+    rows = [[pos[tuple(f[x] for x in g)] for g in members] for f in members]
+    return members, monoid_from_rows(rows, 0)
 
 
 def sets_support_of_map(psi, u_size: int):

@@ -8,9 +8,10 @@ per operation.  No identities such as associativity are imposed here; callers
 that need monoid laws validate them separately.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import product
 
 from ._linalg import frac
 from .errors import InputError, ResourceLimitError
@@ -104,41 +105,120 @@ def is_set_homomorphism(f, a: FinSetMagma, b: FinSetMagma) -> bool:
     return True
 
 
+def _hom_search(a: FinSetMagma, b: FinSetMagma, injective: bool = False):
+    """All homomorphisms a -> b (only the injective ones if asked), in
+    lexicographic order.
+
+    Backtracking: f[0], f[1], ... are assigned in turn, images in increasing
+    order, and each table entry of a is checked as soon as the largest element
+    it mentions has an image, so a failed entry prunes every completion.
+    """
+    if a.signature != b.signature:
+        raise InputError("magmas do not share a signature")
+    n, m = a.size, b.size
+    # checks[k]: the entries (b's table, args, out) whose largest element is k
+    checks = [[] for _ in range(n)]
+    for name, _, _ in a.signature.ops:
+        target = b.tables[name]
+        for args, out in a.tables[name].items():
+            checks[max(args + out)].append((target, args, out))
+    f = [-1] * n
+    homs = []
+    k = 0
+    while k >= 0:
+        if k == n:
+            homs.append(tuple(f))
+            k -= 1
+            continue
+        for x in range(f[k] + 1, m):
+            if injective and x in f[:k]:
+                continue
+            f[k] = x
+            if all(
+                target[tuple(f[y] for y in args)] == tuple(f[y] for y in out)
+                for target, args, out in checks[k]
+            ):
+                k += 1
+                break
+        else:
+            f[k] = -1
+            k -= 1
+    return homs
+
+
 def enumerate_set_homs(a: FinSetMagma, b: FinSetMagma, cap: int = DEFAULT_ENUM_CAP):
-    """All homomorphisms a -> b as index tuples, in lexicographic order."""
+    """All homomorphisms a -> b as index tuples, in lexicographic order.
+
+    Raises ResourceLimitError before any search when the candidate space
+    b.size ** a.size exceeds cap; the search itself prunes a partial map as
+    soon as one table entry it determines fails.
+    """
     total = b.size**a.size
     if total > cap:
         raise ResourceLimitError(
             f"{total} candidate maps exceed the enumeration cap {cap}"
         )
-    return [
-        f
-        for f in product(range(b.size), repeat=a.size)
-        if is_set_homomorphism(f, a, b)
-    ]
+    return _hom_search(a, b)
 
 
 def omega_automorphisms(a: FinSetMagma, cap: int = DEFAULT_ENUM_CAP):
     """Bijective self-homomorphisms with their composition table.
 
-    Returns (perms, table) where perms[0] is the identity and
-    table[i][j] indexes perms[i] after perms[j].
+    Returns (perms, table) where perms lists the automorphisms in
+    lexicographic order, so perms[0] is the identity, and table[i][j] indexes
+    perms[i] after perms[j].  Raises ResourceLimitError before any search
+    when a.size! exceeds cap.
     """
-    import math
-
     if math.factorial(a.size) > cap:
         raise ResourceLimitError("factorial search space exceeds the enumeration cap")
-    ident = tuple(range(a.size))
-    perms = [ident] + [
-        p
-        for p in permutations(range(a.size))
-        if p != ident and is_set_homomorphism(p, a, a)
-    ]
+    perms = _hom_search(a, a, injective=True)
     index = {p: i for i, p in enumerate(perms)}
-    table = [
-        [index[tuple(p[q[x]] for x in range(a.size))] for q in perms] for p in perms
-    ]
+    table = [[index[tuple(p[x] for x in q)] for q in perms] for p in perms]
     return perms, table
+
+
+def omega_congruence_closure(magma: FinSetMagma, pairs):
+    """Least equivalence containing the pairs and respected by every
+    operation: equivalent input tuples get componentwise equivalent outputs.
+
+    Union-find plus a worklist: each merge of x and y is saturated by
+    substituting x and y at one argument position of one operation, the other
+    arguments ranging freely.  Returns a class index per element, classes
+    numbered by first appearance.
+    """
+    n = magma.size
+    parent = list(range(n))
+    work = []
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(x, y):
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            parent[max(rx, ry)] = min(rx, ry)
+            work.append((rx, ry))
+
+    for x, y in pairs:
+        if not (0 <= x < n and 0 <= y < n):
+            raise InputError(f"pair ({x}, {y}) out of range")
+        union(x, y)
+    ops = [(magma.tables[name], s) for name, s, _ in magma.signature.ops if s > 0]
+    while work:
+        x, y = work.pop()
+        for table, s in ops:
+            for rest in product(range(n), repeat=s - 1):
+                for p in range(s):
+                    before, after = rest[:p], rest[p:]
+                    out_x = table[before + (x,) + after]
+                    out_y = table[before + (y,) + after]
+                    for u, v in zip(out_x, out_y):
+                        union(u, v)
+    label = {}
+    return tuple(label.setdefault(find(x), len(label)) for x in range(n))
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,11 +1,13 @@
 """Independent oracles used by tests: generic matrix evaluation of the
 comeasuring diagram, kept deliberately separate from the coordinate formula
-it validates."""
+it validates, and brute-force scans that the set-level hom search and
+congruence closure are checked against."""
 
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 from univhopf._linalg import identity, kron, mat_mul
+from univhopf.signature import is_set_homomorphism
 
 F = Fraction
 
@@ -89,3 +91,60 @@ def comeasuring_oracle(rho, q_alg, a, b):
         if sigma1 != sigma2:
             return False
     return True
+
+
+def product_scan_homs(a, b):
+    """Every map a -> b in lexicographic order, kept when it preserves every
+    operation table."""
+    return [
+        f
+        for f in product(range(b.size), repeat=a.size)
+        if is_set_homomorphism(f, a, b)
+    ]
+
+
+def permutation_scan_automorphisms(a):
+    """Every permutation of a's carrier in lexicographic order (the identity
+    first), kept when it preserves every operation table."""
+    return [p for p in permutations(range(a.size)) if is_set_homomorphism(p, a, a)]
+
+
+def fixed_point_closure(magma, pairs):
+    """Operation-respecting closure of the pairs by an all-pairs fixed point:
+    repeat until no change, merging the outputs of every two input tuples that
+    are already equivalent componentwise.  Classes are numbered by first
+    appearance."""
+    n = magma.size
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    def union(x, y):
+        rx, ry = find(x), find(y)
+        if rx == ry:
+            return False
+        parent[max(rx, ry)] = min(rx, ry)
+        return True
+
+    for x, y in pairs:
+        union(x, y)
+    changed = True
+    while changed:
+        changed = False
+        for name, s, _ in magma.signature.ops:
+            if s == 0:
+                continue
+            for args1 in product(range(n), repeat=s):
+                canon1 = tuple(find(x) for x in args1)
+                for args2 in product(range(n), repeat=s):
+                    if args2 <= args1 or tuple(find(x) for x in args2) != canon1:
+                        continue
+                    out1 = magma.apply(name, args1)
+                    out2 = magma.apply(name, args2)
+                    for o1, o2 in zip(out1, out2):
+                        changed |= union(o1, o2)
+    label = {}
+    return tuple(label.setdefault(find(x), len(label)) for x in range(n))

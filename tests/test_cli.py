@@ -2,12 +2,15 @@ import io
 import json
 
 from univhopf import documents as docs
-from univhopf.cli import run
+from univhopf.cli import build_parser, run
 from univhopf.coact import group_algebra, tensor_valued_map
 from univhopf.finmonoid import full_transformation_monoid
+from univhopf.grouppres import DEFAULT_COSET_LIMIT
 from univhopf.hopf import group_algebra_hopf
 from univhopf.lio import identity_functor
+from univhopf.ncalg import DEFAULT_DEGREE_BOUND
 from univhopf.setsuniversal import SetComodFrame
+from univhopf.signature import DEFAULT_ENUM_CAP
 
 from helpers import (
     chain_monoid_a3_eq_a,
@@ -254,6 +257,21 @@ def test_precondition_exit_code(tmp_path):
     path = write(tmp_path, "bad.json", doc)
     code, _, err = invoke(["grothendieck", path])
     assert code == 3 and "associative" in err
+
+
+def test_empty_monoid_table_is_rejected(tmp_path):
+    doc = {"kind": "monoid_table", "table": [], "unit": 0}
+    path = write(tmp_path, "empty.json", doc)
+    for command in ("unit-group", "grothendieck"):
+        code, _, err = invoke([command, path])
+        assert code == 2 and "table is empty" in err
+
+
+def test_parser_defaults_are_the_library_defaults():
+    args = build_parser().parse_args(["support"])
+    assert args.degree_bound == DEFAULT_DEGREE_BOUND
+    assert args.coset_limit == DEFAULT_COSET_LIMIT
+    assert args.enum_cap == DEFAULT_ENUM_CAP
 
 
 def test_malformed_json_exit_code(tmp_path):

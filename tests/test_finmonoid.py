@@ -64,6 +64,12 @@ def test_quotient_full_collapse_trivial():
     assert q.size == 1
 
 
+def test_quotient_rejects_a_partition_that_is_not_translation_closed():
+    # {0, 1} is a class, but adding 1 sends it to {1, 2}, which is split
+    with pytest.raises(PreconditionError):
+        quotient_monoid(cyclic_monoid(4), Congruence((0, 0, 1, 2)))
+
+
 def _all_congruences(m: FinMonoid):
     """All translation-closed partitions, by brute force over class labels."""
     n = m.size
