@@ -8,6 +8,7 @@ from .coact import (
     FDCoalgebra,
     MatrixPresentation,
     TensorValuedMap,
+    check_axioms,
     cosupport_of_map,
     factor_through_universal,
     is_comeasuring,

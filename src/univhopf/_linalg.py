@@ -14,43 +14,12 @@ def vec(xs) -> Vec:
     return tuple(frac(x) for x in xs)
 
 
-def mat(rows) -> Mat:
-    return tuple(vec(r) for r in rows)
-
-
 def zero_vec(n: int) -> Vec:
     return (Fraction(0),) * n
 
 
 def unit_vec(n: int, i: int) -> Vec:
     return tuple(Fraction(1 if j == i else 0) for j in range(n))
-
-
-def identity(n: int) -> Mat:
-    return tuple(unit_vec(n, i) for i in range(n))
-
-
-def mat_mul(a: Mat, b: Mat) -> Mat:
-    if a and b:
-        assert len(a[0]) == len(b)
-    bt = tuple(zip(*b)) if b else ()
-    return tuple(
-        tuple(sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in bt)
-        for row in a
-    )
-
-
-def kron(a: Mat, b: Mat) -> Mat:
-    """Kronecker product; index (i*rows(b)+k, j*cols(b)+l)."""
-    if not a:
-        return ()
-    if not b:
-        return tuple(() for _ in range(0))
-    return tuple(
-        tuple(a[i][j] * b[k][l] for j in range(len(a[0])) for l in range(len(b[0])))
-        for i in range(len(a))
-        for k in range(len(b))
-    )
 
 
 def rref(rows) -> tuple[Mat, tuple[int, ...]]:

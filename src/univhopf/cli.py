@@ -23,6 +23,7 @@ from .finmonoid import grothendieck_group, unit_group
 from .grading import grading_support, universal_group_of_grading
 from .grouppres import DEFAULT_COSET_LIMIT, abelian_invariants, todd_coxeter_order
 from .hopf import (
+    DEFAULT_ANTIPODE_LEVELS,
     check_hopf_axioms_fd,
     hopf_envelope_presentation,
     universal_bialgebra_structure,
@@ -295,7 +296,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("inputs", nargs="*", help="input documents ('-' for stdin)")
     parser.add_argument("--degree-bound", type=int, default=DEFAULT_DEGREE_BOUND)
-    parser.add_argument("--antipode-levels", type=int, default=3)
+    parser.add_argument(
+        "--antipode-levels", type=int, default=DEFAULT_ANTIPODE_LEVELS
+    )
     parser.add_argument("--coset-limit", type=int, default=DEFAULT_COSET_LIMIT)
     parser.add_argument("--enum-cap", type=int, default=DEFAULT_ENUM_CAP)
     parser.add_argument("--format", choices=("json", "text"), default="json")

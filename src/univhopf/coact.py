@@ -1,5 +1,6 @@
 """Supports and cosupports of linear maps, comodule support extraction,
-comeasuring verification, and the Tambara / Manin universal presentations.
+comeasuring verification, the Tambara / Manin universal presentations, and
+the one sparse checker of the (co)algebra, bialgebra and Hopf axioms.
 
 A map rho: A -> B (x) Q is stored by its coefficient vectors q[beta][alpha]
 in Q, meaning rho(a_alpha) = sum_beta b_beta (x) q[beta][alpha].  Its support
@@ -114,6 +115,213 @@ def compose_with_matrix(rho: TensorValuedMap, tau) -> TensorValuedMap:
 
 
 # ---------------------------------------------------------------------------
+# one sparse checker for the (co)algebra, bialgebra and Hopf axioms
+
+
+class _Outside(Exception):
+    """An axiom instance touched a basis key outside the window."""
+
+
+def _add_scaled(acc: dict, terms: dict, c) -> None:
+    for key, x in terms.items():
+        acc[key] = acc.get(key, 0) + c * x
+
+
+def _nonzero(d: dict) -> dict:
+    return {key: x for key, x in d.items() if x}
+
+
+def check_axioms(
+    basis, mul=None, unit=None, delta=None, eps=None, antipode=None, inside=None
+):
+    """Check, instance by instance, every axiom that the given maps define.
+
+    The basis is a sequence of hashable keys.  mul(a, b), delta(a) and
+    antipode(a) return sparse {key: coefficient} dicts (delta's keys are
+    pairs of basis keys), unit is such a dict and eps(a) a scalar.  With mul
+    (and unit): associativity and unit; with delta (and eps): coassociativity
+    and counit; with all four: both multiplicativity axioms; with the
+    antipode too: both antipode axioms.
+
+    An instance is skipped exactly when a basis key that it touches, in its
+    inputs (the unit's keys included where the axiom uses it), intermediate
+    values or results, is not inside(key); without inside nothing is
+    skipped.  Returns (name, verified, skipped, failures)
+    per axiom, the failures in basis order as (i, j, k), i, (i, j) or "unit".
+    """
+    basis = tuple(basis)
+    results = []
+
+    def guarded(f, pairs=False):
+        # f memoised, raising _Outside when its value touches an outside key
+        if f is None or inside is None:
+            return f
+        memo = {}
+
+        def call(*args):
+            if args not in memo:
+                out = f(*args)
+                keys = [x for key in out for x in key] if pairs else out
+                memo[args] = out if all(map(inside, keys)) else None
+            out = memo[args]
+            if out is None:
+                raise _Outside
+            return out
+
+        return call
+
+    m, d, s = guarded(mul), guarded(delta, pairs=True), guarded(antipode)
+
+    def run(name, check, arity, unit_check=None, uses_unit=False):
+        verified = skipped = 0
+        failures = []
+        extra = [()] if unit_check else []
+        for args in [*product(basis, repeat=arity), *extra]:
+            touched = (*args, *unit) if uses_unit or not args else args
+            try:
+                if inside is not None and not all(map(inside, touched)):
+                    raise _Outside
+                ok = check(*args) if args else unit_check()
+            except _Outside:
+                skipped += 1
+                continue
+            verified += 1
+            if not ok:
+                failures.append(args[0] if arity == 1 else args or "unit")
+        results.append((name, verified, skipped, tuple(failures)))
+
+    def associative(i, j, k):
+        lhs, rhs = {}, {}
+        for a, c in m(i, j).items():
+            _add_scaled(lhs, m(a, k), c)
+        for b, c in m(j, k).items():
+            _add_scaled(rhs, m(i, b), c)
+        return _nonzero(lhs) == _nonzero(rhs)
+
+    def unital(i):
+        left, right = {}, {}
+        for u, c in unit.items():
+            _add_scaled(left, m(u, i), c)
+            _add_scaled(right, m(i, u), c)
+        return _nonzero(left) == _nonzero(right) == {i: 1}
+
+    def coassociative(i):
+        left, right = {}, {}
+        for (j, k), c in d(i).items():
+            for (a, b), x in d(j).items():
+                left[(a, b, k)] = left.get((a, b, k), 0) + c * x
+            for (a, b), x in d(k).items():
+                right[(j, a, b)] = right.get((j, a, b), 0) + c * x
+        return _nonzero(left) == _nonzero(right)
+
+    def counital(i):
+        left, right = {}, {}
+        for (j, k), c in d(i).items():
+            left[k] = left.get(k, 0) + c * eps(j)
+            right[j] = right.get(j, 0) + c * eps(k)
+        return _nonzero(left) == _nonzero(right) == {i: 1}
+
+    def delta_multiplicative(i, j):
+        lhs, rhs = {}, {}
+        for p, c in m(i, j).items():
+            _add_scaled(lhs, d(p), c)
+        for (p, q), c in d(i).items():
+            for (r, t), x in d(j).items():
+                right = m(q, t)
+                for a, y in m(p, r).items():
+                    for b, z in right.items():
+                        rhs[(a, b)] = rhs.get((a, b), 0) + c * x * y * z
+        return _nonzero(lhs) == _nonzero(rhs)
+
+    def delta_unital():
+        lhs = {}
+        for u, c in unit.items():
+            _add_scaled(lhs, d(u), c)
+        square = {(a, b): x * y for a, x in unit.items() for b, y in unit.items()}
+        return _nonzero(lhs) == _nonzero(square)
+
+    def eps_multiplicative(i, j):
+        return sum(c * eps(p) for p, c in m(i, j).items()) == eps(i) * eps(j)
+
+    def eps_unital():
+        return sum(c * eps(u) for u, c in unit.items()) == 1
+
+    def convolution(i, left):
+        # (S * id)(e_i) for left, (id * S)(e_i) otherwise, against eps(e_i) 1
+        acc = {}
+        for (j, k), c in d(i).items():
+            for a, x in s(j if left else k).items():
+                _add_scaled(acc, m(a, k) if left else m(j, a), c * x)
+        return _nonzero(acc) == _nonzero({u: eps(i) * x for u, x in unit.items()})
+
+    if mul is not None:
+        run("associativity", associative, 3)
+        if unit is not None:
+            run("unit", unital, 1, uses_unit=True)
+    if delta is not None:
+        run("coassociativity", coassociative, 1)
+        if eps is not None:
+            run("counit", counital, 1)
+    if None not in (mul, unit, delta, eps):
+        run("comultiplication multiplicative", delta_multiplicative, 2, delta_unital)
+        run("counit multiplicative", eps_multiplicative, 2, eps_unital)
+        if antipode is not None:
+            run("antipode left", lambda i: convolution(i, True), 1, uses_unit=True)
+            run("antipode right", lambda i: convolution(i, False), 1, uses_unit=True)
+    return tuple(results)
+
+
+def check_shapes(n, mult=None, unit=None, delta=None, counit=None, antipode=None):
+    """Raise InputError unless the given dense structure constants fit
+    dimension n: mult[i][j], unit and counit are n-vectors, delta[i] maps
+    index pairs in range to exact coefficients and antipode is n x n."""
+
+    def square(rows):
+        return len(rows) == n and all(len(row) == n for row in rows)
+
+    if mult is not None and not square(mult):
+        raise InputError("multiplication table shape mismatch")
+    if mult is not None and any(len(p) != n for row in mult for p in row):
+        raise InputError("product vector length mismatch")
+    for name, v in (("unit", unit), ("counit", counit)):
+        if v is not None and len(v) != n:
+            raise InputError(f"{name} vector length mismatch")
+    if delta is not None and len(delta) != n:
+        raise InputError("coalgebra data shape mismatch")
+    for row in delta or ():
+        for (j, k), c in row.items():
+            if not (0 <= j < n and 0 <= k < n):
+                raise InputError("comultiplication index out of range")
+            if not isinstance(c, Fraction):
+                raise InputError("non-exact comultiplication coefficient")
+    if antipode is not None and not square(antipode):
+        raise InputError("antipode matrix shape mismatch")
+
+
+def sparse_maps(mult=None, unit=None, delta=None, counit=None, antipode=None):
+    """check_axioms keyword arguments for dense structure constants on the
+    basis 0..n-1 (shapes as check_shapes accepts them); S(e_j) is column j
+    of the antipode matrix."""
+    maps = {}
+    if mult is not None:
+        table = [[_nonzero(dict(enumerate(p))) for p in row] for row in mult]
+        maps["mul"] = lambda i, j: table[i][j]
+    if unit is not None:
+        maps["unit"] = _nonzero(dict(enumerate(unit)))
+    if delta is not None:
+        maps["delta"] = delta.__getitem__
+    if counit is not None:
+        maps["eps"] = counit.__getitem__
+    if antipode is not None:
+        columns = [
+            {i: row[j] for i, row in enumerate(antipode) if row[j]}
+            for j in range(len(antipode))
+        ]
+        maps["antipode"] = columns.__getitem__
+    return maps
+
+
+# ---------------------------------------------------------------------------
 # finite-dimensional algebras / coalgebras
 
 
@@ -124,26 +332,16 @@ class FDAlgebra:
     unit: Vec
 
     def __post_init__(self):
-        n = self.dim
-        if len(self.mult) != n or any(len(r) != n for r in self.mult):
-            raise InputError("multiplication table shape mismatch")
-        if any(len(self.mult[i][j]) != n for i in range(n) for j in range(n)):
-            raise InputError("product vector length mismatch")
-        if len(self.unit) != n:
-            raise InputError("unit vector length mismatch")
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    lhs = self.multiply(self.mult[i][j], unit_vec(n, k))
-                    rhs = self.multiply(unit_vec(n, i), self.mult[j][k])
-                    if lhs != rhs:
-                        raise PreconditionError(
-                            f"algebra is not associative at ({i},{j},{k})"
-                        )
-        for i in range(n):
-            e = unit_vec(n, i)
-            if self.multiply(self.unit, e) != e or self.multiply(e, self.unit) != e:
-                raise PreconditionError("unit laws fail")
+        check_shapes(self.dim, mult=self.mult, unit=self.unit)
+        (_, _, _, assoc), (_, _, _, unital) = check_axioms(
+            range(self.dim), **sparse_maps(mult=self.mult, unit=self.unit)
+        )
+        if assoc:
+            raise PreconditionError(
+                "algebra is not associative at ({},{},{})".format(*assoc[0])
+            )
+        if unital:
+            raise PreconditionError("unit laws fail")
 
     def multiply(self, x: Vec, y: Vec) -> Vec:
         n = self.dim
@@ -188,38 +386,16 @@ class FDCoalgebra:
     counit: Vec
 
     def __post_init__(self):
-        n = self.dim
-        if len(self.delta) != n or len(self.counit) != n:
-            raise InputError("coalgebra data shape mismatch")
-        for i in range(n):
-            for (j, k), c in self.delta[i].items():
-                if not (0 <= j < n and 0 <= k < n):
-                    raise InputError("comultiplication index out of range")
-                if not isinstance(c, Fraction):
-                    raise InputError("non-exact comultiplication coefficient")
-        for i in range(n):
-            left: dict = {}
-            right: dict = {}
-            for (j, k), c in self.delta[i].items():
-                for (a, b), d in self.delta[j].items():
-                    key = (a, b, k)
-                    left[key] = left.get(key, Fraction(0)) + c * d
-                for (a, b), d in self.delta[k].items():
-                    key = (j, a, b)
-                    right[key] = right.get(key, Fraction(0)) + c * d
-            if {k: v for k, v in left.items() if v} != {
-                k: v for k, v in right.items() if v
-            }:
-                raise PreconditionError(
-                    f"comultiplication is not coassociative at {i}"
-                )
-            lcounit = [Fraction(0)] * n
-            rcounit = [Fraction(0)] * n
-            for (j, k), c in self.delta[i].items():
-                lcounit[k] += c * self.counit[j]
-                rcounit[j] += c * self.counit[k]
-            if tuple(lcounit) != unit_vec(n, i) or tuple(rcounit) != unit_vec(n, i):
-                raise PreconditionError(f"counit laws fail at basis vector {i}")
+        check_shapes(self.dim, delta=self.delta, counit=self.counit)
+        (_, _, _, coassoc), (_, _, _, counital) = check_axioms(
+            range(self.dim), **sparse_maps(delta=self.delta, counit=self.counit)
+        )
+        # the smallest failing basis vector; coassociativity first on a tie
+        i = min(coassoc[:1] + counital[:1], default=None)
+        if i is not None and coassoc[:1] == (i,):
+            raise PreconditionError(f"comultiplication is not coassociative at {i}")
+        if i is not None:
+            raise PreconditionError(f"counit laws fail at basis vector {i}")
 
     def comultiply(self, x: Vec) -> dict:
         out: dict = {}

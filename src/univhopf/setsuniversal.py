@@ -4,7 +4,7 @@ out of explicit map sets."""
 
 from itertools import product
 
-from .errors import InputError, PreconditionError, ResourceLimitError
+from .errors import InputError, PreconditionError
 from .finmonoid import FinMonoid, monoid_from_rows
 from .grouppres import GroupPresentation
 from .signature import (
@@ -118,15 +118,10 @@ def universal_acting_group_sets(
     V must contain the identity and be closed under composition.  Returns
     (members, group) where group is a FinMonoid on the member list and
     members[i] is the underlying map of element i, the identity first.  With
-    maps="all" (every self-map) the members are omega_automorphisms(a); the
-    cap still bounds the a.size ** a.size candidate maps, checked up front.
+    maps="all" (every self-map) the members are omega_automorphisms(a), under
+    its up-front cap on the a.size! permutations searched.
     """
     if maps == "all":
-        total = a.size**a.size
-        if total > cap:
-            raise ResourceLimitError(
-                f"{total} candidate maps exceed the enumeration cap {cap}"
-            )
         members, table = omega_automorphisms(a, cap)
         return members, monoid_from_rows(table, 0)
     ident = tuple(range(a.size))

@@ -1,15 +1,59 @@
 """Independent oracles used by tests: generic matrix evaluation of the
 comeasuring diagram, kept deliberately separate from the coordinate formula
-it validates, and brute-force scans that the set-level hom search and
-congruence closure are checked against."""
+it validates, brute-force scans that the set-level hom search and
+congruence closure are checked against, and the dense per-axiom Hopf
+checker that the sparse axiom checker replaced."""
 
 from fractions import Fraction
 from itertools import permutations, product
 
-from univhopf._linalg import identity, kron, mat_mul
+from univhopf._linalg import unit_vec
+from univhopf.errors import InputError
+from univhopf.hopf import AxiomReport
 from univhopf.signature import is_set_homomorphism
 
 F = Fraction
+
+
+def identity(n):
+    return tuple(unit_vec(n, i) for i in range(n))
+
+
+def mat_mul(a, b):
+    """Matrix product, skipping zero entries."""
+    if a and b:
+        assert len(a[0]) == len(b)
+    cols = len(b[0]) if b else 0
+    out = []
+    for row in a:
+        acc = [F(0)] * cols
+        for x, brow in zip(row, b):
+            if x:
+                for l, y in enumerate(brow):
+                    if y:
+                        acc[l] += x * y
+        out.append(tuple(acc))
+    return tuple(out)
+
+
+def kron(a, b):
+    """Kronecker product, skipping zero entries; index (i*rows(b)+k,
+    j*cols(b)+l)."""
+    if not a or not b:
+        return ()
+    cols_b = len(b[0])
+    width = len(a[0]) * cols_b
+    out = []
+    for arow in a:
+        for brow in b:
+            row = [F(0)] * width
+            for j, x in enumerate(arow):
+                if x:
+                    for l, y in enumerate(brow):
+                        if y:
+                            row[j * cols_b + l] = x * y
+            out.append(tuple(row))
+    return tuple(out)
 
 
 def rho_matrix(rho):
@@ -148,3 +192,149 @@ def fixed_point_closure(magma, pairs):
                         changed |= union(o1, o2)
     label = {}
     return tuple(label.setdefault(find(x), len(label)) for x in range(n))
+
+
+def dense_hopf_axioms(h):
+    """Every Hopf axiom of dense FinDimHopf data, checked by direct dense
+    contractions, with the first basis witness per failing axiom."""
+    n = h.dim
+    if (
+        len(h.mult) != n
+        or any(len(r) != n for r in h.mult)
+        or len(h.delta) != n
+        or len(h.counit) != n
+        or len(h.antipode) != n
+        or any(len(r) != n for r in h.antipode)
+    ):
+        raise InputError("structure constant shapes do not match the dimension")
+
+    def multiply(x, y):
+        out = [F(0)] * n
+        for i in range(n):
+            if x[i] == 0:
+                continue
+            for j in range(n):
+                if y[j] == 0:
+                    continue
+                c = x[i] * y[j]
+                for k, m in enumerate(h.mult[i][j]):
+                    if m != 0:
+                        out[k] += c * m
+        return tuple(out)
+
+    def comultiply(x):
+        out = {}
+        for i, c in enumerate(x):
+            if c == 0:
+                continue
+            for key, d in h.delta[i].items():
+                out[key] = out.get(key, F(0)) + c * d
+        return {k: v for k, v in out.items() if v != 0}
+
+    def counit_of(x):
+        return sum((c * e for c, e in zip(x, h.counit)), F(0))
+
+    def apply_antipode(x):
+        return tuple(
+            sum((h.antipode[i][j] * x[j] for j in range(n)), F(0)) for i in range(n)
+        )
+
+    basis = [unit_vec(n, i) for i in range(n)]
+    results = []
+
+    def record(name, failures):
+        results.append((name, not failures, failures[0] if failures else None))
+
+    fails = []
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if multiply(h.mult[i][j], basis[k]) != multiply(basis[i], h.mult[j][k]):
+                    fails.append((i, j, k))
+    record("associativity", fails)
+
+    fails = [
+        i
+        for i in range(n)
+        if multiply(h.unit, basis[i]) != basis[i]
+        or multiply(basis[i], h.unit) != basis[i]
+    ]
+    record("unit", fails)
+
+    fails = []
+    for i in range(n):
+        left = {}
+        right = {}
+        for (j, k), c in h.delta[i].items():
+            for (a, b), d in h.delta[j].items():
+                left[(a, b, k)] = left.get((a, b, k), F(0)) + c * d
+            for (a, b), d in h.delta[k].items():
+                right[(j, a, b)] = right.get((j, a, b), F(0)) + c * d
+        if {k: v for k, v in left.items() if v} != {k: v for k, v in right.items() if v}:
+            fails.append(i)
+    record("coassociativity", fails)
+
+    fails = []
+    for i in range(n):
+        lc = [F(0)] * n
+        rc = [F(0)] * n
+        for (j, k), c in h.delta[i].items():
+            lc[k] += c * h.counit[j]
+            rc[j] += c * h.counit[k]
+        if tuple(lc) != basis[i] or tuple(rc) != basis[i]:
+            fails.append(i)
+    record("counit", fails)
+
+    fails = []
+    for i in range(n):
+        for j in range(n):
+            product_image = comultiply(h.mult[i][j])
+            pointwise = {}
+            for (p, q), c in h.delta[i].items():
+                for (r, s), d in h.delta[j].items():
+                    prod = multiply(basis[p], basis[r])
+                    prod2 = multiply(basis[q], basis[s])
+                    for a in range(n):
+                        if prod[a] == 0:
+                            continue
+                        for b in range(n):
+                            if prod2[b] == 0:
+                                continue
+                            pointwise[(a, b)] = (
+                                pointwise.get((a, b), F(0)) + c * d * prod[a] * prod2[b]
+                            )
+            if product_image != {k: v for k, v in pointwise.items() if v}:
+                fails.append((i, j))
+    expected = {
+        (a, b): h.unit[a] * h.unit[b]
+        for a in range(n)
+        for b in range(n)
+        if h.unit[a] * h.unit[b] != 0
+    }
+    if comultiply(h.unit) != expected:
+        fails.append("unit")
+    record("comultiplication multiplicative", fails)
+
+    fails = []
+    for i in range(n):
+        for j in range(n):
+            if counit_of(h.mult[i][j]) != h.counit[i] * h.counit[j]:
+                fails.append((i, j))
+    if counit_of(h.unit) != 1:
+        fails.append("unit")
+    record("counit multiplicative", fails)
+
+    for name, first in (("antipode left", True), ("antipode right", False)):
+        fails = []
+        for i in range(n):
+            acc = (F(0),) * n
+            for (j, k), c in h.delta[i].items():
+                if first:
+                    term = multiply(apply_antipode(basis[j]), basis[k])
+                else:
+                    term = multiply(basis[j], apply_antipode(basis[k]))
+                acc = tuple(x + c * y for x, y in zip(acc, term))
+            if acc != tuple(h.counit[i] * u for u in h.unit):
+                fails.append(i)
+        record(name, fails)
+    return AxiomReport(tuple(results))

@@ -6,7 +6,7 @@ from univhopf.cli import build_parser, run
 from univhopf.coact import group_algebra, tensor_valued_map
 from univhopf.finmonoid import full_transformation_monoid
 from univhopf.grouppres import DEFAULT_COSET_LIMIT
-from univhopf.hopf import group_algebra_hopf
+from univhopf.hopf import DEFAULT_ANTIPODE_LEVELS, group_algebra_hopf
 from univhopf.lio import identity_functor
 from univhopf.ncalg import DEFAULT_DEGREE_BOUND
 from univhopf.setsuniversal import SetComodFrame
@@ -180,6 +180,24 @@ def test_check_hopf_command(tmp_path):
     assert doc["summary"]["all_pass"] is True
 
 
+def test_check_hopf_rejects_misshapen_structure_constants(tmp_path):
+    base = docs.serialize_hopf_fd(group_algebra_hopf(cyclic_monoid(2)))
+    one = docs.serialize_hopf_fd(group_algebra_hopf(cyclic_monoid(1)))
+    delta_index_5 = json.loads(json.dumps(base))
+    delta_index_5["delta"][1][0]["left"] = 5
+    short_product = json.loads(json.dumps(base))
+    short_product["mult"][0][1] = ["1"]
+    long_unit = json.loads(json.dumps(one))
+    long_unit["unit"] = ["1", "0"]
+    delta_index_minus_1 = json.loads(json.dumps(base))
+    delta_index_minus_1["delta"][1][0]["right"] = -1
+    cases = (delta_index_5, short_product, long_unit, delta_index_minus_1)
+    for n, doc in enumerate(cases):
+        code, out, err = invoke(["check-hopf", write(tmp_path, f"h{n}.json", doc)])
+        assert (code, out) == (2, ""), (n, err)
+        assert "Traceback" not in err and err.startswith("error: "), err
+
+
 def test_coact_sets_command(tmp_path):
     frame = SetComodFrame(cyclic_set_magma(4), (0, 1, 0, 1))
     path = write(tmp_path, "frame.json", docs.serialize_frame_sets(frame))
@@ -272,6 +290,7 @@ def test_parser_defaults_are_the_library_defaults():
     assert args.degree_bound == DEFAULT_DEGREE_BOUND
     assert args.coset_limit == DEFAULT_COSET_LIMIT
     assert args.enum_cap == DEFAULT_ENUM_CAP
+    assert args.antipode_levels == DEFAULT_ANTIPODE_LEVELS
 
 
 def test_malformed_json_exit_code(tmp_path):

@@ -4,8 +4,10 @@ from random import Random
 
 import pytest
 
-from univhopf._linalg import mat_mul, rank
+from univhopf._linalg import rank
 from univhopf.coact import (
+    FDAlgebra,
+    FDCoalgebra,
     compose_with_matrix,
     cosupport_of_map,
     factor_through_universal,
@@ -22,13 +24,13 @@ from univhopf.coact import (
     tambara_presentation,
     tensor_valued_map,
 )
-from univhopf.errors import PreconditionError
+from univhopf.errors import InputError, PreconditionError
 from univhopf.finmonoid import monoid_from_rows
 from univhopf.grading import Grading
 from univhopf.ncalg import NCPoly, complete_rules_up_to, dim_normal_words, reduce_normal_form
 from univhopf.signature import FinVectMagma, OmegaSignature, make_vect_magma, unital_signature
 
-from oracles import comeasuring_oracle
+from oracles import comeasuring_oracle, mat_mul
 from helpers import random_q_algebra, random_unital_magma
 from helpers import (
     dual_numbers,
@@ -446,3 +448,17 @@ def test_grading_coaction_support_spans_used_labels_only():
     assert all(support_coalg.delta[i] == {(i, i): F(1)} for i in range(2))
     ok, _ = is_comeasuring(rho, group_algebra(monoid_from_rows([[0, 1], [1, 0]], 0)), trunc, trunc)
     assert ok
+
+
+def test_structure_shapes_are_validated():
+    one = (F(1),)
+    bad = (
+        lambda: FDCoalgebra(1, ({(0, 0): 1},), one),  # inexact coefficient
+        lambda: FDCoalgebra(1, ({(0, 1): F(1)},), one),
+        lambda: FDCoalgebra(1, ({(0, 0): F(1)},), (F(1), F(0))),
+        lambda: FDAlgebra(1, (((F(1), F(0)),),), one),
+        lambda: FDAlgebra(1, ((one,),), (F(1), F(0))),
+    )
+    for build in bad:
+        with pytest.raises(InputError):
+            build()

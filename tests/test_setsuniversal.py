@@ -158,6 +158,19 @@ def test_acting_group_on_klein_four():
         assert not invertible or not is_set_homomorphism(f, k4, k4)
 
 
+def test_acting_group_bound_is_the_permutation_count():
+    # 9^9 self-maps exceed the default cap, 9! permutations do not
+    members, group = universal_acting_group_sets(cyclic_set_magma(9))
+    assert group.size == 6 and members[0] == tuple(range(9))
+    assert sorted(members) == members
+
+
+def test_acting_group_cap_bounds_the_permutations():
+    # 4! = 24 permutations exceed a cap of 10
+    with pytest.raises(ResourceLimitError):
+        universal_acting_group_sets(klein_set_magma(), cap=10)
+
+
 def test_acting_group_identity_only():
     k4 = klein_set_magma()
     members, group = universal_acting_group_sets(k4, maps=[tuple(range(4))])
