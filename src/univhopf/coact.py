@@ -502,7 +502,8 @@ def support_of_comodule(rho: TensorValuedMap, c: FDCoalgebra):
         )
     eps0 = tuple(c.counit_of(b) for b in basis)
     support_coalg = FDCoalgebra(len(basis), tuple(delta0), eps0)
-    assert not comodule_axiom_failures(corestricted, support_coalg)
+    if comodule_axiom_failures(corestricted, support_coalg):
+        raise RuntimeError("corestriction to the support is not a comodule")
     return basis, support_coalg, corestricted
 
 

@@ -236,12 +236,14 @@ def todd_coxeter_order(
     live = [c for c in range(len(neighbors)) if find(c) == c]
     # closed-table sanity sweep
     for c in live:
-        assert all(n is not None for n in neighbors[c])
+        if any(n is None for n in neighbors[c]):
+            raise RuntimeError(f"coset table not closed at coset {c}")
         for w in pres.relators:
             x = c
             for letter in w:
                 x = find(neighbors[x][col(letter)])
-            assert x == c
+            if x != c:
+                raise RuntimeError(f"relator does not close at coset {c}")
     return len(live)
 
 

@@ -16,7 +16,7 @@ envelope are meaningful up to that truncation only.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._linalg import Vec, nullspace, solve, unit_vec, vec
+from ._linalg import Vec, nullspace, solve, unit_vec
 from .errors import InputError, PreconditionError
 from .finmonoid import FinMonoid, grothendieck_group, unit_group
 from .coact import MatrixPresentation, check_axioms, check_shapes, sparse_maps
@@ -49,22 +49,6 @@ class FinDimHopf:
     antipode: tuple  # matrix rows; S(x)_i = sum_j antipode[i][j] x_j
 
 
-def fin_dim_hopf(mult_rows, unit, delta_entries, counit, antipode_rows) -> FinDimHopf:
-    mult = tuple(tuple(vec(p) for p in row) for row in mult_rows)
-    delta = tuple(
-        {tuple(jk): Fraction(c) for jk, c in row if Fraction(c) != 0}
-        for row in delta_entries
-    )
-    return FinDimHopf(
-        len(mult),
-        mult,
-        vec(unit),
-        delta,
-        vec(counit),
-        tuple(vec(r) for r in antipode_rows),
-    )
-
-
 @dataclass(frozen=True)
 class AxiomReport:
     results: tuple  # (axiom name, ok, witness or None)
@@ -90,8 +74,9 @@ def antipode_from_convolution(h: FinDimHopf):
     """Solve both convolution identities for the antipode matrix.
 
     Returns (matrix or None, degrees_of_freedom).  For honest Hopf data the
-    solution is unique: (S, 0).
+    solution is unique: (S, 0).  Raises InputError on misshapen data.
     """
+    check_shapes(h.dim, h.mult, h.unit, h.delta, h.counit)
     n = h.dim
     rows = []
     rhs = []

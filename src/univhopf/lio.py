@@ -224,9 +224,10 @@ def universal_object_of(functor: FunctorData, y: int) -> int | None:
     y0 = lift_initial_object(functor, x0)
     if y0 is not None:
         a = absolute_value(x, functor.object_map[y0])
-        assert a is not None and (
-            bool(x.hom(a, x0)) and bool(x.hom(x0, a))
-        ), "lifted object's absolute value must agree up to isomorphism"
+        if a is None or not (x.hom(a, x0) and x.hom(x0, a)):
+            raise RuntimeError(
+                "lifted object's absolute value does not agree up to isomorphism"
+            )
     return y0
 
 

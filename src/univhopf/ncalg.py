@@ -6,10 +6,24 @@ then lexicographically by declaration order).  Completion closes overlap
 ambiguities among leading words up to a degree bound only; ideal membership
 beyond the bound is reported as uncertain unless the bounded system is
 confluent.
+
+Reduction looks rules up by leading word: a dict probed with the factors of
+a word at the distinct leading-word lengths only, the first position and
+then the lowest-listed rule winning.  Terms are rewritten from a max-heap in
+decreasing deglex order, so a word found irreducible is final.
+
+A bounded system is flagged confluent only when its last overlap pass
+produced no new rule and either skipped no overlap for the bound (then
+every ambiguity resolves, and the rules are a complete system by
+Bergman's diamond lemma) or every relation is homogeneous (then rules
+above the bound never reduce a polynomial within it).  The overlaps that
+pass skipped are reported as ``RewriteSystem.overlaps_skipped``.
 """
 
-from dataclasses import dataclass
+import heapq
+from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 
 from ._linalg import frac
 from .errors import InputError
@@ -36,6 +50,14 @@ class NCPoly:
             if c != 0:
                 clean[tuple(w)] = c
         self.terms = clean
+
+    @classmethod
+    def _trusted(cls, terms: dict) -> "NCPoly":
+        """Wrap terms whose keys are tuples and whose coefficients are
+        already nonzero Fractions, skipping normalisation."""
+        p = object.__new__(cls)
+        p.terms = terms
+        return p
 
     @staticmethod
     def zero() -> "NCPoly":
@@ -65,29 +87,31 @@ class NCPoly:
     def __add__(self, other: "NCPoly") -> "NCPoly":
         out = dict(self.terms)
         for w, c in other.terms.items():
-            out[w] = out.get(w, Fraction(0)) + c
-        return NCPoly(out)
+            out[w] = out.get(w, 0) + c
+        return _nonzero(out)
 
     def __sub__(self, other: "NCPoly") -> "NCPoly":
         out = dict(self.terms)
         for w, c in other.terms.items():
-            out[w] = out.get(w, Fraction(0)) - c
-        return NCPoly(out)
+            out[w] = out.get(w, 0) - c
+        return _nonzero(out)
 
     def __neg__(self) -> "NCPoly":
-        return NCPoly({w: -c for w, c in self.terms.items()})
+        return NCPoly._trusted({w: -c for w, c in self.terms.items()})
 
     def scale(self, c) -> "NCPoly":
         c = frac(c)
-        return NCPoly({w: c * x for w, x in self.terms.items()})
+        if not c:
+            return NCPoly._trusted({})
+        return NCPoly._trusted({w: c * x for w, x in self.terms.items()})
 
     def __mul__(self, other: "NCPoly") -> "NCPoly":
         out = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
                 w = w1 + w2
-                out[w] = out.get(w, Fraction(0)) + c1 * c2
-        return NCPoly(out)
+                out[w] = out.get(w, 0) + c1 * c2
+        return _nonzero(out)
 
     def degree(self) -> int:
         return max((len(w) for w in self.terms), default=0)
@@ -113,6 +137,10 @@ class NCPoly:
             return "NCPoly(0)"
         bits = [f"{c}*{'.'.join(map(str, w)) or '1'}" for w, c in self.sorted_terms()]
         return "NCPoly(" + " + ".join(bits) + ")"
+
+
+def _nonzero(terms: dict) -> NCPoly:
+    return NCPoly._trusted({w: c for w, c in terms.items() if c})
 
 
 def nc_evaluate(p: NCPoly, images) -> NCPoly:
@@ -157,6 +185,8 @@ class RewriteSystem:
     rules: tuple[tuple[Word, NCPoly], ...]  # leading word -> lower remainder
     degree_bound: int
     confluent_up_to: bool
+    overlaps_skipped: int = 0  # by the degree bound, in the last overlap pass
+    _index: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         seen = set()
@@ -167,46 +197,84 @@ class RewriteSystem:
             for w in rhs.terms:
                 if deglex_key(w) >= deglex_key(lw):
                     raise InputError("rule right side is not deglex-smaller")
+        object.__setattr__(self, "_index", _rule_index(self.rules))
 
 
-def _find_redex(word: Word, rules):
-    """First (position, rule index) whose leading word occurs in word."""
-    for pos in range(len(word)):
-        for ri, (lw, _) in enumerate(rules):
-            n = len(lw)
-            if word[pos : pos + n] == lw:
-                return pos, ri
+def _rule_index(rules):
+    """Leading word -> (first list index, rhs), and the distinct leading-word
+    lengths in increasing order."""
+    table = {}
+    for i, (lw, rhs) in enumerate(rules):
+        table.setdefault(lw, (i, rhs))
+    return table, sorted({len(lw) for lw in table})
+
+
+def _redex(word: Word, index):
+    """(start, end, rhs) of the first position holding a leading word, the
+    lowest-listed rule winning a tie at that position; None if the word is
+    irreducible.  The empty word is never rewritten."""
+    table, lengths = index
+    n = len(word)
+    for pos in range(n):
+        best = None
+        for length in lengths:
+            end = pos + length
+            if end > n:
+                break
+            hit = table.get(word[pos:end])
+            if hit is not None and (best is None or hit[0] < best[0]):
+                best = (hit[0], end, hit[1])
+        if best is not None:
+            return pos, best[1], best[2]
     return None
 
 
-def _reduce_by_rules(p: NCPoly, rules) -> NCPoly:
-    work = NCPoly(p.terms)
-    while True:
-        hit = None
-        for w, c in work.sorted_terms():
-            found = _find_redex(w, rules)
-            if found is not None:
-                hit = (w, c, found)
-                break
+def _heap_key(w: Word):
+    # heapq pops its smallest entry first: this key pops the deglex-largest
+    return (-len(w), tuple(-g for g in w), w)
+
+
+def _reduce(p: NCPoly, index) -> NCPoly:
+    """Rewrite the deglex-largest reducible term until none is left.
+
+    Terms leave a max-heap in decreasing deglex order.  Every replacement
+    term is smaller than the word it replaces, so a popped irreducible word
+    is final."""
+    pending = dict(p.terms)
+    heap = [_heap_key(w) for w in pending]
+    heapq.heapify(heap)
+    out = {}
+    while heap:
+        w = heapq.heappop(heap)[2]
+        c = pending.pop(w)
+        if not c:
+            continue
+        hit = _redex(w, index)
         if hit is None:
-            return work
-        w, c, (pos, ri) = hit
-        lw, rhs = rules[ri]
-        prefix, suffix = w[:pos], w[pos + len(lw) :]
-        replacement = NCPoly.monomial(prefix) * rhs * NCPoly.monomial(suffix)
-        work = work - NCPoly.monomial(w, c) + replacement.scale(c)
+            out[w] = c
+            continue
+        start, end, rhs = hit
+        prefix, suffix = w[:start], w[end:]
+        for v, d in rhs.terms.items():
+            u = prefix + v + suffix
+            if u in pending:
+                pending[u] += c * d
+            else:
+                pending[u] = c * d
+                heapq.heappush(heap, _heap_key(u))
+    return NCPoly._trusted(out)
 
 
 def reduce_normal_form(p: NCPoly, system: RewriteSystem) -> NCPoly:
     """Rewrite until no term contains a rule's leading word; terminates since
     every step is deglex-decreasing."""
-    return _reduce_by_rules(p, system.rules)
+    return _reduce(p, system._index)
 
 
 def _orient(p: NCPoly) -> tuple[Word, NCPoly]:
     lw = p.leading_word()
     lc = p.terms[lw]
-    rest = NCPoly({w: c for w, c in p.terms.items() if w != lw})
+    rest = NCPoly._trusted({w: c for w, c in p.terms.items() if w != lw})
     return lw, rest.scale(Fraction(-1) / lc)
 
 
@@ -214,29 +282,48 @@ def _rule_poly(lw: Word, rhs: NCPoly) -> NCPoly:
     return NCPoly.monomial(lw) - rhs
 
 
-def _contains(word: Word, factor: Word) -> bool:
+def _has_factor(words, factor: Word) -> bool:
+    """Whether any of the words contains factor."""
     n = len(factor)
-    return any(word[i : i + n] == factor for i in range(len(word) - n + 1))
+    return any(word[i : i + n] == factor for word in words for i in range(len(word) - n + 1))
 
 
 def _add_and_interreduce(rules: list, pending: list) -> None:
     """Drain pending polynomials into the rule list, keeping it inter-reduced."""
+    index = _rule_index(rules)
     while pending:
-        p = _reduce_by_rules(pending.pop(0), rules)
+        p = _reduce(pending.pop(0), index)
         if p.is_zero():
             continue
         lw, rhs = _orient(p)
         keep = []
         for old_lw, old_rhs in rules:
-            reducible = _contains(old_lw, lw) or _reduce_by_rules(
-                old_rhs, [(lw, rhs)]
-            ) != old_rhs
-            if reducible:
+            if _has_factor(chain((old_lw,), old_rhs.terms), lw):
                 pending.append(_rule_poly(old_lw, old_rhs))
             else:
                 keep.append((old_lw, old_rhs))
         keep.append((lw, rhs))
         rules[:] = keep
+        index = _rule_index(rules)
+
+
+def _overlaps(rules):
+    """(lw1, rhs1, lw2, rhs2, k) for every proper overlap of a suffix of lw1
+    with a prefix of lw2 of length k, ordered by lw1, then lw2, then k."""
+    by_prefix = {}
+    for j, (lw2, _) in enumerate(rules):
+        for k in range(1, len(lw2)):
+            by_prefix.setdefault(lw2[:k], []).append(j)
+    for lw1, rhs1 in rules:
+        hits = sorted(
+            (j, k) for k in range(1, len(lw1)) for j in by_prefix.get(lw1[len(lw1) - k :], ())
+        )
+        for j, k in hits:
+            yield lw1, rhs1, rules[j][0], rules[j][1], k
+
+
+def _is_homogeneous(p: NCPoly) -> bool:
+    return len({len(w) for w in p.terms}) <= 1
 
 
 def complete_rules_up_to(
@@ -245,7 +332,9 @@ def complete_rules_up_to(
     """Close overlap ambiguities among leading words up to the degree bound.
 
     Deterministic for a fixed generator order.  The result is flagged
-    confluent when a full overlap pass produced no new rule.
+    confluent when a full overlap pass produced no new rule and either that
+    pass skipped no overlap for the bound, or every relation is homogeneous
+    (then the rules of degree at most the bound are exact).
     """
     max_rel_deg = max((r.degree() for r in pres.relations), default=0)
     if degree_bound < max_rel_deg:
@@ -256,28 +345,30 @@ def complete_rules_up_to(
     pending = [NCPoly(r.terms) for r in pres.relations]
     _add_and_interreduce(rules, pending)
     confluent = False
+    skipped = 0
     for _ in range(_COMPLETION_PASS_CAP):
         rules.sort(key=lambda r: deglex_key(r[0]))
+        index = _rule_index(rules)
         new_polys = []
-        for lw1, rhs1 in list(rules):
-            for lw2, rhs2 in list(rules):
-                for k in range(1, min(len(lw1), len(lw2))):
-                    if lw1[len(lw1) - k :] != lw2[:k]:
-                        continue
-                    if len(lw1) + len(lw2) - k > degree_bound:
-                        continue
-                    # superposition lw1 . lw2[k:] = lw1[:-k] . lw2
-                    left = rhs1 * NCPoly.monomial(lw2[k:])
-                    right = NCPoly.monomial(lw1[: len(lw1) - k]) * rhs2
-                    s = _reduce_by_rules(left - right, rules)
-                    if not s.is_zero():
-                        new_polys.append(s)
+        skipped = 0
+        for lw1, rhs1, lw2, rhs2, k in _overlaps(rules):
+            if len(lw1) + len(lw2) - k > degree_bound:
+                skipped += 1
+                continue
+            # superposition lw1 . lw2[k:] = lw1[:-k] . lw2
+            tail, head = lw2[k:], lw1[: len(lw1) - k]
+            s = {v + tail: c for v, c in rhs1.terms.items()}
+            for v, c in rhs2.terms.items():
+                s[head + v] = s.get(head + v, 0) - c
+            s = _reduce(_nonzero(s), index)
+            if not s.is_zero():
+                new_polys.append(s)
         if not new_polys:
-            confluent = True
+            confluent = skipped == 0 or all(map(_is_homogeneous, pres.relations))
             break
         _add_and_interreduce(rules, new_polys)
     rules.sort(key=lambda r: deglex_key(r[0]))
-    return RewriteSystem(pres.num_gens, tuple(rules), degree_bound, confluent)
+    return RewriteSystem(pres.num_gens, tuple(rules), degree_bound, confluent, skipped)
 
 
 @dataclass(frozen=True)
@@ -299,10 +390,11 @@ def dim_normal_words(system: RewriteSystem, degree: int) -> int:
     """Number of degree-d words containing no leading word as a factor."""
     if degree > system.degree_bound:
         raise InputError("degree exceeds the rewrite system's bound")
-    leads = [lw for lw, _ in system.rules]
+    table, lengths = system._index
 
     def ends_reducible(word):
-        return any(word[len(word) - len(lw) :] == lw for lw in leads if len(lw) <= len(word))
+        n = len(word)
+        return any(word[n - length :] in table for length in lengths if length <= n)
 
     count = 0
     stack = [()]

@@ -1,8 +1,9 @@
 """Independent oracles used by tests: generic matrix evaluation of the
 comeasuring diagram, kept deliberately separate from the coordinate formula
 it validates, brute-force scans that the set-level hom search and
-congruence closure are checked against, and the dense per-axiom Hopf
-checker that the sparse axiom checker replaced."""
+congruence closure are checked against, the dense per-axiom Hopf
+checker that the sparse axiom checker replaced, and the linear-scan
+reducer and completion that the indexed rewriting engine replaced."""
 
 from fractions import Fraction
 from itertools import permutations, product
@@ -10,6 +11,7 @@ from itertools import permutations, product
 from univhopf._linalg import unit_vec
 from univhopf.errors import InputError
 from univhopf.hopf import AxiomReport
+from univhopf.ncalg import NCPoly, deglex_key
 from univhopf.signature import is_set_homomorphism
 
 F = Fraction
@@ -338,3 +340,120 @@ def dense_hopf_axioms(h):
                 fails.append(i)
         record(name, fails)
     return AxiomReport(tuple(results))
+
+
+class BudgetExceeded(Exception):
+    """The reference completion ran out of steps or met a rule coefficient
+    of more than COEFF_BITS bits.  It never ends once two polynomials reduce
+    to nonzero constants, because the empty word is never rewritten; on
+    some small inhomogeneous presentations its coefficients grow to
+    hundreds of thousands of bits."""
+
+
+COEFF_BITS = 256
+
+
+class Budget:
+    def __init__(self, steps):
+        self.left = steps
+
+    def spend(self):
+        self.left -= 1
+        if self.left < 0:
+            raise BudgetExceeded
+
+    def check(self, poly):
+        for c in poly.terms.values():
+            if max(c.numerator.bit_length(), c.denominator.bit_length()) > COEFF_BITS:
+                raise BudgetExceeded
+
+
+def find_redex(word, rules):
+    """First (position, rule index) whose leading word occurs in word."""
+    for pos in range(len(word)):
+        for ri, (lw, _) in enumerate(rules):
+            n = len(lw)
+            if word[pos : pos + n] == lw:
+                return pos, ri
+    return None
+
+
+def scan_reduce(p, rules, budget=None):
+    """Rewrite the deglex-largest reducible term at its first redex, scanning
+    every rule at every position and re-sorting all terms after each step;
+    each step spends one unit of the budget, if one is given."""
+    work = NCPoly(p.terms)
+    while True:
+        hit = None
+        for w, c in work.sorted_terms():
+            found = find_redex(w, rules)
+            if found is not None:
+                hit = (w, c, found)
+                break
+        if hit is None:
+            return work
+        if budget is not None:
+            budget.spend()
+        w, c, (pos, ri) = hit
+        lw, rhs = rules[ri]
+        prefix, suffix = w[:pos], w[pos + len(lw) :]
+        replacement = NCPoly.monomial(prefix) * rhs * NCPoly.monomial(suffix)
+        work = work - NCPoly.monomial(w, c) + replacement.scale(c)
+
+
+def _scan_add_and_interreduce(rules, pending, budget):
+    while pending:
+        budget.spend()
+        p = scan_reduce(pending.pop(0), rules, budget)
+        if p.is_zero():
+            continue
+        lw = p.leading_word()
+        rest = NCPoly({w: c for w, c in p.terms.items() if w != lw})
+        rhs = rest.scale(F(-1) / p.terms[lw])
+        budget.check(rhs)
+        keep = []
+        for old_lw, old_rhs in rules:
+            n = len(lw)
+            contains = any(old_lw[i : i + n] == lw for i in range(len(old_lw) - n + 1))
+            if contains or scan_reduce(old_rhs, [(lw, rhs)]) != old_rhs:
+                pending.append(NCPoly.monomial(old_lw) - old_rhs)
+            else:
+                keep.append((old_lw, old_rhs))
+        keep.append((lw, rhs))
+        rules[:] = keep
+
+
+def scan_completion(pres, degree_bound, max_steps, pass_cap=50):
+    """The linear-scan completion: (rules, closed, skipped), where closed
+    says the last overlap pass produced no new rule and skipped counts the
+    overlaps that pass left out for the degree bound.  Raises
+    BudgetExceeded after max_steps rewriting and interreduction steps, or on
+    a rule coefficient of more than COEFF_BITS bits."""
+    budget = Budget(max_steps)
+    rules = []
+    _scan_add_and_interreduce(rules, [NCPoly(r.terms) for r in pres.relations], budget)
+    closed = False
+    skipped = 0
+    for _ in range(pass_cap):
+        rules.sort(key=lambda r: deglex_key(r[0]))
+        new_polys = []
+        skipped = 0
+        for lw1, rhs1 in list(rules):
+            for lw2, rhs2 in list(rules):
+                for k in range(1, min(len(lw1), len(lw2))):
+                    if lw1[len(lw1) - k :] != lw2[:k]:
+                        continue
+                    if len(lw1) + len(lw2) - k > degree_bound:
+                        skipped += 1
+                        continue
+                    left = rhs1 * NCPoly.monomial(lw2[k:])
+                    right = NCPoly.monomial(lw1[: len(lw1) - k]) * rhs2
+                    s = scan_reduce(left - right, rules, budget)
+                    if not s.is_zero():
+                        new_polys.append(s)
+        if not new_polys:
+            closed = True
+            break
+        _scan_add_and_interreduce(rules, new_polys, budget)
+    rules.sort(key=lambda r: deglex_key(r[0]))
+    return tuple(rules), closed, skipped

@@ -1,0 +1,116 @@
+"""Differential tests: the indexed, heap-ordered reducer and the completion
+built on it against the linear-scan reducer and completion in oracles.py,
+on random rule lists and small presentations over 2-3 generators."""
+
+from fractions import Fraction
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from univhopf.ncalg import (
+    AlgebraPresentation,
+    NCPoly,
+    _reduce,
+    _rule_index,
+    complete_rules_up_to,
+    deglex_key,
+    reduce_normal_form,
+)
+
+from oracles import BudgetExceeded, scan_completion, scan_reduce
+
+F = Fraction
+ORACLE_STEPS = 3_000
+COEFFS = st.sampled_from([F(1), F(-1), F(2), F(-3), F(1, 2)])
+
+
+def words(num_gens, min_len, max_len):
+    return st.lists(st.integers(0, num_gens - 1), min_size=min_len, max_size=max_len).map(
+        tuple
+    )
+
+
+@st.composite
+def polys(draw, num_gens, max_len, max_terms=4, min_len=0):
+    terms = draw(
+        st.dictionaries(words(num_gens, min_len, max_len), COEFFS, min_size=1, max_size=max_terms)
+    )
+    return NCPoly(terms)
+
+
+@st.composite
+def rule_lists(draw):
+    """Rules lw -> rhs with rhs deglex-smaller, leading words drawn from a
+    small pool so that duplicates and rules sharing a position occur."""
+    num_gens = draw(st.integers(2, 3))
+    pool = draw(st.lists(words(num_gens, 1, 3), min_size=1, max_size=4))
+    rules = []
+    for _ in range(draw(st.integers(1, 6))):
+        lw = draw(st.sampled_from(pool))
+        smaller = words(num_gens, 0, len(lw)).filter(lambda w: deglex_key(w) < deglex_key(lw))
+        rhs = draw(st.dictionaries(smaller, COEFFS, max_size=3))
+        rules.append((lw, NCPoly(rhs)))
+    return num_gens, rules
+
+
+@st.composite
+def presentations(draw):
+    num_gens = draw(st.integers(2, 3))
+    relations = draw(st.lists(polys(num_gens, 3, max_terms=3), min_size=1, max_size=3))
+    labels = tuple("abc"[:num_gens])
+    return AlgebraPresentation(num_gens, labels, tuple(relations))
+
+
+def _oracle_completion(pres, bound):
+    """The reference completion, rejecting inputs on which it gives up (the
+    new completion takes the same steps with the same coefficients, so it is
+    called only after this)."""
+    try:
+        return scan_completion(pres, bound, ORACLE_STEPS)
+    except BudgetExceeded:
+        assume(False)
+
+
+def _homogeneous(pres):
+    return all(len({len(w) for w in r.terms}) == 1 for r in pres.relations)
+
+
+def test_first_listed_rule_wins_at_a_position():
+    # x and xy both start at position 0 of xy: the first listed one rewrites
+    y, two = NCPoly.gen(1), NCPoly.one().scale(2)
+    xy = NCPoly.monomial((0, 1))
+    assert _reduce(xy, _rule_index([((0,), NCPoly.one()), ((0, 1), two)])) == y
+    assert _reduce(xy, _rule_index([((0, 1), two), ((0,), NCPoly.one())])) == two
+    assert _reduce(xy, _rule_index([((0,), two), ((0,), NCPoly.one())])) == y.scale(2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), case=rule_lists())
+def test_indexed_reduction_matches_linear_scan(data, case):
+    num_gens, rules = case
+    p = data.draw(polys(num_gens, 5))
+    assert _reduce(p, _rule_index(rules)) == scan_reduce(p, rules)
+
+
+@settings(max_examples=100, deadline=None)
+@given(pres=presentations(), bound=st.integers(3, 5))
+def test_completion_matches_linear_scan(pres, bound):
+    rules, closed, skipped = _oracle_completion(pres, bound)
+    system = complete_rules_up_to(pres, bound)
+    assert system.rules == rules
+    assert system.overlaps_skipped == skipped
+    assert system.confluent_up_to == (closed and (skipped == 0 or _homogeneous(pres)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), pres=presentations())
+def test_certified_system_reduces_like_a_higher_bound(data, pres):
+    bound = 3
+    _oracle_completion(pres, bound)
+    _oracle_completion(pres, bound + 2)
+    system = complete_rules_up_to(pres, bound)
+    assume(system.confluent_up_to)
+    higher = complete_rules_up_to(pres, bound + 2)
+    for _ in range(3):
+        p = data.draw(polys(pres.num_gens, bound))
+        assert reduce_normal_form(p, system) == reduce_normal_form(p, higher)

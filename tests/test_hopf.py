@@ -4,7 +4,7 @@ from random import Random
 import pytest
 
 from univhopf.coact import manin_end_presentation, tambara_presentation
-from univhopf.errors import PreconditionError
+from univhopf.errors import InputError, PreconditionError
 from univhopf.finmonoid import full_transformation_monoid, monoid_from_rows
 from univhopf.grouppres import todd_coxeter_order
 from univhopf.hopf import (
@@ -80,6 +80,14 @@ def test_convolution_inverse_is_unique():
         solution, degrees_of_freedom = antipode_from_convolution(h)
         assert degrees_of_freedom == 0
         assert solution == h.antipode
+
+
+def test_convolution_rejects_misshapen_data():
+    # C2 with Delta e_1 = e_{-1} (x) e_{-1}: the index -1 must not wrap
+    h = group_algebra_hopf(z2())
+    bad = FinDimHopf(h.dim, h.mult, h.unit, (h.delta[0], {(-1, -1): F(1)}), h.counit, h.antipode)
+    with pytest.raises(InputError, match="comultiplication index out of range"):
+        antipode_from_convolution(bad)
 
 
 # ---------------------------------------------------------------------------

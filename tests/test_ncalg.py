@@ -6,7 +6,9 @@ import pytest
 from univhopf.errors import InputError
 from univhopf.ncalg import (
     AlgebraPresentation,
+    IdealMembership,
     NCPoly,
+    RewriteSystem,
     complete_rules_up_to,
     dim_normal_words,
     embed_tensor,
@@ -150,3 +152,30 @@ def test_degree_bound_enforced_on_queries():
         ideal_member_up_to(NCPoly.monomial((0, 0, 0, 0)), system)
     with pytest.raises(InputError):
         dim_normal_words(system, 4)
+
+
+def test_bounded_completion_does_not_certify_skipped_overlaps():
+    # the overlap aab.b = a.abb has length 4: at bound 3 it is skipped, and
+    # the algebra it collapses (a = b = 1) must not be certified
+    a, b = x, y
+    pres = _pres(2, ("a", "b"), a * a * b - a, a * b * b - one)
+    low = complete_rules_up_to(pres, 3)
+    assert low.overlaps_skipped == 1 and not low.confluent_up_to
+    verdict = ideal_member_up_to(a * b - a, low)
+    assert not verdict.member and not verdict.certain
+    high = complete_rules_up_to(pres, 4)
+    assert high.overlaps_skipped == 0 and high.confluent_up_to
+    assert ideal_member_up_to(a * b - a, high) == IdealMembership(True, True)
+
+
+def test_homogeneous_relations_are_certified_despite_skipped_overlaps():
+    # x^3 = 0 overlaps itself beyond bound 3, but degree <= 3 is exact
+    system = complete_rules_up_to(_pres(1, ("x",), x * x * x), 3)
+    assert system.overlaps_skipped == 2 and system.confluent_up_to
+    assert [dim_normal_words(system, d) for d in range(4)] == [1, 1, 1, 0]
+
+
+def test_overlaps_skipped_defaults_to_zero():
+    system = RewriteSystem(1, (((0, 0), x),), 4, True)
+    assert system.overlaps_skipped == 0
+    assert reduce_normal_form(NCPoly.monomial((0, 0, 0)), system) == x
