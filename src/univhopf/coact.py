@@ -26,7 +26,7 @@ from .errors import InputError, PreconditionError
 from .finmonoid import FinMonoid
 from .grading import Grading, grading_support, validate_grading
 from .ncalg import AlgebraPresentation, NCPoly
-from .signature import FinVectMagma
+from .signature import FinVectMagma, coordinate_identities
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,7 +79,8 @@ def support_of_map(rho: TensorValuedMap):
         row = []
         for alpha in range(rho.dim_in):
             coords = coords_in_span(basis, rho.entries[beta][alpha])
-            assert coords is not None
+            if coords is None:
+                raise RuntimeError(f"coefficient ({beta},{alpha}) is outside the support")
             row.append(coords)
         new_entries.append(tuple(row))
     return basis, TensorValuedMap(
@@ -551,42 +552,32 @@ def cosupport_of_map(psi: FamilyMap):
 # comeasurings in coordinates
 
 
-def _lhs_rhs(rho, q_alg, a, b, name, s, t, big_i, big_j):
-    lhs = zero_vec(q_alg.dim)
-    for (out, inp), c in b.tensors[name].items():
-        if out != big_i:
-            continue
-        prod = q_alg.product_of(rho.q(p, j) for p, j in zip(inp, big_j))
-        lhs = tuple(x + c * y for x, y in zip(lhs, prod))
-    rhs = zero_vec(q_alg.dim)
-    for (out, inp), c in a.tensors[name].items():
-        if inp != big_j:
-            continue
-        prod = q_alg.product_of(rho.q(i, m) for i, m in zip(big_i, out))
-        rhs = tuple(x + c * y for x, y in zip(rhs, prod))
-    return lhs, rhs
+def _evaluate(terms, values, q_alg: FDAlgebra) -> Vec:
+    """The sum of c * values[k1] ... values[kn] in Q over the terms
+    (c, (k1, ..., kn)); an empty product is the unit of Q."""
+    total = zero_vec(q_alg.dim)
+    for c, keys in terms:
+        prod = q_alg.product_of(values[k] for k in keys)
+        total = tuple(x + c * y for x, y in zip(total, prod))
+    return total
 
 
 def is_comeasuring(
     rho: TensorValuedMap, q_alg: FDAlgebra, a: FinVectMagma, b: FinVectMagma
 ):
-    """Coordinate identity for a comeasuring; returns (ok, witness or None).
-
-    For each operation and each pair of output/input multi-indices (I, J) the
-    identity sum_P omega_B[I,P] q_{p1 j1} ... q_{ps js} =
-    sum_M omega_A[M,J] q_{i1 m1} ... q_{it mt} must hold in Q (empty products
-    are the unit of Q).
-    """
+    """Whether every coordinate identity (signature.coordinate_identities)
+    holds in Q at rho's coefficients; returns (ok, witness or None), the
+    witness being the first failing (name, I, J)."""
     if a.signature != b.signature:
         raise InputError("magmas do not share a signature")
     if rho.dim_in != a.dim or rho.dim_out != b.dim or rho.dim_coeff != q_alg.dim:
         raise InputError("dimension mismatch between the map and its spaces")
-    for name, s, t in a.signature.ops:
-        for big_i in product(range(b.dim), repeat=t):
-            for big_j in product(range(a.dim), repeat=s):
-                lhs, rhs = _lhs_rhs(rho, q_alg, a, b, name, s, t, big_i, big_j)
-                if lhs != rhs:
-                    return False, (name, big_i, big_j)
+    q = {
+        (i, j): rho.q(i, j) for i in range(rho.dim_out) for j in range(rho.dim_in)
+    }
+    for name, big_i, big_j, terms in coordinate_identities(a, b):
+        if any(_evaluate(terms, q, q_alg)):
+            return False, (name, big_i, big_j)
     return True, None
 
 
@@ -607,47 +598,26 @@ class MatrixPresentation:
     gen_index: tuple  # (block label, i, j) per generator
     blocks: tuple  # (block label, (basis indices...)) pairs
 
-    def generator_of(self, i: int, j: int) -> int | None:
-        for g, (_, gi, gj) in enumerate(self.gen_index):
-            if (gi, gj) == (i, j):
-                return g
-        return None
-
 
 def _coordinate_relations(a, b, gen_of):
-    """Relation polynomials of the universal comeasuring presentation.
+    """Relation polynomials of the universal comeasuring presentation: the
+    coordinate identities with the generator gen_of(i, j) for q_ij, zero
+    ones dropped and repeats removed, first occurrences kept in order.
 
-    gen_of(i, j) gives the generator index of u_{ij} or None when that
-    coefficient is forced to zero (off-block pairs); terms containing a
-    forced zero vanish.
+    gen_of(i, j) is None when that coefficient is forced to zero (off-block
+    pairs); terms containing a forced zero vanish.
     """
-    relations = []
-    for name, s, t in a.signature.ops:
-        for big_i in product(range(b.dim), repeat=t):
-            for big_j in product(range(a.dim), repeat=s):
-                poly = NCPoly.zero()
-                for (out, inp), c in sorted(b.tensors[name].items()):
-                    if out != big_i:
-                        continue
-                    gens = [gen_of(p, j) for p, j in zip(inp, big_j)]
-                    if any(g is None for g in gens):
-                        continue
-                    poly = poly + NCPoly.monomial(tuple(gens), c)
-                for (out, inp), c in sorted(a.tensors[name].items()):
-                    if inp != big_j:
-                        continue
-                    gens = [gen_of(i, m) for i, m in zip(big_i, out)]
-                    if any(g is None for g in gens):
-                        continue
-                    poly = poly - NCPoly.monomial(tuple(gens), c)
-                if not poly.is_zero():
-                    relations.append(poly)
-    # deduplicate, preserving first occurrence
-    seen = []
-    for r in relations:
-        if r not in seen:
-            seen.append(r)
-    return seen
+    relations = {}
+    for _, _, _, terms in coordinate_identities(a, b):
+        words = {}
+        for c, pairs in terms:
+            word = tuple(gen_of(i, j) for i, j in pairs)
+            if None not in word:
+                words[word] = words.get(word, 0) + c
+        poly = NCPoly(words)
+        if not poly.is_zero():
+            relations.setdefault(poly)
+    return list(relations)
 
 
 def tambara_presentation(a: FinVectMagma, b: FinVectMagma) -> MatrixPresentation:
@@ -730,10 +700,7 @@ def factor_through_universal(
     assignment = tuple(rho.q(i, j) for _, i, j in mp.gen_index)
     failures = []
     for idx, rel in enumerate(mp.algebra.relations):
-        value = zero_vec(q_alg.dim)
-        for w, c in rel.sorted_terms():
-            prod = q_alg.product_of(assignment[g] for g in w)
-            value = tuple(x + c * y for x, y in zip(value, prod))
-        if any(x != 0 for x in value):
+        value = _evaluate(((c, w) for w, c in rel.sorted_terms()), assignment, q_alg)
+        if any(value):
             failures.append((idx, value))
     return FactorizationReport(not failures, assignment, tuple(failures))

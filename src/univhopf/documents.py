@@ -29,24 +29,6 @@ from .ncalg import AlgebraPresentation, NCPoly
 from .setsuniversal import SetComodFrame
 from .signature import FinSetMagma, FinVectMagma, OmegaSignature
 
-DOCUMENT_KINDS = (
-    "signature",
-    "vect_magma",
-    "set_magma",
-    "monoid_table",
-    "grading",
-    "coalgebra",
-    "tensor_map",
-    "family_map",
-    "presentation",
-    "bialgebra_presentation",
-    "hopf_fd",
-    "category",
-    "functor",
-    "frame_sets",
-    "map_set",
-)
-
 
 def _fail(path, message):
     raise InputError(f"{path}: {message}")

@@ -122,7 +122,8 @@ def unit_group(m: FinMonoid):
     pos = {x: i for i, x in enumerate(members)}
     table = tuple(tuple(pos[m.mul(x, y)] for y in members) for x in members)
     g = FinMonoid(table, pos[e])
-    assert is_group(g)
+    if not is_group(g):
+        raise RuntimeError("the invertible elements do not form a group")
     return g, tuple(members)
 
 

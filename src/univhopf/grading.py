@@ -115,7 +115,8 @@ def _component_products(grading: Grading):
             key = (assign[inp[0]], assign[inp[1]])
             val = assign[out[0]]
             prev = products.setdefault(key, val)
-            assert prev == val, "validity check should have rejected this grading"
+            if prev != val:
+                raise RuntimeError("validity check should have rejected this grading")
     return products
 
 

@@ -253,7 +253,8 @@ def todd_coxeter_order(
 
 def _shift_letter(x: int, removed: int) -> int:
     g = abs(x) - 1
-    assert g != removed
+    if g == removed:
+        raise RuntimeError(f"removed generator {removed} still occurs")
     shifted = g - 1 if g > removed else g
     return (shifted + 1) if x > 0 else -(shifted + 1)
 

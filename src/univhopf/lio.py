@@ -82,14 +82,6 @@ class FiniteCategory:
         ]
 
 
-def category_from_parts(num_objects, morphisms, identity, compose):
-    """morphisms: list of (dom, cod); compose: {(g, f): h} dict or list."""
-    dom = tuple(d for d, _ in morphisms)
-    cod = tuple(c for _, c in morphisms)
-    comp = dict(compose) if not isinstance(compose, dict) else compose
-    return FiniteCategory(num_objects, dom, cod, tuple(identity), comp)
-
-
 @dataclass(frozen=True, eq=False)
 class FunctorData:
     source: FiniteCategory

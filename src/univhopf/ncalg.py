@@ -124,14 +124,6 @@ class NCPoly:
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda t: deglex_key(t[0]), reverse=True)
 
-    def reversed_words(self) -> "NCPoly":
-        """Reverse every monomial (the opposite-multiplication image)."""
-        out = {}
-        for w, c in self.terms.items():
-            rw = tuple(reversed(w))
-            out[rw] = out.get(rw, Fraction(0)) + c
-        return NCPoly(out)
-
     def __repr__(self):
         if not self.terms:
             return "NCPoly(0)"
@@ -212,10 +204,12 @@ def _rule_index(rules):
 def _redex(word: Word, index):
     """(start, end, rhs) of the first position holding a leading word, the
     lowest-listed rule winning a tie at that position; None if the word is
-    irreducible.  The empty word is never rewritten."""
+    irreducible.  The empty word is probed at position 0 too, where only the
+    empty leading word of a constant relation matches it: once the ideal
+    contains 1, every word rewrites to 0."""
     table, lengths = index
     n = len(word)
-    for pos in range(n):
+    for pos in range(max(n, 1)):
         best = None
         for length in lengths:
             end = pos + length
@@ -397,7 +391,7 @@ def dim_normal_words(system: RewriteSystem, degree: int) -> int:
         return any(word[n - length :] in table for length in lengths if length <= n)
 
     count = 0
-    stack = [()]
+    stack = [] if ends_reducible(()) else [()]
     while stack:
         w = stack.pop()
         if len(w) == degree:

@@ -285,39 +285,48 @@ def make_vect_magma(signature, dim, basis_labels, entries) -> FinVectMagma:
     return FinVectMagma(signature, dim, tuple(basis_labels), tensors)
 
 
+def coordinate_identities(a: FinVectMagma, b: FinVectMagma):
+    """The identities that make rho: a -> b (x) Q, with coefficients q_ij (i
+    over b's basis, j over a's), a comeasuring.  One per operation and pair of
+    output/input multi-indices (I, J):
+
+        sum_P omega_b[I,P] q_{p1 j1} ... q_{ps js}
+            - sum_M omega_a[M,J] q_{i1 m1} ... q_{it mt} = 0
+
+    Yields (name, I, J, terms), operations in signature order and I, J in
+    lexicographic order; terms lists the signed products as (coefficient,
+    ((i, j), ...)), b's tensor entries first, each side in sorted entry
+    order.  An empty product is the unit of Q.  With Q the scalars, they
+    say that the matrix (q_ij) is a linear omega-morphism.  The magmas must
+    share a signature.
+    """
+    for name, s, t in a.signature.ops:
+        by_out, by_in = {}, {}
+        for (out, inp), c in sorted(b.tensors[name].items()):
+            by_out.setdefault(out, []).append((c, inp))
+        for (out, inp), c in sorted(a.tensors[name].items()):
+            by_in.setdefault(inp, []).append((-c, out))
+        for big_i in product(range(b.dim), repeat=t):
+            left = by_out.get(big_i, ())
+            for big_j in product(range(a.dim), repeat=s):
+                terms = [(c, tuple(zip(inp, big_j))) for c, inp in left]
+                right = by_in.get(big_j, ())
+                terms += [(c, tuple(zip(big_i, out))) for c, out in right]
+                yield name, big_i, big_j, terms
+
+
 def is_linear_omega_morphism(m, a: FinVectMagma, b: FinVectMagma) -> bool:
     """True iff the matrix m: a -> b intertwines every structure tensor.
 
     Checked entrywise as the exact identity omega_b . m^{tensor s} =
-    m^{tensor t} . omega_a for each operation.
+    m^{tensor t} . omega_a for each operation: the coordinate identities at
+    q_ij = m[i][j].
     """
     if a.signature != b.signature:
         raise InputError("magmas do not share a signature")
     if len(m) != b.dim or any(len(row) != a.dim for row in m):
         raise InputError("matrix shape does not match the dimensions")
-    for name, s, t in a.signature.ops:
-        for big_i in product(range(b.dim), repeat=t):
-            for big_j in product(range(a.dim), repeat=s):
-                lhs = Fraction(0)
-                for (out, inp), c in b.tensors[name].items():
-                    if out != big_i:
-                        continue
-                    w = c
-                    for p, j in zip(inp, big_j):
-                        w *= m[p][j]
-                        if w == 0:
-                            break
-                    lhs += w
-                rhs = Fraction(0)
-                for (out, inp), c in a.tensors[name].items():
-                    if inp != big_j:
-                        continue
-                    w = c
-                    for i, k in zip(big_i, out):
-                        w *= m[i][k]
-                        if w == 0:
-                            break
-                    rhs += w
-                if lhs != rhs:
-                    return False
+    for _, _, _, terms in coordinate_identities(a, b):
+        if sum(c * math.prod(m[i][j] for i, j in pairs) for c, pairs in terms) != 0:
+            return False
     return True

@@ -1,6 +1,7 @@
 """Independent oracles used by tests: generic matrix evaluation of the
 comeasuring diagram, kept deliberately separate from the coordinate formula
-it validates, brute-force scans that the set-level hom search and
+it validates, the three per-(I, J) tensor scans that the one coordinate
+identity generator replaced, brute-force scans that the set-level hom search and
 congruence closure are checked against, the dense per-axiom Hopf
 checker that the sparse axiom checker replaced, and the linear-scan
 reducer and completion that the indexed rewriting engine replaced."""
@@ -8,7 +9,7 @@ reducer and completion that the indexed rewriting engine replaced."""
 from fractions import Fraction
 from itertools import permutations, product
 
-from univhopf._linalg import unit_vec
+from univhopf._linalg import unit_vec, zero_vec
 from univhopf.errors import InputError
 from univhopf.hopf import AxiomReport
 from univhopf.ncalg import NCPoly, deglex_key
@@ -136,6 +137,93 @@ def comeasuring_oracle(rho, q_alg, a, b):
         )
         if sigma1 != sigma2:
             return False
+    return True
+
+
+def _scan_lhs_rhs(rho, q_alg, a, b, name, big_i, big_j):
+    lhs = zero_vec(q_alg.dim)
+    for (out, inp), c in b.tensors[name].items():
+        if out != big_i:
+            continue
+        prod = q_alg.product_of(rho.q(p, j) for p, j in zip(inp, big_j))
+        lhs = tuple(x + c * y for x, y in zip(lhs, prod))
+    rhs = zero_vec(q_alg.dim)
+    for (out, inp), c in a.tensors[name].items():
+        if inp != big_j:
+            continue
+        prod = q_alg.product_of(rho.q(i, m) for i, m in zip(big_i, out))
+        rhs = tuple(x + c * y for x, y in zip(rhs, prod))
+    return lhs, rhs
+
+
+def scan_is_comeasuring(rho, q_alg, a, b):
+    """(ok, first failing (name, I, J) or None), both sides of each
+    coordinate identity evaluated in Q by a scan of the whole tensor."""
+    for name, s, t in a.signature.ops:
+        for big_i in product(range(b.dim), repeat=t):
+            for big_j in product(range(a.dim), repeat=s):
+                lhs, rhs = _scan_lhs_rhs(rho, q_alg, a, b, name, big_i, big_j)
+                if lhs != rhs:
+                    return False, (name, big_i, big_j)
+    return True, None
+
+
+def scan_coordinate_relations(a, b, gen_of):
+    """Tambara relation polynomials by a scan of the sorted tensors per
+    (I, J); terms with a forced zero (gen_of None) vanish, and repeats are
+    removed by a list scan that keeps first occurrences."""
+    relations = []
+    for name, s, t in a.signature.ops:
+        for big_i in product(range(b.dim), repeat=t):
+            for big_j in product(range(a.dim), repeat=s):
+                poly = NCPoly.zero()
+                for (out, inp), c in sorted(b.tensors[name].items()):
+                    if out != big_i:
+                        continue
+                    gens = [gen_of(p, j) for p, j in zip(inp, big_j)]
+                    if any(g is None for g in gens):
+                        continue
+                    poly = poly + NCPoly.monomial(tuple(gens), c)
+                for (out, inp), c in sorted(a.tensors[name].items()):
+                    if inp != big_j:
+                        continue
+                    gens = [gen_of(i, m) for i, m in zip(big_i, out)]
+                    if any(g is None for g in gens):
+                        continue
+                    poly = poly - NCPoly.monomial(tuple(gens), c)
+                if not poly.is_zero():
+                    relations.append(poly)
+    seen = []
+    for r in relations:
+        if r not in seen:
+            seen.append(r)
+    return seen
+
+
+def scan_is_linear_omega_morphism(m, a, b):
+    """omega_b . m^{tensor s} == m^{tensor t} . omega_a entry by entry,
+    each side a scan of the whole tensor."""
+    for name, s, t in a.signature.ops:
+        for big_i in product(range(b.dim), repeat=t):
+            for big_j in product(range(a.dim), repeat=s):
+                lhs = F(0)
+                for (out, inp), c in b.tensors[name].items():
+                    if out != big_i:
+                        continue
+                    w = c
+                    for p, j in zip(inp, big_j):
+                        w *= m[p][j]
+                    lhs += w
+                rhs = F(0)
+                for (out, inp), c in a.tensors[name].items():
+                    if inp != big_j:
+                        continue
+                    w = c
+                    for i, k in zip(big_i, out):
+                        w *= m[i][k]
+                    rhs += w
+                if lhs != rhs:
+                    return False
     return True
 
 

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -179,3 +183,35 @@ def test_overlaps_skipped_defaults_to_zero():
     system = RewriteSystem(1, (((0, 0), x),), 4, True)
     assert system.overlaps_skipped == 0
     assert reduce_normal_form(NCPoly.monomial((0, 0, 0)), system) == x
+
+
+COLLAPSE_SCRIPT = """
+from univhopf.ncalg import AlgebraPresentation, NCPoly, complete_rules_up_to, dim_normal_words
+a, one = NCPoly.gen(0), NCPoly.one()
+for relations in [(a - one, a - one.scale(2)), (one, one.scale(2))]:
+    system = complete_rules_up_to(AlgebraPresentation(1, ("a",), relations), 3)
+    print(system.rules, system.confluent_up_to, [dim_normal_words(system, d) for d in range(4)])
+"""
+
+
+def test_two_constants_in_the_ideal_complete_to_the_zero_algebra():
+    # each input once made completion loop forever, so it runs in a
+    # subprocess with a timeout
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", COLLAPSE_SCRIPT],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["(((), NCPoly(0)),) True [0, 0, 0, 0]"] * 2
+
+
+def test_a_constant_relation_puts_1_in_the_ideal():
+    system = complete_rules_up_to(_pres(2, ("x", "y"), one.scale(2)), 3)
+    assert system.rules == (((), NCPoly.zero()),) and system.confluent_up_to
+    assert ideal_member_up_to(one, system) == IdealMembership(True, True)
+    assert reduce_normal_form(x * y - one.scale(3), system).is_zero()
+    assert [dim_normal_words(system, d) for d in range(4)] == [0, 0, 0, 0]

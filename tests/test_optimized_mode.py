@@ -1,6 +1,8 @@
 """Checks that must hold under ``python -O``, which strips assert statements:
-the bounded-completion certificate and the explicit invariant checks."""
+the bounded-completion certificate and the explicit invariant checks, and
+no assert statement in the library at all."""
 
+import ast
 import subprocess
 import sys
 from pathlib import Path
@@ -62,3 +64,12 @@ def test_checks_raise_typed_errors_under_python_O():
         "InputError comultiplication index out of range",
         "RuntimeError lifted object's absolute value does not agree up to isomorphism",
     ]
+
+
+def test_library_has_no_assert_statements():
+    found = []
+    for path in sorted((HERE.parent / "src" / "univhopf").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Assert):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, "assert statements vanish under python -O: " + ", ".join(found)
