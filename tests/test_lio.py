@@ -2,7 +2,7 @@ from random import Random
 
 import pytest
 
-from univhopf.errors import PreconditionError
+from univhopf.errors import InputError, PreconditionError
 from univhopf.grading import universal_group_of_grading
 from univhopf.grouppres import todd_coxeter_order
 from univhopf.lio import (
@@ -324,3 +324,121 @@ def test_random_categories_satisfy_lio_laws():
                     direct = y
                     break
             assert lift_initial_object(g, x0) == direct
+
+
+# ---------------------------------------------------------------------------
+# validation messages, pinned on small hand-built bad inputs
+
+# the chain 0 -> 1: morphism 0 = id_0, 1 = the arrow 0 -> 1, 2 = id_1
+CHAIN2 = (2, (0, 0, 1), (0, 1, 1), (0, 2), {(0, 0): 0, (1, 0): 1, (2, 1): 1, (2, 2): 2})
+# one object with the identity 0 and two more endomorphisms 1, 2
+ONE_OBJECT = (1, (0, 0, 0), (0, 0, 0), (0,))
+ONE_OBJECT_UNITS = {(0, 0): 0, (0, 1): 1, (1, 0): 1, (0, 2): 2, (2, 0): 2}
+
+
+def _chain2(compose_changes=(), drop=(), **fields):
+    n, dom, cod, identity, compose = CHAIN2
+    compose = {k: v for k, v in compose.items() if k not in drop}
+    compose.update(compose_changes)
+    args = {"num_objects": n, "dom": dom, "cod": cod, "identity": identity}
+    args.update(fields)
+    return lambda: FiniteCategory(compose=compose, **args)
+
+
+def _one_object(products):
+    compose = dict(ONE_OBJECT_UNITS)
+    compose.update(products)
+    return lambda: FiniteCategory(*ONE_OBJECT, compose)
+
+
+CATEGORY_ERRORS = [
+    ("shapes", _chain2(cod=(0, 1)), InputError, "morphism data shapes do not match"),
+    ("endpoint", _chain2(dom=(0, 5, 1)), InputError, "morphism endpoint out of range"),
+    ("negative endpoint", _chain2(cod=(0, -1, 1)), InputError,
+     "morphism endpoint out of range"),
+    ("identity not endo", _chain2(identity=(1, 2)), InputError,
+     "identity of object 0 is not an endomorphism"),
+    ("identity out of range", _chain2(identity=(0, 9)), InputError,
+     "identity of object 1 is not an endomorphism"),
+    ("missing composite", _chain2(drop={(2, 1)}), InputError,
+     "composition of 2 after 1 defined iff composable"),
+    ("defined non-composable", _chain2({(1, 2): 1}), InputError,
+     "composition of 1 after 2 defined iff composable"),
+    # two faults: the first in row-major (g, f) order is named
+    ("extra before missing", _chain2({(0, 2): 0}, drop={(2, 1)}), InputError,
+     "composition of 0 after 2 defined iff composable"),
+    ("missing before extra", _chain2({(2, 0): 2}, drop={(1, 0)}), InputError,
+     "composition of 1 after 0 defined iff composable"),
+    ("wrong-type composite", _chain2({(1, 0): 2}), InputError,
+     "composite of (1, 0) has wrong type"),
+    ("composite out of range", _chain2({(2, 2): 7}), InputError,
+     "composite of (2, 2) has wrong type"),
+    ("wrong type before extra", _chain2({(1, 0): 0, (2, 0): 2}), InputError,
+     "composite of (1, 0) has wrong type"),
+    ("extra before wrong type", _chain2({(0, 2): 0, (2, 1): 2}), InputError,
+     "composition of 0 after 2 defined iff composable"),
+    ("right identity", _one_object({(1, 0): 0, (1, 1): 1, (1, 2): 2, (2, 1): 2,
+                                    (2, 2): 2}),
+     PreconditionError, "right identity law fails"),
+    ("left identity", _one_object({(0, 1): 0, (1, 1): 1, (1, 2): 2, (2, 1): 2,
+                                   (2, 2): 2}),
+     PreconditionError, "left identity law fails"),
+    ("not associative", _one_object({(1, 1): 0, (1, 2): 0, (2, 1): 0, (2, 2): 0}),
+     PreconditionError, "composition is not associative"),
+]
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [case[1:] for case in CATEGORY_ERRORS],
+    ids=[case[0] for case in CATEGORY_ERRORS],
+)
+def test_category_validation_messages(build, error, message):
+    with pytest.raises(error) as info:
+        build()
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+def _idempotent():
+    """One object; 0 = identity, 1 = e with e e = e."""
+    return FiniteCategory(1, (0, 0), (0, 0), (0,), {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 1})
+
+
+def _involution():
+    """One object; 0 = identity, 1 = s with s s = identity."""
+    return FiniteCategory(1, (0, 0), (0, 0), (0,), {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 0})
+
+
+def _chain2_functor(object_map, morphism_map):
+    chain = _chain2()
+    return lambda: FunctorData(chain(), chain(), object_map, morphism_map)
+
+
+FUNCTOR_ERRORS = [
+    ("object map", _chain2_functor((0,), (0, 1, 2)), InputError, "object map is not total"),
+    ("morphism map", _chain2_functor((0, 1), (0, 1)), InputError,
+     "morphism map is not total"),
+    ("object image", _chain2_functor((0, 5), (0, 1, 2)), InputError,
+     "object image out of range"),
+    ("morphism image", _chain2_functor((0, 1), (0, 1, 9)), InputError,
+     "morphism image out of range"),
+    ("typing", _chain2_functor((0, 1), (0, 2, 2)), InputError,
+     "functor breaks the typing of morphism 1"),
+    ("identities", lambda: FunctorData(_idempotent(), _idempotent(), (0,), (1, 1)),
+     PreconditionError, "functor does not preserve identities"),
+    ("composition", lambda: FunctorData(_idempotent(), _involution(), (0,), (0, 1)),
+     PreconditionError, "functor does not preserve composition"),
+]
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [case[1:] for case in FUNCTOR_ERRORS],
+    ids=[case[0] for case in FUNCTOR_ERRORS],
+)
+def test_functor_validation_messages(build, error, message):
+    with pytest.raises(error) as info:
+        build()
+    assert type(info.value) is error
+    assert str(info.value) == message
