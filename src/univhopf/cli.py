@@ -216,22 +216,21 @@ def _cmd_lio(args):
     else:
         raise InputError("lio expects a category or functor document")
     lio, edges = locally_initial_objects(cat)
+    absolute = [absolute_value(cat, x) for x in range(cat.num_objects)]
     summary = {
         "locally_initial": lio,
         "preorder": [[a, b] for (a, b), e in sorted(edges.items()) if e],
-        "absolute_values": [
-            absolute_value(cat, x) for x in range(cat.num_objects)
-        ],
+        "absolute_values": absolute,
     }
     if functor is not None:
         summary["lifted_initial"] = {
             str(x0): lift_initial_object(functor, x0) for x0 in lio
         }
-        universal = []
-        for y in range(functor.source.num_objects):
-            a = absolute_value(cat, functor.object_map[y])
-            universal.append(universal_object_of(functor, y) if a is not None else None)
-        summary["universal_objects"] = universal
+        summary["universal_objects"] = [
+            None if absolute[functor.object_map[y]] is None
+            else universal_object_of(functor, y)
+            for y in range(functor.source.num_objects)
+        ]
     out["summary"] = summary
     return out
 

@@ -448,7 +448,8 @@ def _parse_category(doc, path) -> FiniteCategory:
     for i, triple in enumerate(compose_raw):
         p = f"{path}.compose[{i}]"
         _expect(isinstance(triple, list) and len(triple) == 3, p, "expected [g, f, h]")
-        g, f, h = triple
+        g, f, h = _int_list(triple, p)
+        _expect((g, f) not in compose, p, f"second composite of {g} after {f}")
         compose[(g, f)] = h
     try:
         return FiniteCategory(objects, tuple(dom), tuple(cod), identity, compose)

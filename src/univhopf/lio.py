@@ -1,13 +1,14 @@
-"""Brute-force engine for locally initial objects in explicit finite
-categories: the preorder they form, absolute values, comparison through a
-functor, and the lifting of an initial object along a functor.
+"""Locally initial objects in explicit finite categories: the preorder they
+form, absolute values, comparison through a functor, and the lifting of an
+initial object along a functor.
 
-Everything is decided by exhaustive scans over the finite hom data; results
+Each category indexes its hom sets and finds its locally initial objects
+once, when it is built; every function here reads those indexes.  Results
 are up to isomorphism with the lowest object id as the deterministic
 representative.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from random import Random
 
 from .errors import InputError, PreconditionError
@@ -17,69 +18,109 @@ from .errors import InputError, PreconditionError
 class FiniteCategory:
     """Objects 0..n-1; morphism m has dom[m], cod[m]; identity[x] is the
     identity morphism of x; compose[(g, f)] = g after f, defined exactly for
-    cod[f] == dom[g].  Associativity and the identity laws are validated
-    exhaustively."""
+    cod[f] == dom[g].  Associativity and the identity laws are validated over
+    the composable pairs and triples."""
 
     num_objects: int
     dom: tuple
     cod: tuple
     identity: tuple
     compose: dict
+    # (x, y) -> morphisms x -> y, and per object its incoming and outgoing
+    # morphisms, all in increasing id order; then the locally initial objects
+    # and their preorder, as locally_initial_objects returns them
+    _hom: dict = field(init=False, repr=False, compare=False)
+    _incoming: tuple = field(init=False, repr=False, compare=False)
+    _outgoing: tuple = field(init=False, repr=False, compare=False)
+    _lio: tuple = field(init=False, repr=False, compare=False)
+    _lio_edges: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.num_objects
-        m = len(self.dom)
-        if len(self.cod) != m or len(self.identity) != n:
+        dom, cod, compose = self.dom, self.cod, self.compose
+        m = len(dom)
+        if len(cod) != m or len(self.identity) != n:
             raise InputError("morphism data shapes do not match")
-        if any(not 0 <= x < n for x in self.dom + self.cod):
+        if any(not 0 <= x < n for x in dom + cod):
             raise InputError("morphism endpoint out of range")
+        hom = {}
+        incoming = tuple([] for _ in range(n))
+        outgoing = tuple([] for _ in range(n))
+        for f in range(m):
+            hom.setdefault((dom[f], cod[f]), []).append(f)
+            incoming[cod[f]].append(f)
+            outgoing[dom[f]].append(f)
+        object.__setattr__(self, "_hom", {k: tuple(v) for k, v in hom.items()})
+        object.__setattr__(self, "_incoming", tuple(map(tuple, incoming)))
+        object.__setattr__(self, "_outgoing", tuple(map(tuple, outgoing)))
         for x in range(n):
             i = self.identity[x]
-            if not 0 <= i < m or self.dom[i] != x or self.cod[i] != x:
+            if not 0 <= i < m or dom[i] != x or cod[i] != x:
                 raise InputError(f"identity of object {x} is not an endomorphism")
-        for g in range(m):
-            for f in range(m):
-                defined = (g, f) in self.compose
-                if defined != (self.cod[f] == self.dom[g]):
-                    raise InputError(
-                        f"composition of {g} after {f} defined iff composable"
-                    )
-                if defined:
-                    h = self.compose[(g, f)]
-                    if (
-                        not 0 <= h < m
-                        or self.dom[h] != self.dom[f]
-                        or self.cod[h] != self.cod[g]
-                    ):
-                        raise InputError(f"composite of ({g}, {f}) has wrong type")
+        fault = self._composition_fault()
+        if fault is not None:
+            raise InputError(fault)
         for x in range(n):
             i = self.identity[x]
-            for f in range(m):
-                if self.dom[f] == x and self.compose[(f, i)] != f:
+            for f in sorted({*self._outgoing[x], *self._incoming[x]}):
+                if dom[f] == x and compose[(f, i)] != f:
                     raise PreconditionError("right identity law fails")
-                if self.cod[f] == x and self.compose[(i, f)] != f:
+                if cod[f] == x and compose[(i, f)] != f:
                     raise PreconditionError("left identity law fails")
         for h in range(m):
-            for g in range(m):
-                if self.cod[g] != self.dom[h]:
-                    continue
-                hg = self.compose[(h, g)]
-                for f in range(m):
-                    if self.cod[f] != self.dom[g]:
-                        continue
-                    if self.compose[(hg, f)] != self.compose[(h, self.compose[(g, f)])]:
+            for g in self._incoming[dom[h]]:
+                hg = compose[(h, g)]
+                for f in self._incoming[dom[g]]:
+                    if compose[(hg, f)] != compose[(h, compose[(g, f)])]:
                         raise PreconditionError("composition is not associative")
+        lio = tuple(
+            x
+            for x in range(n)
+            if all(len(self._hom[(x, cod[f])]) == 1 for f in self._outgoing[x])
+        )
+        object.__setattr__(self, "_lio", lio)
+        object.__setattr__(
+            self, "_lio_edges", {(a, b): (a, b) in self._hom for a in lio for b in lio}
+        )
+
+    def _composition_fault(self):
+        """Why compose is not defined exactly on the composable pairs with
+        composites of the right type, or None.  The first fault in row-major
+        (g, f) order is named; entries naming a morphism out of range last."""
+        dom, cod, compose = self.dom, self.cod, self.compose
+        m = len(dom)
+        stray = extra = None
+        for g, f in compose:
+            if not (0 <= g < m and 0 <= f < m):
+                stray = stray or (g, f)
+            elif cod[f] != dom[g] and (extra is None or (g, f) < extra):
+                extra = (g, f)
+        for g in range(m):
+            for f in self._incoming[dom[g]]:
+                if extra is not None and extra < (g, f):
+                    return _undefined_pair(*extra)
+                if (g, f) not in compose:
+                    return _undefined_pair(g, f)
+                h = compose[(g, f)]
+                if not 0 <= h < m or dom[h] != dom[f] or cod[h] != cod[g]:
+                    return f"composite of ({g}, {f}) has wrong type"
+        if extra is not None:
+            return _undefined_pair(*extra)
+        if stray is not None:
+            g, f = stray
+            return f"composition of {g} after {f} names a morphism out of range"
+        return None
 
     @property
     def num_morphisms(self) -> int:
         return len(self.dom)
 
     def hom(self, x: int, y: int):
-        return [
-            f
-            for f in range(self.num_morphisms)
-            if self.dom[f] == x and self.cod[f] == y
-        ]
+        return list(self._hom.get((x, y), ()))
+
+
+def _undefined_pair(g, f):
+    return f"composition of {g} after {f} defined iff composable"
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,9 +151,7 @@ class FunctorData:
             if self.morphism_map[y.identity[obj]] != x.identity[self.object_map[obj]]:
                 raise PreconditionError("functor does not preserve identities")
         for g in range(y.num_morphisms):
-            for f in range(y.num_morphisms):
-                if y.cod[f] != y.dom[g]:
-                    continue
+            for f in y._incoming[y.dom[g]]:
                 lhs = self.morphism_map[y.compose[(g, f)]]
                 rhs = x.compose[(self.morphism_map[g], self.morphism_map[f])]
                 if lhs != rhs:
@@ -131,15 +170,7 @@ def locally_initial_objects(cat: FiniteCategory):
     Returns (objects, edges) where edges[(a, b)] holds iff hom(a, b) is
     nonempty for locally initial a, b.
     """
-    lio = [
-        x
-        for x in range(cat.num_objects)
-        if all(len(cat.hom(x, y)) <= 1 for y in range(cat.num_objects))
-    ]
-    edges = {
-        (a, b): bool(cat.hom(a, b)) for a in lio for b in lio
-    }
-    return lio, edges
+    return list(cat._lio), dict(cat._lio_edges)
 
 
 def absolute_value(cat: FiniteCategory, x: int) -> int | None:
@@ -148,11 +179,11 @@ def absolute_value(cat: FiniteCategory, x: int) -> int | None:
     Candidates are locally initial objects with an arrow to x; the result m
     must receive an arrow from every candidate making the triangle commute.
     """
-    lio, _ = locally_initial_objects(cat)
-    candidates = [(c, cat.hom(c, x)[0]) for c in lio if cat.hom(c, x)]
+    hom = cat._hom
+    candidates = [(c, hom[(c, x)][0]) for c in cat._lio if (c, x) in hom]
     for m, f_m in candidates:
         if all(
-            any(cat.compose[(f_m, g)] == f_c for g in cat.hom(c, m))
+            (c, m) in hom and cat.compose[(f_m, hom[(c, m)][0])] == f_c
             for c, f_c in candidates
         ):
             return m
@@ -167,12 +198,13 @@ def compare_by_absolute_value(functor: FunctorData, y1: int, y2: int) -> str:
     an absolute value is missing.
     """
     x = functor.target
-    a1 = absolute_value(x, functor.object_map[y1])
-    a2 = absolute_value(x, functor.object_map[y2])
+    x1, x2 = functor.object_map[y1], functor.object_map[y2]
+    a1 = absolute_value(x, x1)
+    a2 = absolute_value(x, x2)
     if a1 is None or a2 is None:
         return "undefined"
-    ge = bool(x.hom(a1, functor.object_map[y2]))
-    le = bool(x.hom(a2, functor.object_map[y1]))
+    ge = (a1, x2) in x._hom
+    le = (a2, x1) in x._hom
     if ge and le:
         return "equivalent"
     if ge:
@@ -184,8 +216,9 @@ def compare_by_absolute_value(functor: FunctorData, y1: int, y2: int) -> str:
 
 def _initial_in_subcategory(cat: FiniteCategory, objects) -> int | None:
     """Initial object of the full subcategory on the given objects (lowest id)."""
+    hom = cat._hom
     for y0 in objects:
-        if all(len(cat.hom(y0, y)) == 1 for y in objects):
+        if all(len(hom.get((y0, y), ())) == 1 for y in objects):
             return y0
     return None
 
@@ -196,13 +229,12 @@ def lift_initial_object(functor: FunctorData, x0: int) -> int | None:
     x0 must be locally initial in the target category.
     """
     x = functor.target
-    lio, _ = locally_initial_objects(x)
-    if x0 not in lio:
+    if x0 not in x._lio:
         raise PreconditionError(f"object {x0} is not locally initial")
     members = [
         y
         for y in range(functor.source.num_objects)
-        if x.hom(x0, functor.object_map[y])
+        if (x0, functor.object_map[y]) in x._hom
     ]
     return _initial_in_subcategory(functor.source, members)
 
@@ -216,7 +248,7 @@ def universal_object_of(functor: FunctorData, y: int) -> int | None:
     y0 = lift_initial_object(functor, x0)
     if y0 is not None:
         a = absolute_value(x, functor.object_map[y0])
-        if a is None or not (x.hom(a, x0) and x.hom(x0, a)):
+        if a is None or not ((a, x0) in x._hom and (x0, a) in x._hom):
             raise RuntimeError(
                 "lifted object's absolute value does not agree up to isomorphism"
             )
@@ -224,7 +256,7 @@ def universal_object_of(functor: FunctorData, y: int) -> int | None:
 
 
 # ---------------------------------------------------------------------------
-# random validated categories for the brute-force checks
+# random validated categories for property checks
 
 
 def random_category(rng: Random, max_objects: int = 6, max_morphisms: int = 25):

@@ -3,14 +3,16 @@ comeasuring diagram, kept deliberately separate from the coordinate formula
 it validates, the three per-(I, J) tensor scans that the one coordinate
 identity generator replaced, brute-force scans that the set-level hom search and
 congruence closure are checked against, the dense per-axiom Hopf
-checker that the sparse axiom checker replaced, and the linear-scan
-reducer and completion that the indexed rewriting engine replaced."""
+checker that the sparse axiom checker replaced, the linear-scan
+reducer and completion that the indexed rewriting engine replaced, and the
+scanning hom sets, locally initial objects, absolute values and m^2
+validation that the indexed finite categories replaced."""
 
 from fractions import Fraction
 from itertools import permutations, product
 
 from univhopf._linalg import unit_vec, zero_vec
-from univhopf.errors import InputError
+from univhopf.errors import InputError, PreconditionError
 from univhopf.hopf import AxiomReport
 from univhopf.ncalg import NCPoly, deglex_key
 from univhopf.signature import is_set_homomorphism
@@ -545,3 +547,120 @@ def scan_completion(pres, degree_bound, max_steps, pass_cap=50):
         _scan_add_and_interreduce(rules, new_polys, budget)
     rules.sort(key=lambda r: deglex_key(r[0]))
     return tuple(rules), closed, skipped
+
+
+# ---------------------------------------------------------------------------
+# the scanning lio engine that the indexed FiniteCategory replaced
+
+
+def scan_validate_category(num_objects, dom, cod, identity, compose):
+    """The m^2 validation of a finite category: raises what FiniteCategory
+    raised before it was indexed, on entries whose morphisms are in range."""
+    n = num_objects
+    m = len(dom)
+    if len(cod) != m or len(identity) != n:
+        raise InputError("morphism data shapes do not match")
+    if any(not 0 <= x < n for x in dom + cod):
+        raise InputError("morphism endpoint out of range")
+    for x in range(n):
+        i = identity[x]
+        if not 0 <= i < m or dom[i] != x or cod[i] != x:
+            raise InputError(f"identity of object {x} is not an endomorphism")
+    for g in range(m):
+        for f in range(m):
+            defined = (g, f) in compose
+            if defined != (cod[f] == dom[g]):
+                raise InputError(f"composition of {g} after {f} defined iff composable")
+            if defined:
+                h = compose[(g, f)]
+                if not 0 <= h < m or dom[h] != dom[f] or cod[h] != cod[g]:
+                    raise InputError(f"composite of ({g}, {f}) has wrong type")
+    for x in range(n):
+        i = identity[x]
+        for f in range(m):
+            if dom[f] == x and compose[(f, i)] != f:
+                raise PreconditionError("right identity law fails")
+            if cod[f] == x and compose[(i, f)] != f:
+                raise PreconditionError("left identity law fails")
+    for h in range(m):
+        for g in range(m):
+            if cod[g] != dom[h]:
+                continue
+            hg = compose[(h, g)]
+            for f in range(m):
+                if cod[f] != dom[g]:
+                    continue
+                if compose[(hg, f)] != compose[(h, compose[(g, f)])]:
+                    raise PreconditionError("composition is not associative")
+
+
+def scan_validate_functor(y, x, object_map, morphism_map):
+    """The m^2 validation of a functor y -> x between valid categories."""
+    if len(object_map) != y.num_objects:
+        raise InputError("object map is not total")
+    if len(morphism_map) != y.num_morphisms:
+        raise InputError("morphism map is not total")
+    if any(not 0 <= o < x.num_objects for o in object_map):
+        raise InputError("object image out of range")
+    for f in range(y.num_morphisms):
+        mf = morphism_map[f]
+        if not 0 <= mf < x.num_morphisms:
+            raise InputError("morphism image out of range")
+        if x.dom[mf] != object_map[y.dom[f]] or x.cod[mf] != object_map[y.cod[f]]:
+            raise InputError(f"functor breaks the typing of morphism {f}")
+    for obj in range(y.num_objects):
+        if morphism_map[y.identity[obj]] != x.identity[object_map[obj]]:
+            raise PreconditionError("functor does not preserve identities")
+    for g in range(y.num_morphisms):
+        for f in range(y.num_morphisms):
+            if y.cod[f] != y.dom[g]:
+                continue
+            if morphism_map[y.compose[(g, f)]] != x.compose[(morphism_map[g], morphism_map[f])]:
+                raise PreconditionError("functor does not preserve composition")
+
+
+def scan_hom(cat, x, y):
+    return [f for f in range(cat.num_morphisms) if cat.dom[f] == x and cat.cod[f] == y]
+
+
+def scan_locally_initial_objects(cat):
+    lio = [
+        x
+        for x in range(cat.num_objects)
+        if all(len(scan_hom(cat, x, y)) <= 1 for y in range(cat.num_objects))
+    ]
+    edges = {(a, b): bool(scan_hom(cat, a, b)) for a in lio for b in lio}
+    return lio, edges
+
+
+def scan_absolute_value(cat, x):
+    lio, _ = scan_locally_initial_objects(cat)
+    candidates = [(c, scan_hom(cat, c, x)[0]) for c in lio if scan_hom(cat, c, x)]
+    for m, f_m in candidates:
+        if all(
+            any(cat.compose[(f_m, g)] == f_c for g in scan_hom(cat, c, m))
+            for c, f_c in candidates
+        ):
+            return m
+    return None
+
+
+def scan_lift_initial_object(functor, x0):
+    """The initial object of {y : hom(x0, G y) nonempty} by exhaustive scan;
+    None when x0 is not locally initial or the subcategory has none."""
+    x, y = functor.target, functor.source
+    if x0 not in scan_locally_initial_objects(x)[0]:
+        return None
+    members = [
+        b for b in range(y.num_objects) if scan_hom(x, x0, functor.object_map[b])
+    ]
+    for y0 in members:
+        if all(len(scan_hom(y, y0, b)) == 1 for b in members):
+            return y0
+    return None
+
+
+def scan_universal_object_of(functor, y):
+    """The lift at the absolute value of G y, or None when that is missing."""
+    x0 = scan_absolute_value(functor.target, functor.object_map[y])
+    return None if x0 is None else scan_lift_initial_object(functor, x0)

@@ -1,6 +1,8 @@
 import io
 import json
 
+import pytest
+
 from univhopf import documents as docs
 from univhopf.cli import build_parser, run
 from univhopf.coact import group_algebra, tensor_valued_map
@@ -250,6 +252,29 @@ def test_lio_command_functor(tmp_path):
     doc = json.loads(out)
     assert doc["summary"]["lifted_initial"] == {"0": 0, "1": 1, "2": 2}
     assert doc["summary"]["universal_objects"] == [0, 1, 2]
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ([7, 0, 0], "$: composition of 7 after 0 names a morphism out of range"),
+        ([0, -1, 0], "$: composition of 0 after -1 names a morphism out of range"),
+        (["x", 0, 0], "$.compose[4][0]: expected an integer"),
+        ([0, 0, "a"], "$.compose[4][2]: expected an integer"),
+        ([0, 0, 1.0], "$.compose[4][2]: expected an integer"),
+        ([0, 0, True], "$.compose[4][2]: expected an integer"),
+        ([0, 0, 0], "$.compose[4]: second composite of 0 after 0"),
+        ([1, 0, 2], "$.compose[4]: second composite of 1 after 0"),
+    ],
+)
+def test_lio_rejects_bad_compose_entries(tmp_path, entry, message):
+    # the chain 0 -> 1 has four composable pairs; the fifth entry is the bad one
+    doc = docs.serialize_category(thin_chain_category(2))
+    assert len(doc["compose"]) == 4
+    doc["compose"].append(entry)
+    code, out, err = invoke(["lio", write(tmp_path, "cat.json", doc)])
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
 
 
 def test_usage_errors():

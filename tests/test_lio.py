@@ -377,6 +377,14 @@ CATEGORY_ERRORS = [
      "composite of (1, 0) has wrong type"),
     ("extra before wrong type", _chain2({(0, 2): 0, (2, 1): 2}), InputError,
      "composition of 0 after 2 defined iff composable"),
+    # entries naming a morphism out of range are reported after every other
+    # fault of the composition table, in the order they were given
+    ("entry out of range", _chain2({(7, 0): 0}), InputError,
+     "composition of 7 after 0 names a morphism out of range"),
+    ("first entry out of range", _chain2({(0, 3): 0, (-1, 0): 0}), InputError,
+     "composition of 0 after 3 names a morphism out of range"),
+    ("extra before out of range", _chain2({(7, 0): 0, (2, 0): 2}), InputError,
+     "composition of 2 after 0 defined iff composable"),
     ("right identity", _one_object({(1, 0): 0, (1, 1): 1, (1, 2): 2, (2, 1): 2,
                                     (2, 2): 2}),
      PreconditionError, "right identity law fails"),
