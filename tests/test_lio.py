@@ -396,18 +396,6 @@ CATEGORY_ERRORS = [
 ]
 
 
-@pytest.mark.parametrize(
-    "build, error, message",
-    [case[1:] for case in CATEGORY_ERRORS],
-    ids=[case[0] for case in CATEGORY_ERRORS],
-)
-def test_category_validation_messages(build, error, message):
-    with pytest.raises(error) as info:
-        build()
-    assert type(info.value) is error
-    assert str(info.value) == message
-
-
 def _idempotent():
     """One object; 0 = identity, 1 = e with e e = e."""
     return FiniteCategory(1, (0, 0), (0, 0), (0,), {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 1})
@@ -442,10 +430,10 @@ FUNCTOR_ERRORS = [
 
 @pytest.mark.parametrize(
     "build, error, message",
-    [case[1:] for case in FUNCTOR_ERRORS],
-    ids=[case[0] for case in FUNCTOR_ERRORS],
+    [case[1:] for case in CATEGORY_ERRORS + FUNCTOR_ERRORS],
+    ids=[case[0] for case in CATEGORY_ERRORS + FUNCTOR_ERRORS],
 )
-def test_functor_validation_messages(build, error, message):
+def test_validation_messages(build, error, message):
     with pytest.raises(error) as info:
         build()
     assert type(info.value) is error
