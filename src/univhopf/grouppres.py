@@ -272,30 +272,36 @@ def _substitute(word: Word, gen: int, image: Word) -> Word:
     return free_reduce_word(out)
 
 
-def _rotations(w: Word):
-    for i in range(len(w)):
-        yield w[i:] + w[:i]
+def _first_shortening(relators: list[Word]) -> tuple[int, Word] | None:
+    """The first rewrite of relator j by a majority piece of relator i != j,
+    in the order (i by length then index, j, rotation of relator i then of
+    its inverse, start), as (j, rewritten relator j); None if there is none.
 
-
-def _shorten_with(rel: Word, other: Word) -> Word | None:
-    """Rewrite ``other`` using ``rel``: replace a majority subword of a cyclic
-    conjugate of rel (or its inverse) by the inverse of the complement."""
-    n = len(rel)
-    if n < 2:
-        return None
-    for base in (rel, invert_word(rel)):
-        for rot in _rotations(base):
-            piece_len = n // 2 + 1
-            piece = rot[:piece_len]
-            rest = rot[piece_len:]
-            replacement = invert_word(rest)
-            for start in range(len(other) - piece_len + 1):
-                if other[start : start + piece_len] == piece:
-                    cand = free_reduce_word(
-                        other[:start] + replacement + other[start + piece_len :]
-                    )
-                    if len(cand) < len(other):
-                        return cand
+    The piece of a length-n relator has length n//2 + 1 and is replaced by the
+    inverse of its complement, which is shorter, so every occurrence shortens
+    relator j.  Every relator here has length at least 2.  The factors of
+    each piece length are indexed once per call, with their (j, start) in order.
+    """
+    index: dict[int, dict[Word, list[tuple[int, int]]]] = {}
+    for i in sorted(range(len(relators)), key=lambda i: (len(relators[i]), i)):
+        rel = relators[i]
+        n, k = len(rel), len(rel) // 2 + 1
+        if k not in index:
+            index[k] = {}
+            for j, w in enumerate(relators):
+                for s in range(len(w) - k + 1):
+                    index[k].setdefault(w[s : s + k], []).append((j, s))
+        best = None
+        for r, rot in enumerate(
+            b[t:] + b[:t] for b in (rel, invert_word(rel)) for t in range(n)
+        ):
+            hit = next((h for h in index[k].get(rot[:k], ()) if h[0] != i), None)
+            if hit is not None and (best is None or (hit[0], r) < best[:2]):
+                best = (hit[0], r, hit[1], rot)
+        if best is not None:
+            j, _, s, rot = best
+            w = relators[j]
+            return j, free_reduce_word(w[:s] + invert_word(rot[k:]) + w[s + k :])
     return None
 
 
@@ -304,10 +310,13 @@ def tietze_simplify(
 ) -> tuple[GroupPresentation, tuple[Word, ...]]:
     """Best-effort simplification to a presentation of an isomorphic group.
 
-    Removes trivial relators, eliminates generators defined by length-1 and
-    length-2 relators, and does bounded relator-on-relator rewriting.  Returns
-    the new presentation together with the image of each original generator
-    as a word in the new generators.
+    Each of at most ``effort`` passes makes one change: it removes trivial
+    and repeated relators, then eliminates a generator defined by a length-1
+    or length-2 relator, or else shortens one relator by the majority piece
+    of a cyclic conjugate of another (or of its inverse), found through an
+    index of relator factors by piece length.  Returns the new presentation
+    together with the image of each original generator as a word in the new
+    generators.
     """
     num = pres.num_gens
     relators = [free_reduce_word(w) for w in pres.relators]
@@ -320,13 +329,11 @@ def tietze_simplify(
         num -= 1
 
     for _ in range(max(effort, 1)):
-        changed = False
         relators = [w for w in dict.fromkeys(relators) if w]
         # length-1 relators kill a generator outright
         unit = next((w for w in relators if len(w) == 1), None)
         if unit is not None:
             apply_subst(abs(unit[0]) - 1, ())
-            changed = True
             continue
         # length-2 relators on distinct generators express one by the other
         pair = next(
@@ -337,24 +344,11 @@ def tietze_simplify(
             g = abs(y) - 1
             # x * y = 1: if y = g then g = x^-1, if y = g^-1 then g = x
             apply_subst(g, (-x,) if y > 0 else (x,))
-            changed = True
             continue
-        # bounded rewriting: shorten relators against each other
-        by_len = sorted(range(len(relators)), key=lambda i: (len(relators[i]), i))
-        done = False
-        for i in by_len:
-            for j in range(len(relators)):
-                if i == j:
-                    continue
-                cand = _shorten_with(relators[i], relators[j])
-                if cand is not None:
-                    relators[j] = cand
-                    changed = True
-                    done = True
-                    break
-            if done:
-                break
-        if not changed:
+        # bounded rewriting: shorten one relator by a piece of another
+        hit = _first_shortening(relators)
+        if hit is None:
             break
+        relators[hit[0]] = hit[1]
     relators = [w for w in dict.fromkeys(relators) if w]
     return GroupPresentation(num, tuple(relators)), tuple(images)

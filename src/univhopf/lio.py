@@ -10,6 +10,7 @@ representative.
 
 from dataclasses import dataclass, field
 from random import Random
+from types import MappingProxyType
 
 from .errors import InputError, PreconditionError
 
@@ -18,8 +19,9 @@ from .errors import InputError, PreconditionError
 class FiniteCategory:
     """Objects 0..n-1; morphism m has dom[m], cod[m]; identity[x] is the
     identity morphism of x; compose[(g, f)] = g after f, defined exactly for
-    cod[f] == dom[g].  Associativity and the identity laws are validated over
-    the composable pairs and triples."""
+    cod[f] == dom[g], and kept as a read-only copy of the given dict.
+    Associativity and the identity laws are validated over the composable
+    pairs and triples."""
 
     num_objects: int
     dom: tuple
@@ -36,6 +38,7 @@ class FiniteCategory:
     _lio_edges: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "compose", MappingProxyType(dict(self.compose)))
         n = self.num_objects
         dom, cod, compose = self.dom, self.cod, self.compose
         m = len(dom)

@@ -1,10 +1,13 @@
 """Shared fixture builders for the test suite."""
 
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+from univhopf import documents
 from univhopf.coact import TensorValuedMap, group_algebra, tensor_valued_map
-from univhopf.finmonoid import FinMonoid, monoid_from_rows
-from univhopf.grading import Grading
+from univhopf.finmonoid import FinMonoid, grothendieck_group, monoid_from_rows
+from univhopf.grading import Grading, universal_group_of_grading
 from univhopf.lio import FiniteCategory, FunctorData
 from univhopf.signature import (
     FinSetMagma,
@@ -285,3 +288,23 @@ def random_unital_magma(rng, dim):
     return make_vect_magma(
         unital_signature(), dim, tuple(f"e{i}" for i in range(dim)), entries
     )
+
+
+def corpus_group_presentations(seed=42):
+    """The presentation each job of the benchmark's ``groups`` workload
+    simplifies, by family (the first job of a family wins), as generated by
+    perfbench/gen.py for the seed."""
+    bench = str(Path(__file__).resolve().parent.parent / "perfbench")
+    if bench not in sys.path:
+        sys.path.insert(0, bench)
+    import gen
+
+    out = {}
+    for job in gen.generate("groups", seed):
+        kind, value = documents.parse_input_document(job["docs"][0])
+        if kind == "grading":
+            value = universal_group_of_grading(value)[0]
+        elif kind == "monoid_table":
+            value = grothendieck_group(value)
+        out.setdefault(job["family"], value)
+    return out

@@ -4,15 +4,23 @@ it validates, the three per-(I, J) tensor scans that the one coordinate
 identity generator replaced, brute-force scans that the set-level hom search and
 congruence closure are checked against, the dense per-axiom Hopf
 checker that the sparse axiom checker replaced, the linear-scan
-reducer and completion that the indexed rewriting engine replaced, and the
+reducer and completion that the indexed rewriting engine replaced, the
 scanning hom sets, locally initial objects, absolute values and m^2
-validation that the indexed finite categories replaced."""
+validation that the indexed finite categories replaced, and the pairwise
+rotation scan that the factor index of Tietze shortening replaced."""
 
 from fractions import Fraction
 from itertools import permutations, product
 
 from univhopf._linalg import unit_vec, zero_vec
 from univhopf.errors import InputError, PreconditionError
+from univhopf.grouppres import (
+    DEFAULT_TIETZE_EFFORT,
+    GroupPresentation,
+    _substitute,
+    free_reduce_word,
+    invert_word,
+)
 from univhopf.hopf import AxiomReport
 from univhopf.ncalg import NCPoly, deglex_key
 from univhopf.signature import is_set_homomorphism
@@ -664,3 +672,79 @@ def scan_universal_object_of(functor, y):
     """The lift at the absolute value of G y, or None when that is missing."""
     x0 = scan_absolute_value(functor.target, functor.object_map[y])
     return None if x0 is None else scan_lift_initial_object(functor, x0)
+
+
+def _rotations(w):
+    for i in range(len(w)):
+        yield w[i:] + w[:i]
+
+
+def _shorten_with(rel, other):
+    """Rewrite ``other`` using ``rel``: replace a majority subword of a cyclic
+    conjugate of rel (or its inverse) by the inverse of the complement."""
+    n = len(rel)
+    if n < 2:
+        return None
+    for base in (rel, invert_word(rel)):
+        for rot in _rotations(base):
+            piece_len = n // 2 + 1
+            piece = rot[:piece_len]
+            rest = rot[piece_len:]
+            replacement = invert_word(rest)
+            for start in range(len(other) - piece_len + 1):
+                if other[start : start + piece_len] == piece:
+                    cand = free_reduce_word(
+                        other[:start] + replacement + other[start + piece_len :]
+                    )
+                    if len(cand) < len(other):
+                        return cand
+    return None
+
+
+def scan_tietze(pres, effort=DEFAULT_TIETZE_EFFORT):
+    """tietze_simplify with every ordered pair of relators scanned through all
+    rotations for each rewrite."""
+    num = pres.num_gens
+    relators = [free_reduce_word(w) for w in pres.relators]
+    images = [((g + 1),) for g in range(num)]
+
+    def apply_subst(gen, image):
+        nonlocal num, relators, images
+        relators = [_substitute(w, gen, image) for w in relators]
+        images = [_substitute(w, gen, image) for w in images]
+        num -= 1
+
+    for _ in range(max(effort, 1)):
+        changed = False
+        relators = [w for w in dict.fromkeys(relators) if w]
+        unit = next((w for w in relators if len(w) == 1), None)
+        if unit is not None:
+            apply_subst(abs(unit[0]) - 1, ())
+            changed = True
+            continue
+        pair = next(
+            (w for w in relators if len(w) == 2 and abs(w[0]) != abs(w[1])), None
+        )
+        if pair is not None:
+            x, y = pair
+            apply_subst(abs(y) - 1, (-x,) if y > 0 else (x,))
+            changed = True
+            continue
+        by_len = sorted(range(len(relators)), key=lambda i: (len(relators[i]), i))
+        done = False
+        for i in by_len:
+            for j in range(len(relators)):
+                if i == j:
+                    continue
+                cand = _shorten_with(relators[i], relators[j])
+                if cand is not None:
+                    relators[j] = cand
+                    changed = True
+                    done = True
+                    break
+            if done:
+                break
+        if not changed:
+            break
+    relators = [w for w in dict.fromkeys(relators) if w]
+    return GroupPresentation(num, tuple(relators)), tuple(images)

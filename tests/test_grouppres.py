@@ -12,7 +12,12 @@ from univhopf.grouppres import (
     todd_coxeter_order,
 )
 
-from helpers import chain_monoid_a3_eq_a, cyclic_monoid, klein_four
+from helpers import (
+    chain_monoid_a3_eq_a,
+    corpus_group_presentations,
+    cyclic_monoid,
+    klein_four,
+)
 
 
 def test_free_reduce_cancels_adjacent_inverses():
@@ -137,6 +142,17 @@ def test_tietze_rewrite_branch_shortens_relators():
     assert (2, 2) in simplified.relators
     assert all(len(w) <= 2 for w in simplified.relators)
     assert abelian_invariants(simplified) == abelian_invariants(p) == [2, 2]
+
+
+@pytest.mark.parametrize(
+    "family, shape",
+    [("grading_Z16", (8, 172)), ("grading_D5", (7, 34)), ("grading_Z3xZ3", (4, 12))],
+)
+def test_tietze_output_shape_on_grading_groups(family, shape):
+    # pinned from the rewriting strategy as it stands: a new strategy must
+    # change these numbers on purpose
+    simplified, _ = tietze_simplify(corpus_group_presentations()[family])
+    assert (simplified.num_gens, len(simplified.relators)) == shape
 
 
 def test_todd_coxeter_rejects_bad_limit():

@@ -438,3 +438,32 @@ def test_validation_messages(build, error, message):
         build()
     assert type(info.value) is error
     assert str(info.value) == message
+
+
+def test_caller_changes_to_compose_do_not_reach_the_category():
+    base = thin_chain_category(3)
+    compose = dict(base.compose)
+    cat = FiniteCategory(3, base.dom, base.cod, base.identity, compose)
+    before = (
+        dict(cat.compose),
+        locally_initial_objects(cat),
+        [absolute_value(cat, x) for x in range(3)],
+    )
+    compose[(5, 1)] = 0  # a wrong-type composite
+    compose[(9, 9)] = 0  # morphisms out of range
+    del compose[(0, 0)]
+    after = (
+        dict(cat.compose),
+        locally_initial_objects(cat),
+        [absolute_value(cat, x) for x in range(3)],
+    )
+    assert after == before
+
+
+def test_compose_of_a_category_is_read_only():
+    cat = thin_chain_category(2)
+    with pytest.raises(TypeError):
+        cat.compose[(2, 1)] = 2
+    with pytest.raises(TypeError):
+        cat.compose[(9, 9)] = 0
+    assert locally_initial_objects(cat) == locally_initial_objects(thin_chain_category(2))
