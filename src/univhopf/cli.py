@@ -115,13 +115,18 @@ def _cmd_universal_group(args):
     pres, gen_of_label = universal_group_of_grading(grading)
     out = docs.serialize_group_presentation(pres)
     order = todd_coxeter_order(pres, args.coset_limit)
+    invariants = abelian_invariants(pres)
     out["summary"] = {
         "support": list(grading_support(grading)),
-        "abelian_invariants": abelian_invariants(pres),
+        "abelian_invariants": invariants,
         "coset_enumeration_order": order if order is not None else "unknown",
     }
     if order is None:
-        raise _BoundHit(out, f"coset enumeration did not close within {args.coset_limit}")
+        if 0 in invariants:
+            cause = ": the abelian invariants contain 0, so the group is infinite"
+        else:
+            cause = f" within {args.coset_limit}"
+        raise _BoundHit(out, f"coset enumeration did not close{cause}")
     return out
 
 

@@ -223,7 +223,7 @@ def equivalent(
     s2, _ = tietze_simplify(p2, effort)
     if s1.num_gens == s2.num_gens and sorted(s1.relators) == sorted(s2.relators):
         return "yes"
-    if abelian_invariants(p1) != abelian_invariants(p2):
+    if abelian_invariants(s1) != abelian_invariants(s2):
         return "no"
     o1 = todd_coxeter_order(p1, coset_limit)
     o2 = todd_coxeter_order(p2, coset_limit)

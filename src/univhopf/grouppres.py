@@ -3,7 +3,9 @@
 Words are tuples of nonzero ints: letter ``+(g+1)`` is generator ``g``,
 ``-(g+1)`` its inverse.  All group-level questions here are bounded
 semi-decisions; ``todd_coxeter_order`` answers ``None`` (Unknown) when the
-coset enumeration does not close within its limit.
+coset enumeration does not close within its limit, and at once, without
+enumerating, when the abelianization has a free factor (a 0 among the
+abelian invariants), since the group is then infinite.
 """
 
 from dataclasses import dataclass
@@ -155,14 +157,19 @@ def todd_coxeter_order(
 ) -> int | None:
     """Exact group order, or None if enumeration does not close within the limit.
 
-    Deterministic: cosets are processed in creation order, relators in
-    presentation order, and every generator column of a processed coset is
-    filled so that free factors run into the limit instead of closing.
+    None comes at once, without enumerating, when the abelianization has a
+    free factor: the group is then infinite, so no coset table over the
+    trivial subgroup closes within any limit.  Deterministic: cosets are
+    processed in creation order, relators in presentation order, and every
+    generator column of a processed coset is filled so that other infinite
+    groups run into the limit instead of closing.
     """
     if coset_limit < 1:
         raise InputError("coset limit must be at least 1")
     if pres.num_gens == 0:
         return 1
+    if 0 in abelian_invariants(pres):
+        return None
     ncols = 2 * pres.num_gens
 
     def col(letter: int) -> int:

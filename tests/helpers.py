@@ -290,9 +290,9 @@ def random_unital_magma(rng, dim):
     )
 
 
-def corpus_group_presentations(seed=42):
-    """The presentation each job of the benchmark's ``groups`` workload
-    simplifies, by family (the first job of a family wins), as generated by
+def _corpus_group_documents(seed):
+    """The parsed input document of each job of the benchmark's ``groups``
+    workload, by family (the first job of a family wins), as generated by
     perfbench/gen.py for the seed."""
     bench = str(Path(__file__).resolve().parent.parent / "perfbench")
     if bench not in sys.path:
@@ -301,10 +301,29 @@ def corpus_group_presentations(seed=42):
 
     out = {}
     for job in gen.generate("groups", seed):
-        kind, value = documents.parse_input_document(job["docs"][0])
+        if job["family"] not in out:
+            out[job["family"]] = documents.parse_input_document(job["docs"][0])
+    return out
+
+
+def corpus_group_presentations(seed=42):
+    """The presentation each family of the benchmark's ``groups`` workload
+    simplifies."""
+    out = {}
+    for family, (kind, value) in _corpus_group_documents(seed).items():
         if kind == "grading":
             value = universal_group_of_grading(value)[0]
         elif kind == "monoid_table":
             value = grothendieck_group(value)
-        out.setdefault(job["family"], value)
+        out[family] = value
     return out
+
+
+def corpus_gradings(seed=42):
+    """The grading of each grading family of the benchmark's ``groups``
+    workload."""
+    return {
+        family: value
+        for family, (kind, value) in _corpus_group_documents(seed).items()
+        if kind == "grading"
+    }

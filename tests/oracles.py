@@ -6,8 +6,10 @@ congruence closure are checked against, the dense per-axiom Hopf
 checker that the sparse axiom checker replaced, the linear-scan
 reducer and completion that the indexed rewriting engine replaced, the
 scanning hom sets, locally initial objects, absolute values and m^2
-validation that the indexed finite categories replaced, and the pairwise
-rotation scan that the factor index of Tietze shortening replaced."""
+validation that the indexed finite categories replaced, the pairwise
+rotation scan that the factor index of Tietze shortening replaced, and the
+full coset enumeration that the abelianization shortcut of Todd-Coxeter
+skips for groups with a free abelian factor."""
 
 from fractions import Fraction
 from itertools import permutations, product
@@ -748,3 +750,97 @@ def scan_tietze(pres, effort=DEFAULT_TIETZE_EFFORT):
             break
     relators = [w for w in dict.fromkeys(relators) if w]
     return GroupPresentation(num, tuple(relators)), tuple(images)
+
+
+# ---------------------------------------------------------------------------
+# coset enumeration without the abelianization shortcut
+
+
+def enumerate_todd_coxeter(pres, coset_limit):
+    """todd_coxeter_order that always enumerates: a group with a free abelian
+    factor fills all coset_limit cosets before it answers None."""
+    if coset_limit < 1:
+        raise InputError("coset limit must be at least 1")
+    if pres.num_gens == 0:
+        return 1
+    ncols = 2 * pres.num_gens
+
+    def col(letter):
+        g = abs(letter) - 1
+        return 2 * g if letter > 0 else 2 * g + 1
+
+    labels = [0]
+    neighbors = [[None] * ncols]
+
+    def find(c):
+        while labels[c] != c:
+            labels[c] = labels[labels[c]]
+            c = labels[c]
+        return c
+
+    def unify(c1, c2):
+        stack = [(c1, c2)]
+        while stack:
+            a, b = stack.pop()
+            a, b = find(a), find(b)
+            if a == b:
+                continue
+            if b < a:
+                a, b = b, a
+            labels[b] = a
+            for d in range(ncols):
+                n2 = neighbors[b][d]
+                if n2 is None:
+                    continue
+                n1 = neighbors[a][d]
+                if n1 is None:
+                    neighbors[a][d] = n2
+                else:
+                    stack.append((n1, n2))
+
+    class _Overflow(Exception):
+        pass
+
+    def follow(c, d):
+        c = find(c)
+        if neighbors[c][d] is None:
+            if len(neighbors) >= coset_limit:
+                raise _Overflow
+            new = len(neighbors)
+            neighbors.append([None] * ncols)
+            labels.append(new)
+            neighbors[c][d] = new
+            neighbors[new][d ^ 1] = c
+        return find(neighbors[c][d])
+
+    try:
+        v = 0
+        while v < len(neighbors):
+            if find(v) != v:
+                v += 1
+                continue
+            for w in pres.relators:
+                c = v
+                for letter in w:
+                    c = follow(c, col(letter))
+                unify(c, v)
+                if find(v) != v:
+                    break
+            if find(v) == v:
+                for d in range(ncols):
+                    follow(v, d)
+            v += 1
+    except _Overflow:
+        return None
+
+    live = [c for c in range(len(neighbors)) if find(c) == c]
+    for c in live:
+        if any(n is None for n in neighbors[c]):
+            raise RuntimeError(f"coset table not closed at coset {c}")
+        for w in pres.relators:
+            x = c
+            for letter in w:
+                x = find(neighbors[x][col(letter)])
+            if x != c:
+                raise RuntimeError(f"relator does not close at coset {c}")
+    return len(live)

@@ -59,6 +59,23 @@ def test_universal_group_infinite_group_hits_bound(tmp_path):
     assert "did not close" in err
 
 
+def test_universal_group_names_why_enumeration_did_not_close(tmp_path):
+    path = write(tmp_path, "dual.json", docs.serialize_grading(dual_numbers_grading()))
+    code, out, err = invoke(["universal-group", path])
+    assert code == 4
+    assert json.loads(out)["summary"]["abelian_invariants"] == [0]
+    assert err == (
+        "warning: coset enumeration did not close: the abelian invariants "
+        "contain 0, so the group is infinite\n"
+    )
+    # a finite group over the limit names the limit instead
+    path = write(tmp_path, "pauli.json", docs.serialize_grading(pauli_grading()))
+    code, out, err = invoke(["universal-group", path, "--coset-limit", "3"])
+    assert code == 4
+    assert json.loads(out)["summary"]["coset_enumeration_order"] == "unknown"
+    assert err == "warning: coset enumeration did not close within 3\n"
+
+
 def test_grothendieck(tmp_path):
     path = write(
         tmp_path, "m3.json", docs.serialize_monoid_table(chain_monoid_a3_eq_a())

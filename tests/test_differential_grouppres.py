@@ -1,16 +1,28 @@
 """Differential tests: tietze_simplify, which finds each rewrite through an
 index of relator factors, against the pairwise rotation scan in oracles.py,
 on random presentations, on the benchmark's group presentations and on
-hand-made ties of the rewrite order."""
+hand-made ties of the rewrite order; todd_coxeter_order, which answers at
+once when the abelianization has a free factor, against the full coset
+enumeration in oracles.py."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from univhopf.grouppres import presentation, tietze_simplify
+from univhopf.grouppres import (
+    abelian_invariants,
+    presentation,
+    tietze_simplify,
+    todd_coxeter_order,
+)
 
 from helpers import corpus_group_presentations
-from oracles import scan_tietze
+from oracles import enumerate_todd_coxeter, scan_tietze
 
 
 @st.composite
@@ -61,3 +73,65 @@ def test_rewrite_order_ties(relators, first):
     assert tietze_simplify(pres, effort=1)[0].relators == first
     assert tietze_simplify(pres, effort=1) == scan_tietze(pres, effort=1)
     assert tietze_simplify(pres) == scan_tietze(pres)
+
+
+@st.composite
+def coset_presentations(draw):
+    """Random relators, with a power of every generator added half the time,
+    so that free abelian factors, other infinite groups and finite groups
+    all occur."""
+    num = draw(st.integers(1, 3))
+    letter = st.sampled_from([x for g in range(1, num + 1) for x in (g, -g)])
+    relators = draw(st.lists(st.lists(letter, max_size=6), max_size=4))
+    if draw(st.booleans()):
+        relators += [(g,) * draw(st.integers(1, 4)) for g in range(1, num + 1)]
+    return presentation(num, relators)
+
+
+@settings(max_examples=400, deadline=None)
+@given(coset_presentations(), st.integers(1, 200))
+def test_coset_order_matches_the_full_enumeration(pres, coset_limit):
+    order = todd_coxeter_order(pres, coset_limit)
+    if 0 in abelian_invariants(pres):
+        event("free abelian factor")
+    else:
+        event("unknown" if order is None else "closed")
+    assert order == enumerate_todd_coxeter(pres, coset_limit)
+
+
+@pytest.mark.parametrize(
+    "num, relators, coset_limit, order",
+    [
+        (2, [], 50, None),  # free group: invariants [0, 0]
+        (2, [(1, 1), (1, 2, -1, -2)], 50, None),  # Z/2 x Z: [2, 0]
+        (2, [(1, 1), (2, 2)], 50, None),  # infinite dihedral: [2, 2], no 0
+        (2, [(1, 1), (2, 2, 2), (1, 2, 1, 2)], 50, 6),  # S3
+        (2, [(1, 1), (2, 2, 2), (1, 2, 1, 2)], 3, None),  # S3 over the limit
+        (1, [(1,) * 5], 1, None),  # Z/5 cannot close in one coset
+    ],
+)
+def test_coset_order_cases(num, relators, coset_limit, order):
+    pres = presentation(num, relators)
+    assert todd_coxeter_order(pres, coset_limit) == order
+    assert enumerate_todd_coxeter(pres, coset_limit) == order
+
+
+FREE_GROUP_SCRIPT = """
+from univhopf.grouppres import presentation, todd_coxeter_order
+print(todd_coxeter_order(presentation(3, []), 10**6))
+"""
+
+
+def test_free_group_answers_without_enumerating():
+    # a full enumeration would fill a million cosets; the timeout keeps that
+    # from eating memory if the abelianization shortcut is ever lost
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", FREE_GROUP_SCRIPT],
+        capture_output=True,
+        text=True,
+        timeout=1,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "None\n"

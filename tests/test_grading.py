@@ -21,6 +21,7 @@ from univhopf.grouppres import (
 from univhopf.finmonoid import monoid_from_rows
 
 from helpers import (
+    corpus_gradings,
     dual_numbers,
     dual_numbers_grading,
     pauli_algebra,
@@ -217,3 +218,31 @@ def test_equivalence_verdicts():
     pres, _ = universal_group_of_grading(split)
     assert todd_coxeter_order(pres) == 2
     assert equivalent(dual_numbers_grading(), split) == "no"
+
+
+# (first, second, verdict): each step of equivalent decides at least one pair
+EQUIVALENCE_TABLE = [
+    ("dual", "dual", "yes"),
+    ("pauli", "grading_Z2xZ2", "yes"),  # two gradings, one simplified presentation
+    ("grading_D4", "grading_D4", "yes"),
+    ("dual", "split", "no"),  # abelian invariants [0] and [2]
+    ("pauli", "trivial_pauli", "no"),
+    ("grading_Z16", "degree_grading_Z", "no"),
+    ("grading_Z2xZ2", "grading_D4", "no"),  # invariants [2, 2]; orders 4 and 8
+    ("split", "grading_D5", "no"),  # invariants [2]; orders 2 and 10
+    ("grading_D5", "grading_S3", "no"),  # invariants [2]; orders 10 and 6
+    ("dual", "degree_grading_Z", "unknown"),  # both Z: no enumeration closes
+]
+
+
+@pytest.mark.parametrize("first, second, verdict", EQUIVALENCE_TABLE)
+def test_equivalence_verdicts_on_fixture_pairs(first, second, verdict):
+    gradings = {
+        "dual": dual_numbers_grading(),
+        "split": Grading(split_quadratic(), ("0", "1"), (0, 1)),
+        "pauli": pauli_grading(),
+        "trivial_pauli": trivial_grading(pauli_algebra()),
+        **corpus_gradings(),
+    }
+    assert equivalent(gradings[first], gradings[second]) == verdict
+    assert equivalent(gradings[second], gradings[first]) == verdict
