@@ -99,23 +99,6 @@ def test_coset_order_matches_the_full_enumeration(pres, coset_limit):
     assert order == enumerate_todd_coxeter(pres, coset_limit)
 
 
-@pytest.mark.parametrize(
-    "num, relators, coset_limit, order",
-    [
-        (2, [], 50, None),  # free group: invariants [0, 0]
-        (2, [(1, 1), (1, 2, -1, -2)], 50, None),  # Z/2 x Z: [2, 0]
-        (2, [(1, 1), (2, 2)], 50, None),  # infinite dihedral: [2, 2], no 0
-        (2, [(1, 1), (2, 2, 2), (1, 2, 1, 2)], 50, 6),  # S3
-        (2, [(1, 1), (2, 2, 2), (1, 2, 1, 2)], 3, None),  # S3 over the limit
-        (1, [(1,) * 5], 1, None),  # Z/5 cannot close in one coset
-    ],
-)
-def test_coset_order_cases(num, relators, coset_limit, order):
-    pres = presentation(num, relators)
-    assert todd_coxeter_order(pres, coset_limit) == order
-    assert enumerate_todd_coxeter(pres, coset_limit) == order
-
-
 FREE_GROUP_SCRIPT = """
 from univhopf.grouppres import presentation, todd_coxeter_order
 print(todd_coxeter_order(presentation(3, []), 10**6))
