@@ -360,7 +360,8 @@ class FDAlgebra:
         return tuple(out)
 
     def product_of(self, vectors) -> Vec:
-        out = self.unit
+        vectors = iter(vectors)
+        out = next(vectors, self.unit)
         for v in vectors:
             out = self.multiply(out, v)
         return out

@@ -1,10 +1,11 @@
 """The self-describing JSON document schema shared by all commands.
 
 Every document is one JSON object with a top-level "kind".  Rationals are
-strings "p/q" with q > 0 and gcd(p, q) = 1 (bare "p" for integers); anything
-else is rejected with a path-to-field diagnostic.  Serialization is canonical
-and deterministic: parse followed by serialize is the identity on canonical
-documents.
+strings "p/q" with q > 0 and gcd(p, q) = 1 (bare "p" for integers); labels
+and generator names are strings.  Every malformed document is rejected with
+an InputError whose message starts with the path to the offending field
+("$.delta[1][0].coeff: ...").  Serialization is canonical and deterministic:
+parse followed by serialize is the identity on canonical documents.
 """
 
 import json
@@ -39,6 +40,14 @@ def _expect(cond, path, message):
         _fail(path, message)
 
 
+def _make(path, build, *args):
+    """build(*args), with path put before the message of its InputError."""
+    try:
+        return build(*args)
+    except InputError as exc:
+        _fail(path, str(exc))
+
+
 def _get(obj, key, path, types=None):
     if not isinstance(obj, dict) or key not in obj:
         _fail(path, f"missing field {key!r}")
@@ -46,6 +55,11 @@ def _get(obj, key, path, types=None):
     if types is not None and not isinstance(value, types):
         _fail(f"{path}.{key}", f"expected {types}, got {type(value).__name__}")
     return value
+
+
+def _list(xs, path):
+    _expect(isinstance(xs, list), path, "expected a list")
+    return xs
 
 
 def parse_rational(s, path) -> Fraction:
@@ -74,6 +88,25 @@ def _int_list(xs, path):
     return list(xs)
 
 
+def _rationals(doc, key, path):
+    return tuple(
+        parse_rational(x, f"{path}.{key}[{i}]")
+        for i, x in enumerate(_get(doc, key, path, list))
+    )
+
+
+def _label_index(labels, path):
+    """The map label -> position; a repeated label maps to its last position."""
+    for i, label in enumerate(labels):
+        _expect(isinstance(label, str), f"{path}[{i}]", "expected a string")
+    return {label: i for i, label in enumerate(labels)}
+
+
+def _index_of(pos, label, path, what):
+    _expect(isinstance(label, str) and label in pos, path, f"unknown {what} {label!r}")
+    return pos[label]
+
+
 # ---------------------------------------------------------------------------
 # parsers per kind
 
@@ -87,10 +120,7 @@ def _parse_signature(doc, path) -> OmegaSignature:
         s = _get(op, "in", p, int)
         t = _get(op, "out", p, int)
         ops.append((name, s, t))
-    try:
-        return OmegaSignature(tuple(ops))
-    except InputError as exc:
-        _fail(path, str(exc))
+    return _make(path, OmegaSignature, tuple(ops))
 
 
 def _parse_vect_magma(doc, path) -> FinVectMagma:
@@ -101,7 +131,7 @@ def _parse_vect_magma(doc, path) -> FinVectMagma:
     tensors = {}
     for name, entries in tensors_raw.items():
         table = {}
-        for i, e in enumerate(entries):
+        for i, e in enumerate(_list(entries, f"{path}.tensors.{name}")):
             p = f"{path}.tensors.{name}[{i}]"
             out = tuple(_int_list(_get(e, "out", p, list), f"{p}.out"))
             inp = tuple(_int_list(_get(e, "in", p, list), f"{p}.in"))
@@ -110,10 +140,7 @@ def _parse_vect_magma(doc, path) -> FinVectMagma:
             if coeff != 0:
                 table[(out, inp)] = coeff
         tensors[name] = table
-    try:
-        return FinVectMagma(sig, dim, tuple(basis), tensors)
-    except InputError as exc:
-        _fail(path, str(exc))
+    return _make(path, FinVectMagma, sig, dim, tuple(basis), tensors)
 
 
 def _parse_set_magma(doc, path) -> FinSetMagma:
@@ -123,80 +150,65 @@ def _parse_set_magma(doc, path) -> FinSetMagma:
     tables = {}
     for name, entries in tables_raw.items():
         table = {}
-        for i, e in enumerate(entries):
+        for i, e in enumerate(_list(entries, f"{path}.tables.{name}")):
             p = f"{path}.tables.{name}[{i}]"
             inp = tuple(_int_list(_get(e, "in", p, list), f"{p}.in"))
             out = tuple(_int_list(_get(e, "out", p, list), f"{p}.out"))
             _expect(inp not in table, p, "duplicate table entry")
             table[inp] = out
         tables[name] = table
-    try:
-        return FinSetMagma(sig, size, tables)
-    except InputError as exc:
-        _fail(path, str(exc))
+    return _make(path, FinSetMagma, sig, size, tables)
 
 
 def _parse_monoid_table(doc, path) -> FinMonoid:
     table = _get(doc, "table", path, list)
     rows = tuple(tuple(_int_list(r, f"{path}.table[{i}]")) for i, r in enumerate(table))
     unit = _get(doc, "unit", path, int)
-    try:
-        return FinMonoid(rows, unit)
-    except InputError as exc:
-        _fail(path, str(exc))
+    return _make(path, FinMonoid, rows, unit)
 
 
 def _parse_grading(doc, path) -> Grading:
     algebra = _parse_nested(doc, "algebra", "vect_magma", path)
-    labels = tuple(_get(doc, "labels", path, list))
+    labels = _get(doc, "labels", path, list)
     assignment_raw = _get(doc, "assignment", path, list)
-    pos = {l: i for i, l in enumerate(labels)}
-    assignment = []
-    for i, l in enumerate(assignment_raw):
-        _expect(l in pos, f"{path}.assignment[{i}]", f"unknown label {l!r}")
-        assignment.append(pos[l])
-    group = None
-    label_elems = None
-    if "group" in doc and doc["group"] is not None:
-        gblock = doc["group"]
+    pos = _label_index(labels, f"{path}.labels")
+    assignment = tuple(
+        _index_of(pos, l, f"{path}.assignment[{i}]", "label")
+        for i, l in enumerate(assignment_raw)
+    )
+    group = label_elems = None
+    gblock = doc.get("group")
+    if gblock is not None:
         group = _parse_nested(gblock, "monoid", "monoid_table", f"{path}.group")
         label_elems = tuple(
             _int_list(_get(gblock, "label_elements", f"{path}.group", list),
                       f"{path}.group.label_elements")
         )
-    try:
-        return Grading(algebra, labels, tuple(assignment), group, label_elems)
-    except InputError as exc:
-        _fail(path, str(exc))
+    return _make(path, Grading, algebra, tuple(labels), assignment, group, label_elems)
 
 
-def _parse_delta_terms(entries, path):
-    out = []
-    for i, e in enumerate(entries):
-        p = f"{path}[{i}]"
-        j = _get(e, "left", p, int)
-        k = _get(e, "right", p, int)
-        coeff = parse_rational(_get(e, "coeff", p), f"{p}.coeff")
-        out.append(((j, k), coeff))
-    return out
+def _parse_delta(rows, path):
+    """Each row of terms {left, right, coeff} as {(left, right): coeff}, zero
+    coefficients dropped."""
+    delta = []
+    for i, row in enumerate(rows):
+        terms = {}
+        for t, e in enumerate(_list(row, f"{path}[{i}]")):
+            p = f"{path}[{i}][{t}]"
+            jk = (_get(e, "left", p, int), _get(e, "right", p, int))
+            coeff = parse_rational(_get(e, "coeff", p), f"{p}.coeff")
+            if coeff != 0:
+                terms[jk] = coeff
+        delta.append(terms)
+    return tuple(delta)
 
 
 def _parse_coalgebra(doc, path) -> FDCoalgebra:
     dim = _get(doc, "dim", path, int)
     delta_raw = _get(doc, "delta", path, list)
     _expect(len(delta_raw) == dim, f"{path}.delta", "one entry list per basis vector")
-    delta = tuple(
-        {jk: c for jk, c in _parse_delta_terms(row, f"{path}.delta[{i}]") if c != 0}
-        for i, row in enumerate(delta_raw)
-    )
-    counit = tuple(
-        parse_rational(x, f"{path}.counit[{i}]")
-        for i, x in enumerate(_get(doc, "counit", path, list))
-    )
-    try:
-        return FDCoalgebra(dim, delta, counit)
-    except InputError as exc:
-        _fail(path, str(exc))
+    delta = _parse_delta(delta_raw, f"{path}.delta")
+    return _make(path, FDCoalgebra, dim, delta, _rationals(doc, "counit", path))
 
 
 def fd_algebra_from_vect_magma(vm: FinVectMagma) -> FDAlgebra:
@@ -246,18 +258,11 @@ def _parse_tensor_map(doc, path) -> TensorMapDoc:
     _expect(len(entries_raw) == dim_out, f"{path}.entries", "one row per target basis vector")
     entries = []
     for b, row in enumerate(entries_raw):
+        p = f"{path}.entries[{b}]"
         _expect(isinstance(row, list) and len(row) == dim_in,
-                f"{path}.entries[{b}]", "one coefficient vector per source basis vector")
-        entries.append(
-            tuple(
-                tuple(
-                    parse_rational(x, f"{path}.entries[{b}][{a}][{i}]")
-                    for i, x in enumerate(q)
-                )
-                for a, q in enumerate(row)
-            )
-        )
-    tvm = TensorValuedMap(dim_in, dim_out, dim_coeff, tuple(entries))
+                p, "one coefficient vector per source basis vector")
+        entries.append(_parse_matrix(row, p))
+    tvm = _make(path, TensorValuedMap, dim_in, dim_out, dim_coeff, tuple(entries))
     source = target = None
     coeff_algebra = coeff_coalgebra = None
     if doc.get("source") is not None:
@@ -266,10 +271,7 @@ def _parse_tensor_map(doc, path) -> TensorMapDoc:
         target = _parse_nested(doc, "target", "vect_magma", path)
     if doc.get("coeff_algebra") is not None:
         vm = _parse_nested(doc, "coeff_algebra", "vect_magma", path)
-        try:
-            coeff_algebra = fd_algebra_from_vect_magma(vm)
-        except InputError as exc:
-            _fail(f"{path}.coeff_algebra", str(exc))
+        coeff_algebra = _make(f"{path}.coeff_algebra", fd_algebra_from_vect_magma, vm)
     if doc.get("coeff_coalgebra") is not None:
         coeff_coalgebra = _parse_nested(doc, "coeff_coalgebra", "coalgebra", path)
     return TensorMapDoc(tvm, source, target, coeff_algebra, coeff_coalgebra)
@@ -284,77 +286,73 @@ def _parse_family_map(doc, path) -> FamilyMap:
     mats = tuple(
         _parse_matrix(m, f"{path}.matrices[{i}]", ncols=dim_in) for i, m in enumerate(mats_raw)
     )
-    try:
-        return FamilyMap(dim_p, dim_in, dim_out, mats)
-    except InputError as exc:
-        _fail(path, str(exc))
+    return _make(path, FamilyMap, dim_p, dim_in, dim_out, mats)
 
 
-def _parse_ncpoly(terms_raw, labels_pos, path) -> NCPoly:
+def _parse_ncpoly(terms_raw, pos, path) -> NCPoly:
     terms = {}
-    for i, term in enumerate(terms_raw):
+    for i, term in enumerate(_list(terms_raw, path)):
         p = f"{path}[{i}]"
         _expect(isinstance(term, list) and len(term) == 2, p, "expected [word, coeff]")
         word_raw, coeff_raw = term
         _expect(isinstance(word_raw, list), f"{p}[0]", "expected a word (label array)")
-        word = []
-        for j, lab in enumerate(word_raw):
-            _expect(lab in labels_pos, f"{p}[0][{j}]", f"unknown generator {lab!r}")
-            word.append(labels_pos[lab])
+        word = tuple(
+            _index_of(pos, lab, f"{p}[0][{j}]", "generator") for j, lab in enumerate(word_raw)
+        )
         coeff = parse_rational(coeff_raw, f"{p}[1]")
-        key = tuple(word)
-        terms[key] = terms.get(key, Fraction(0)) + coeff
+        terms[word] = terms.get(word, Fraction(0)) + coeff
     return NCPoly(terms)
 
 
 def _parse_presentation(doc, path):
     ptype = _get(doc, "presentation_type", path, str)
     gens = _get(doc, "generators", path, list)
-    if ptype == "group":
-        relators_raw = _get(doc, "relators", path, list)
-        relators = []
-        for i, w in enumerate(relators_raw):
-            word = tuple(_int_list(w, f"{path}.relators[{i}]"))
-            _expect(
-                free_reduce_word(word) == word,
-                f"{path}.relators[{i}]",
-                "relator is not freely reduced",
-            )
-            relators.append(word)
-        try:
-            return GroupPresentation(len(gens), tuple(relators), tuple(gens))
-        except InputError as exc:
-            _fail(path, str(exc))
+    _expect(ptype in ("group", "algebra"), path, f"unknown presentation_type {ptype!r}")
+    pos = _label_index(gens, f"{path}.generators")
     if ptype == "algebra":
-        pos = {l: i for i, l in enumerate(gens)}
-        relations_raw = _get(doc, "relations", path, list)
-        relations = []
-        for i, terms in enumerate(relations_raw):
-            poly = _parse_ncpoly(terms, pos, f"{path}.relations[{i}]")
-            _expect(not poly.is_zero(), f"{path}.relations[{i}]", "zero relation")
-            relations.append(poly)
-        try:
-            algebra = AlgebraPresentation(len(gens), tuple(gens), tuple(relations))
-        except InputError as exc:
-            _fail(path, str(exc))
-        if doc.get("matrix_index") is not None:
-            mi = doc["matrix_index"]
-            gen_index = tuple(
-                (e["block"], e["i"], e["j"]) for e in _get(mi, "gen_index", f"{path}.matrix_index", list)
-            )
-            blocks = tuple(
-                (b["block"], tuple(b["members"]))
-                for b in _get(mi, "blocks", f"{path}.matrix_index", list)
-            )
-            return MatrixPresentation(algebra, gen_index, blocks)
+        return _parse_algebra(doc, gens, pos, path)
+    relators_raw = _get(doc, "relators", path, list)
+    relators = []
+    for i, w in enumerate(relators_raw):
+        word = tuple(_int_list(w, f"{path}.relators[{i}]"))
+        _expect(
+            free_reduce_word(word) == word,
+            f"{path}.relators[{i}]",
+            "relator is not freely reduced",
+        )
+        relators.append(word)
+    return _make(path, GroupPresentation, len(gens), tuple(relators), tuple(gens))
+
+
+def _parse_algebra(doc, gens, pos, path):
+    """The algebra presentation on gens, a MatrixPresentation when the
+    document has a matrix_index; pos is the generator label -> index map."""
+    relations = []
+    for i, terms in enumerate(_get(doc, "relations", path, list)):
+        poly = _parse_ncpoly(terms, pos, f"{path}.relations[{i}]")
+        _expect(not poly.is_zero(), f"{path}.relations[{i}]", "zero relation")
+        relations.append(poly)
+    algebra = _make(path, AlgebraPresentation, len(gens), tuple(gens), tuple(relations))
+    mi = doc.get("matrix_index")
+    if mi is None:
         return algebra
-    _fail(path, f"unknown presentation_type {ptype!r}")
+    at = f"{path}.matrix_index"
+    gen_index = []
+    for n, e in enumerate(_get(mi, "gen_index", at, list)):
+        p = f"{at}.gen_index[{n}]"
+        gen_index.append((_get(e, "block", p, str), _get(e, "i", p, int), _get(e, "j", p, int)))
+    blocks = []
+    for n, b in enumerate(_get(mi, "blocks", at, list)):
+        p = f"{at}.blocks[{n}]"
+        members = _int_list(_get(b, "members", p, list), f"{p}.members")
+        blocks.append((_get(b, "block", p, str), tuple(members)))
+    return MatrixPresentation(algebra, tuple(gen_index), tuple(blocks))
 
 
 def _parse_bialgebra_presentation(doc, path):
-    inner = dict(doc)
-    inner["presentation_type"] = "algebra"
-    base = _parse_presentation(inner, path)
+    gens = _get(doc, "generators", path, list)
+    pos = _label_index(gens, f"{path}.generators")
+    base = _parse_algebra(doc, gens, pos, path)
     algebra = base.algebra if isinstance(base, MatrixPresentation) else base
     k = algebra.num_gens
     delta_raw = _get(doc, "delta", path, list)
@@ -362,73 +360,43 @@ def _parse_bialgebra_presentation(doc, path):
     delta = []
     for g, terms_raw in enumerate(delta_raw):
         poly = NCPoly.zero()
-        for i, term in enumerate(terms_raw):
+        for i, term in enumerate(_list(terms_raw, f"{path}.delta[{g}]")):
             p = f"{path}.delta[{g}][{i}]"
             left = _get(term, "left", p, list)
             right = _get(term, "right", p, list)
             coeff = parse_rational(_get(term, "coeff", p), f"{p}.coeff")
-            pos = {l: i2 for i2, l in enumerate(algebra.gen_labels)}
-            word = []
-            for lab in left:
-                _expect(lab in pos, p, f"unknown generator {lab!r}")
-                word.append(pos[lab])
-            for lab in right:
-                _expect(lab in pos, p, f"unknown generator {lab!r}")
-                word.append(k + pos[lab])
+            word = [_index_of(pos, lab, p, "generator") for lab in left]
+            word += [k + _index_of(pos, lab, p, "generator") for lab in right]
             poly = poly + NCPoly.monomial(tuple(word), coeff)
         delta.append(poly)
-    counit = tuple(
-        parse_rational(x, f"{path}.counit[{i}]")
-        for i, x in enumerate(_get(doc, "counit", path, list))
+    counit = _rationals(doc, "counit", path)
+    bial = _make(path, BialgebraPresentation, algebra, tuple(delta), counit)
+    tr = doc.get("truncation")
+    if tr is None:
+        return bial
+    levels = _get(tr, "levels", f"{path}.truncation", int)
+    degree = _get(tr, "degree_bound", f"{path}.truncation", int)
+    antipode = tuple(
+        None if entry is None else _parse_ncpoly(entry, pos, f"{path}.antipode[{g}]")
+        for g, entry in enumerate(_get(doc, "antipode", path, list))
     )
-    try:
-        bial = BialgebraPresentation(algebra, tuple(delta), counit)
-    except InputError as exc:
-        _fail(path, str(exc))
-    if doc.get("truncation") is not None:
-        tr = doc["truncation"]
-        levels = _get(tr, "levels", f"{path}.truncation", int)
-        degree = _get(tr, "degree_bound", f"{path}.truncation", int)
-        antipode_raw = _get(doc, "antipode", path, list)
-        pos = {l: i for i, l in enumerate(algebra.gen_labels)}
-        antipode = []
-        for g, entry in enumerate(antipode_raw):
-            if entry is None:
-                antipode.append(None)
-            else:
-                antipode.append(_parse_ncpoly(entry, pos, f"{path}.antipode[{g}]"))
-        level_of_gen = tuple(_int_list(_get(doc, "levels_of_generators", path, list), path))
-        base_gen_of = tuple(_int_list(_get(doc, "base_generators", path, list), path))
-        return HopfPresentation(
-            bial, tuple(antipode), levels, degree, level_of_gen, base_gen_of
-        )
-    return bial
+    level_of_gen = _int_list(
+        _get(doc, "levels_of_generators", path, list), f"{path}.levels_of_generators"
+    )
+    base_gen_of = _int_list(_get(doc, "base_generators", path, list), f"{path}.base_generators")
+    return HopfPresentation(
+        bial, antipode, levels, degree, tuple(level_of_gen), tuple(base_gen_of)
+    )
 
 
 def _parse_hopf_fd(doc, path) -> FinDimHopf:
     dim = _get(doc, "dim", path, int)
     mult_raw = _get(doc, "mult", path, list)
     _expect(len(mult_raw) == dim, f"{path}.mult", "one row per basis vector")
-    mult = tuple(
-        tuple(
-            tuple(parse_rational(x, f"{path}.mult[{i}][{j}][{k}]") for k, x in enumerate(v))
-            for j, v in enumerate(row)
-        )
-        for i, row in enumerate(mult_raw)
-    )
-    unit = tuple(
-        parse_rational(x, f"{path}.unit[{i}]")
-        for i, x in enumerate(_get(doc, "unit", path, list))
-    )
-    delta_raw = _get(doc, "delta", path, list)
-    delta = tuple(
-        {jk: c for jk, c in _parse_delta_terms(row, f"{path}.delta[{i}]") if c != 0}
-        for i, row in enumerate(delta_raw)
-    )
-    counit = tuple(
-        parse_rational(x, f"{path}.counit[{i}]")
-        for i, x in enumerate(_get(doc, "counit", path, list))
-    )
+    mult = tuple(_parse_matrix(row, f"{path}.mult[{i}]") for i, row in enumerate(mult_raw))
+    unit = _rationals(doc, "unit", path)
+    delta = _parse_delta(_get(doc, "delta", path, list), f"{path}.delta")
+    counit = _rationals(doc, "counit", path)
     antipode = _parse_matrix(_get(doc, "antipode", path, list), f"{path}.antipode", ncols=dim)
     return FinDimHopf(dim, mult, unit, delta, counit, antipode)
 
@@ -451,10 +419,7 @@ def _parse_category(doc, path) -> FiniteCategory:
         g, f, h = _int_list(triple, p)
         _expect((g, f) not in compose, p, f"second composite of {g} after {f}")
         compose[(g, f)] = h
-    try:
-        return FiniteCategory(objects, tuple(dom), tuple(cod), identity, compose)
-    except InputError as exc:
-        _fail(path, str(exc))
+    return _make(path, FiniteCategory, objects, tuple(dom), tuple(cod), identity, compose)
 
 
 def _parse_functor(doc, path) -> FunctorData:
@@ -464,10 +429,7 @@ def _parse_functor(doc, path) -> FunctorData:
     morphism_map = tuple(
         _int_list(_get(doc, "morphism_map", path, list), f"{path}.morphism_map")
     )
-    try:
-        return FunctorData(source, target, object_map, morphism_map)
-    except InputError as exc:
-        _fail(path, str(exc))
+    return _make(path, FunctorData, source, target, object_map, morphism_map)
 
 
 def _parse_frame_sets(doc, path) -> SetComodFrame:
@@ -475,10 +437,9 @@ def _parse_frame_sets(doc, path) -> SetComodFrame:
     psi = tuple(_int_list(_get(doc, "psi", path, list), f"{path}.psi"))
     num_labels = _get(doc, "num_labels", path, int)
     _expect(all(0 <= x < num_labels for x in psi), f"{path}.psi", "label out of range")
-    try:
-        return SetComodFrame(magma, psi)
-    except InputError as exc:
-        _fail(path, str(exc))
+    return _make(path, SetComodFrame, magma, psi)
+
+
 
 
 def _parse_map_set(doc, path):
@@ -599,17 +560,21 @@ def serialize_grading(g: Grading) -> dict:
     return doc
 
 
+def _serialize_delta(delta) -> list:
+    return [
+        [
+            {"left": j, "right": k, "coeff": format_rational(c)}
+            for (j, k), c in sorted(row.items())
+        ]
+        for row in delta
+    ]
+
+
 def serialize_coalgebra(c: FDCoalgebra) -> dict:
     return {
         "kind": "coalgebra",
         "dim": c.dim,
-        "delta": [
-            [
-                {"left": j, "right": k, "coeff": format_rational(v)}
-                for (j, k), v in sorted(row.items())
-            ]
-            for row in c.delta
-        ],
+        "delta": _serialize_delta(c.delta),
         "counit": [format_rational(x) for x in c.counit],
     }
 
@@ -743,13 +708,7 @@ def serialize_hopf_fd(h: FinDimHopf) -> dict:
             [[format_rational(x) for x in v] for v in row] for row in h.mult
         ],
         "unit": [format_rational(x) for x in h.unit],
-        "delta": [
-            [
-                {"left": j, "right": k, "coeff": format_rational(c)}
-                for (j, k), c in sorted(row.items())
-            ]
-            for row in h.delta
-        ],
+        "delta": _serialize_delta(h.delta),
         "counit": [format_rational(x) for x in h.counit],
         "antipode": [[format_rational(x) for x in row] for row in h.antipode],
     }

@@ -80,7 +80,6 @@ def antipode_from_convolution(h: FinDimHopf):
     n = h.dim
     rows = []
     rhs = []
-    basis = [unit_vec(n, i) for i in range(n)]
     for i in range(n):
         for r in range(n):
             # sum_{(j,k)} c * sum_a S[a][j] (e_a e_k)_r = eps_i unit_r

@@ -35,12 +35,6 @@ class OmegaSignature:
                     f"operation {name!r} has arity (0, 0); a map 1 -> 1 carries no data"
                 )
 
-    def arity(self, name: str) -> tuple[int, int]:
-        for n, s, t in self.ops:
-            if n == name:
-                return s, t
-        raise KeyError(name)
-
 
 def unital_signature() -> OmegaSignature:
     """The signature of a unital binary product: mu (2 -> 1) and unit (0 -> 1)."""

@@ -399,6 +399,29 @@ def test_hopf_envelope_rejects_hopf_input(tmp_path):
     assert code == 2 and "antipode" in err
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("gen_index", [{}], "$.matrix_index.gen_index[0]: missing field 'block'"),
+        (
+            "blocks",
+            [{"block": "0", "members": 5}],
+            "$.matrix_index.blocks[0].members: expected <class 'list'>, got int",
+        ),
+    ],
+)
+def test_hopf_envelope_rejects_bad_matrix_index(tmp_path, field, value, message):
+    from univhopf.coact import manin_end_presentation
+    from univhopf.hopf import universal_bialgebra_structure
+
+    mp = manin_end_presentation(dual_numbers_grading())
+    doc = docs.serialize_bialgebra_presentation(universal_bialgebra_structure(mp), mp)
+    doc["matrix_index"][field] = value
+    code, out, err = invoke(["hopf-envelope", write(tmp_path, "bial.json", doc)])
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
 def test_check_comeasuring_rejects_non_algebra_coefficients(tmp_path):
     doc = docs.serialize_tensor_map(
         docs.TensorMapDoc(

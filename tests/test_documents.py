@@ -1,3 +1,4 @@
+import copy
 import json
 from fractions import Fraction
 
@@ -152,6 +153,54 @@ def _serialize_again(kind, value):
     if kind == "map_set":
         return docs.serialize_map_set(value)
     raise AssertionError(kind)
+
+
+MUTANT_VALUES = (None, 0, 1.5, True, "x", [], [0], [[0]], ["x"], {}, {"a": 1}, [{}])
+
+_MANIN_END = manin_end_presentation(dual_numbers_grading())
+
+# the fixtures plus a hopf-envelope input (a bialgebra with its matrix index)
+# and a second hopf_fd
+MUTATION_FIXTURES = SERIALIZED_FIXTURES + [
+    docs.serialize_bialgebra_presentation(
+        universal_bialgebra_structure(_MANIN_END), _MANIN_END
+    ),
+    docs.serialize_hopf_fd(group_algebra_hopf(klein_four())),
+]
+
+
+def _field_paths(node, prefix=()):
+    """The path to every field at any depth, of lists only the first 3 items."""
+    if isinstance(node, dict):
+        items = list(node.items())
+    elif isinstance(node, list):
+        items = list(enumerate(node[:3]))
+    else:
+        return
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _field_paths(value, prefix + (key,))
+
+
+def _replaced(doc, path, value):
+    out = copy.deepcopy(doc)
+    node = out
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return out
+
+
+@pytest.mark.parametrize("doc", MUTATION_FIXTURES, ids=lambda d: d["kind"])
+def test_one_field_mutations_raise_only_typed_errors(doc):
+    for path in _field_paths(doc):
+        for value in MUTANT_VALUES:
+            try:
+                docs.parse_document(_replaced(doc, path, value))
+            except (InputError, PreconditionError):
+                pass
+            except Exception as exc:
+                pytest.fail(f"{path} = {value!r}: {exc!r}")
 
 
 def test_missing_kind_rejected():
