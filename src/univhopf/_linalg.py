@@ -76,14 +76,6 @@ def solve(a: Mat, b: Vec) -> Vec | None:
     return tuple(x)
 
 
-def coords_in_span(basis: Mat, v: Vec) -> Vec | None:
-    """Coordinates of v in the given (independent) basis rows, or None."""
-    if not basis:
-        return () if all(x == 0 for x in v) else None
-    cols = tuple(zip(*basis))
-    return solve(tuple(vec(c) for c in cols), v)
-
-
 def nullspace(a: Mat, ncols: int) -> Mat:
     """Basis of {x : a·x = 0} for a matrix with ncols columns."""
     reduced, pivots = rref(a)

@@ -11,6 +11,7 @@ import sys
 
 from . import documents as docs
 from .coact import (
+    FamilyMap,
     cosupport_of_map,
     is_comeasuring,
     is_tensor_epimorphism,
@@ -24,6 +25,7 @@ from .grading import grading_support, universal_group_of_grading
 from .grouppres import DEFAULT_COSET_LIMIT, abelian_invariants, todd_coxeter_order
 from .hopf import (
     DEFAULT_ANTIPODE_LEVELS,
+    HopfPresentation,
     check_hopf_axioms_fd,
     hopf_envelope_presentation,
     universal_bialgebra_structure,
@@ -41,25 +43,6 @@ from .setsuniversal import (
     universal_measuring_comonoid_sets,
 )
 from .signature import DEFAULT_ENUM_CAP
-
-COMMANDS = (
-    "support",
-    "cosupport",
-    "universal-group",
-    "tambara",
-    "manin-end",
-    "manin-aut",
-    "hopf-envelope",
-    "grothendieck",
-    "unit-group",
-    "coact-sets",
-    "meas-sets",
-    "act-group-sets",
-    "lio",
-    "check-hopf",
-    "check-comeasuring",
-)
-
 
 class _BoundHit(Exception):
     """Carries a finished output document plus the diagnostic for exit 4."""
@@ -101,8 +84,6 @@ def _cmd_support(args):
 def _cmd_cosupport(args):
     fam = _load(args.inputs[0], "family_map")
     basis = cosupport_of_map(fam)
-    from .coact import FamilyMap
-
     out = docs.serialize_family_map(
         FamilyMap(len(basis), fam.dim_in, fam.dim_out, basis)
     )
@@ -154,8 +135,6 @@ def _cmd_manin_aut(args):
 
 def _cmd_hopf_envelope(args):
     bial = _load(args.inputs[0], "bialgebra_presentation")
-    from .hopf import HopfPresentation
-
     if isinstance(bial, HopfPresentation):
         raise InputError("input already carries antipode data")
     env = hopf_envelope_presentation(bial, args.antipode_levels, args.degree_bound)
@@ -297,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
         "bi/Hopf presentations and locally-initial-object scans on "
         "explicit finite data",
     )
-    parser.add_argument("command", choices=sorted(COMMANDS))
+    parser.add_argument("command", choices=sorted(_HANDLERS))
     parser.add_argument("inputs", nargs="*", help="input documents ('-' for stdin)")
     parser.add_argument("--degree-bound", type=int, default=DEFAULT_DEGREE_BOUND)
     parser.add_argument(

@@ -52,7 +52,10 @@ def _get(obj, key, path, types=None):
     if not isinstance(obj, dict) or key not in obj:
         _fail(path, f"missing field {key!r}")
     value = obj[key]
-    if types is not None and not isinstance(value, types):
+    # a JSON boolean is no integer, though bool subclasses int
+    if types is not None and (
+        not isinstance(value, types) or types is int and isinstance(value, bool)
+    ):
         _fail(f"{path}.{key}", f"expected {types}, got {type(value).__name__}")
     return value
 

@@ -1,9 +1,11 @@
 """Bialgebra and Hopf layers.
 
 Finite-dimensional data and the differential graded fixture are checked by
-the one sparse axiom checker, ``coact.check_axioms``.  Presentation-level data carries comultiplication images inside
-the tensor-square algebra of the presentation (left copy = generators
-0..k-1, right copy = k..2k-1 of ``tensor_square_presentation``).
+the one sparse axiom checker, ``coact.check_axioms``.
+
+Presentation-level data carries comultiplication images inside the
+tensor-square algebra of the presentation (left copy = generators 0..k-1,
+right copy = k..2k-1 of ``tensor_square_presentation``).
 
 The Hopf envelope is computed as a truncated presentation: one copy of the
 input bialgebra per level 0..N, multiplication reversed on odd levels and

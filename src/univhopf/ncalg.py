@@ -146,7 +146,7 @@ def nc_evaluate(p: NCPoly, images) -> NCPoly:
     return out
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class AlgebraPresentation:
     num_gens: int
     gen_labels: tuple[str, ...]
@@ -161,14 +161,6 @@ class AlgebraPresentation:
             for w in rel.terms:
                 if any(g < 0 or g >= self.num_gens for g in w):
                     raise InputError("generator index out of range in relation")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, AlgebraPresentation)
-            and self.num_gens == other.num_gens
-            and self.gen_labels == other.gen_labels
-            and self.relations == other.relations
-        )
 
 
 @dataclass(frozen=True, eq=False)

@@ -41,19 +41,11 @@ def unital_signature() -> OmegaSignature:
     return OmegaSignature((("mu", 2, 1), ("unit", 0, 1)))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class FinSetMagma:
     signature: OmegaSignature
     size: int
     tables: dict  # op name -> {input tuple: output tuple}
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FinSetMagma)
-            and self.signature == other.signature
-            and self.size == other.size
-            and self.tables == other.tables
-        )
 
     def __post_init__(self):
         if self.size < 0:
@@ -215,7 +207,7 @@ def omega_congruence_closure(magma: FinSetMagma, pairs):
     return tuple(label.setdefault(find(x), len(label)) for x in range(n))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class FinVectMagma:
     """An operation-equipped space over Q, by sparse structure tensors.
 
@@ -228,15 +220,6 @@ class FinVectMagma:
     dim: int
     basis_labels: tuple[str, ...]
     tensors: dict  # name -> {(out idx, in idx): Fraction}
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FinVectMagma)
-            and self.signature == other.signature
-            and self.dim == other.dim
-            and self.basis_labels == other.basis_labels
-            and self.tensors == other.tensors
-        )
 
     def __post_init__(self):
         if self.dim < 0:

@@ -7,14 +7,17 @@ checker that the sparse axiom checker replaced, the linear-scan
 reducer and completion that the indexed rewriting engine replaced, the
 scanning hom sets, locally initial objects, absolute values and m^2
 validation that the indexed finite categories replaced, the pairwise
-rotation scan that the factor index of Tietze shortening replaced, and the
+rotation scan that the factor index of Tietze shortening replaced, the
 full coset enumeration that the abelianization shortcut of Todd-Coxeter
-skips for groups with a free abelian factor."""
+skips for groups with a free abelian factor, and the linear solves and
+dense comodule axiom loops that the RREF pivot read of support coordinates
+and the one axiom checker replaced."""
 
 from fractions import Fraction
 from itertools import permutations, product
 
-from univhopf._linalg import unit_vec, zero_vec
+from univhopf._linalg import row_space_basis, solve, unit_vec, vec, zero_vec
+from univhopf.coact import FDCoalgebra, TensorValuedMap
 from univhopf.errors import InputError, PreconditionError
 from univhopf.grouppres import (
     DEFAULT_TIETZE_EFFORT,
@@ -69,6 +72,104 @@ def kron(a, b):
                             row[j * cols_b + l] = x * y
             out.append(tuple(row))
     return tuple(out)
+
+
+def coords_in_span(basis, v):
+    """Coordinates of v in the given (independent) basis rows, or None, by
+    solving the linear system of the basis columns."""
+    if not basis:
+        return () if all(x == 0 for x in v) else None
+    return solve(tuple(vec(c) for c in zip(*basis)), v)
+
+
+def dense_support_of_map(rho):
+    """Support basis and corestriction of rho, each coefficient solved for
+    with coords_in_span."""
+    basis = row_space_basis(
+        [q for row in rho.entries for q in row]
+    )
+    entries = []
+    for beta in range(rho.dim_out):
+        row = []
+        for alpha in range(rho.dim_in):
+            coords = coords_in_span(basis, rho.entries[beta][alpha])
+            if coords is None:
+                raise RuntimeError(f"coefficient ({beta},{alpha}) is outside the support")
+            row.append(coords)
+        entries.append(tuple(row))
+    return basis, TensorValuedMap(rho.dim_in, rho.dim_out, len(basis), tuple(entries))
+
+
+def dense_comodule_failures(rho, c):
+    """The counit and coassociativity comodule axioms, entry by entry:
+    ("counit", beta, alpha) and ("coassociativity", gamma, alpha) triples."""
+    if rho.dim_in != rho.dim_out:
+        raise InputError("a comodule structure needs a square map")
+    if rho.dim_coeff != c.dim:
+        raise InputError("coefficient space does not match the coalgebra")
+    n = rho.dim_in
+    failures = []
+    for alpha in range(n):
+        for beta in range(n):
+            want = F(1 if alpha == beta else 0)
+            if c.counit_of(rho.q(beta, alpha)) != want:
+                failures.append(("counit", beta, alpha))
+    for alpha in range(n):
+        for gamma in range(n):
+            lhs = {}
+            for beta in range(n):
+                qgb = rho.q(gamma, beta)
+                qba = rho.q(beta, alpha)
+                for j in range(c.dim):
+                    if qgb[j] == 0:
+                        continue
+                    for k in range(c.dim):
+                        if qba[k] == 0:
+                            continue
+                        lhs[(j, k)] = lhs.get((j, k), F(0)) + qgb[j] * qba[k]
+            rhs = c.comultiply(rho.q(gamma, alpha))
+            if {k: v for k, v in lhs.items() if v} != rhs:
+                failures.append(("coassociativity", gamma, alpha))
+    return failures
+
+
+def dense_support_of_comodule(rho, c):
+    """Support subcoalgebra of a comodule, the comultiplication of each
+    basis vector solved for in the dense m^2 x dim^2 Kronecker basis."""
+    failures = dense_comodule_failures(rho, c)
+    if failures:
+        raise PreconditionError(f"not a comodule structure: {failures[:3]}")
+    basis, corestricted = dense_support_of_map(rho)
+    pair_basis = [
+        tuple(bi[j] * bk[k] for j in range(c.dim) for k in range(c.dim))
+        for bi in basis
+        for bk in basis
+    ]
+    delta0 = []
+    for b in basis:
+        image = c.comultiply(b)
+        flat = [F(0)] * (c.dim * c.dim)
+        for (j, k), v in image.items():
+            flat[j * c.dim + k] = v
+        coords = coords_in_span(tuple(pair_basis), tuple(flat))
+        if coords is None:
+            raise RuntimeError(
+                "support is not closed under comultiplication; input data corrupt"
+            )
+        m = len(basis)
+        delta0.append(
+            {
+                (i, k): coords[i * m + k]
+                for i in range(m)
+                for k in range(m)
+                if coords[i * m + k] != 0
+            }
+        )
+    eps0 = tuple(c.counit_of(b) for b in basis)
+    support_coalg = FDCoalgebra(len(basis), tuple(delta0), eps0)
+    if dense_comodule_failures(corestricted, support_coalg):
+        raise RuntimeError("corestriction to the support is not a comodule")
+    return basis, support_coalg, corestricted
 
 
 def rho_matrix(rho):

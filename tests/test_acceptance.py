@@ -15,7 +15,7 @@ from itertools import product
 from random import Random
 
 from univhopf import documents as docs
-from univhopf._linalg import coords_in_span, rank
+from univhopf._linalg import rank
 from univhopf.cli import run
 from univhopf.coact import (
     compose_with_matrix,
@@ -82,7 +82,7 @@ from helpers import (
     trivial_grading,
     two_incomparable_lio_category,
 )
-from oracles import comeasuring_oracle, mat_mul
+from oracles import comeasuring_oracle, coords_in_span, mat_mul
 
 F = Fraction
 

@@ -294,6 +294,27 @@ def test_lio_rejects_bad_compose_entries(tmp_path, entry, message):
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "command, doc, field",
+    [
+        (
+            "unit-group",
+            {"kind": "monoid_table", "table": [[0, 0], [0, 1]], "unit": True},
+            "$.unit",
+        ),
+        (
+            "lio",
+            {**docs.serialize_category(thin_chain_category(1)), "objects": True},
+            "$.objects",
+        ),
+    ],
+)
+def test_booleans_are_not_integers(tmp_path, command, doc, field):
+    code, out, err = invoke([command, write(tmp_path, "doc.json", doc)])
+    assert (code, out) == (2, "")
+    assert err == f"error: {field}: expected <class 'int'>, got bool\n"
+
+
 def test_usage_errors():
     code, _, _ = invoke(["frobnicate"])
     assert code == 1

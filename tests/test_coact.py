@@ -30,7 +30,7 @@ from univhopf.grading import Grading
 from univhopf.ncalg import NCPoly, complete_rules_up_to, dim_normal_words, reduce_normal_form
 from univhopf.signature import FinVectMagma, OmegaSignature, make_vect_magma, unital_signature
 
-from oracles import comeasuring_oracle, mat_mul
+from oracles import comeasuring_oracle, coords_in_span, mat_mul
 from helpers import random_q_algebra, random_unital_magma
 from helpers import (
     dual_numbers,
@@ -203,8 +203,6 @@ def test_cosupport_of_regular_dual_number_action():
     basis = cosupport_of_map(fam)
     assert len(basis) == 2
     # contains the identity and is closed under matrix composition
-    from univhopf._linalg import coords_in_span
-
     flat = [tuple(x for row in m for x in row) for m in basis]
     ident = (F(1), F(0), F(0), F(1))
     assert coords_in_span(tuple(flat), ident) is not None

@@ -1,6 +1,7 @@
 """Checks that must hold under ``python -O``, which strips assert statements:
 the bounded-completion certificate and the explicit invariant checks, and
-no assert statement in the library at all."""
+no assert statement in the library at all; and a library that imports
+nothing outside the standard library."""
 
 import ast
 import subprocess
@@ -73,3 +74,21 @@ def test_library_has_no_assert_statements():
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, "assert statements vanish under python -O: " + ", ".join(found)
+
+
+def test_library_imports_only_the_standard_library():
+    found = []
+    for path in sorted((HERE.parent / "src" / "univhopf").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            found += [
+                f"{path.name}:{node.lineno} {name}"
+                for name in names
+                if name.partition(".")[0] not in sys.stdlib_module_names
+            ]
+    assert not found, "the runtime is stdlib-only: " + ", ".join(found)
