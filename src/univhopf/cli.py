@@ -8,6 +8,8 @@ codes: 0 success, 1 usage, 2 parse/schema error, 3 precondition violation,
 
 import argparse
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from functools import cache
 
 from . import documents as docs
 from .coact import (
@@ -288,6 +290,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = cache(build_parser)  # built once, on first use
+
+
 def _emit(doc: dict, fmt: str, stdout) -> None:
     if fmt == "json":
         stdout.write(docs.document_to_json(doc))
@@ -298,9 +303,10 @@ def _emit(doc: dict, fmt: str, stdout) -> None:
 def run(argv, stdout=None, stderr=None) -> int:
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        # argparse prints usage, errors and --help to sys.stdout/sys.stderr
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     handler, arity = _HANDLERS[args.command]

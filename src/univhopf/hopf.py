@@ -4,8 +4,8 @@ Finite-dimensional data and the differential graded fixture are checked by
 the one sparse axiom checker, ``coact.check_axioms``.
 
 Presentation-level data carries comultiplication images inside the
-tensor-square algebra of the presentation (left copy = generators 0..k-1,
-right copy = k..2k-1 of ``tensor_square_presentation``).
+tensor-square algebra of the presentation: the left copy is generators
+0..k-1, the right copy k..2k-1.
 
 The Hopf envelope is computed as a truncated presentation: one copy of the
 input bialgebra per level 0..N, multiplication reversed on odd levels and
@@ -17,6 +17,7 @@ envelope are meaningful up to that truncation only.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 from ._linalg import Vec, nullspace, solve, unit_vec
 from .errors import InputError, PreconditionError
@@ -28,7 +29,7 @@ from .ncalg import (
     complete_rules_up_to,
     nc_evaluate,
     reduce_normal_form,
-    tensor_square_presentation,
+    tensor_square_system,
 )
 
 DEFAULT_ANTIPODE_LEVELS = 3
@@ -187,7 +188,8 @@ class BialgebraPresentation:
     """A presented algebra with generator-level coalgebra data.
 
     ``delta[g]`` is the coproduct of generator g written in the tensor-square
-    algebra of ``algebra`` (left copy first); ``counit[g]`` is rational.
+    algebra of ``algebra``, whose left copy is generators 0..k-1 and right
+    copy k..2k-1; ``counit[g]`` is rational.
     Well-definedness on the relations is a checked property, not assumed.
     """
 
@@ -238,20 +240,18 @@ def check_comap_well_defined(
 ) -> WellDefinedVerdict:
     """Push every relation through Delta and eps and reduce in the tensor square.
 
-    Delta images must land in the tensor-square ideal (normal form 0 after
-    bounded completion); a nonzero normal form refutes well-definedness only
-    when the bounded system is confluent and the image stays within degree.
+    The tensor square's system is assembled from the algebra's bounded
+    completion by the diamond lemma (``ncalg.tensor_square_system``): its
+    skipped overlaps are counted on the assembled rules, and it is confluent
+    when the base is and either none was skipped or every relation is
+    homogeneous.  Every rule lies in the ideal, so normal form 0 passes; a
+    nonzero one refutes well-definedness only when the system is confluent
+    and the image stays within degree.
     """
-    ts = tensor_square_presentation(b.algebra)
-    system = complete_rules_up_to(ts, degree_bound)
+    system = tensor_square_system(b.algebra, complete_rules_up_to(b.algebra, degree_bound))
     inconclusive = None
     for idx, rel in enumerate(b.algebra.relations):
-        eps_value = Fraction(0)
-        for w, c in rel.sorted_terms():
-            term = c
-            for g in w:
-                term *= b.counit[g]
-            eps_value += term
+        eps_value = sum(c * prod(b.counit[g] for g in w) for w, c in rel.terms.items())
         if eps_value != 0:
             return WellDefinedVerdict("fail", (idx, eps_value))
         image = nc_evaluate(rel, b.delta)

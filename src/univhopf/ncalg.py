@@ -264,10 +264,6 @@ def _orient(p: NCPoly) -> tuple[Word, NCPoly]:
     return lw, rest.scale(Fraction(-1) / lc)
 
 
-def _rule_poly(lw: Word, rhs: NCPoly) -> NCPoly:
-    return NCPoly.monomial(lw) - rhs
-
-
 def _has_factor(words, factor: Word) -> bool:
     """Whether any of the words contains factor."""
     n = len(factor)
@@ -285,7 +281,7 @@ def _add_and_interreduce(rules: list, pending: list) -> None:
         keep = []
         for old_lw, old_rhs in rules:
             if _has_factor(chain((old_lw,), old_rhs.terms), lw):
-                pending.append(_rule_poly(old_lw, old_rhs))
+                pending.append(NCPoly.monomial(old_lw) - old_rhs)
             else:
                 keep.append((old_lw, old_rhs))
         keep.append((lw, rhs))
@@ -396,29 +392,29 @@ def dim_normal_words(system: RewriteSystem, degree: int) -> int:
     return count
 
 
-def tensor_square_presentation(pres: AlgebraPresentation) -> AlgebraPresentation:
-    """Two commuting copies of the presentation: left generators first, then
-    right; cross commutators make the copies commute elementwise."""
-    k = pres.num_gens
-    labels = tuple(f"{x}.l" for x in pres.gen_labels) + tuple(
-        f"{x}.r" for x in pres.gen_labels
-    )
-    relations = []
-    for rel in pres.relations:
-        relations.append(NCPoly(dict(rel.terms)))  # left copy
-    for rel in pres.relations:
-        relations.append(
-            NCPoly({tuple(g + k for g in w): c for w, c in rel.terms.items()})
-        )
-    for i in range(k):
-        for j in range(k):
-            relations.append(
-                NCPoly.monomial((i, k + j)) - NCPoly.monomial((k + j, i))
-            )
-    return AlgebraPresentation(2 * k, labels, tuple(relations))
+def tensor_square_system(pres: AlgebraPresentation, base: RewriteSystem) -> RewriteSystem:
+    """The bounded system of A (x) A (left copy on generators 0..k-1, right
+    copy on k..2k-1) assembled from base, the bounded system of A = pres.
 
-
-def embed_tensor(left: NCPoly, right: NCPoly, k: int) -> NCPoly:
-    """Represent left (x) right inside the 2k-generator tensor-square algebra."""
-    shifted = NCPoly({tuple(g + k for g in w): c for w, c in right.terms.items()})
-    return left * shifted
+    By Bergman's diamond lemma the completed rules are the base rules, their
+    right copies and y_j x_i -> x_i y_j for generators that are not
+    single-letter leading words (a swap's overlaps resolve by moving y_j
+    across), sorted deglex; a base with 1 -> 0 is its own square.  Skipped
+    overlaps are counted on these rules: a swap overlapping a rule of length
+    d is skipped in the square only.  The square is confluent when the base
+    is and either none was skipped or every relation is homogeneous.
+    """
+    k, table = base.num_gens, base._index[0]
+    rules = list(base.rules)
+    if () not in table:
+        for lw, rhs in base.rules:
+            terms = {tuple(g + k for g in w): c for w, c in rhs.terms.items()}
+            rules.append((tuple(g + k for g in lw), NCPoly._trusted(terms)))
+        free = [g for g in range(k) if (g,) not in table]
+        rules += [((k + j, i), NCPoly.monomial((i, k + j))) for i in free for j in free]
+        rules.sort(key=lambda r: deglex_key(r[0]))
+    d = base.degree_bound
+    skipped = sum(len(lw1) + len(lw2) - n > d for lw1, _, lw2, _, n in _overlaps(rules))
+    homogeneous = all(map(_is_homogeneous, pres.relations))
+    confluent = base.confluent_up_to and (skipped == 0 or homogeneous)
+    return RewriteSystem(2 * k, tuple(rules), d, confluent, skipped)

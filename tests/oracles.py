@@ -11,7 +11,8 @@ rotation scan that the factor index of Tietze shortening replaced, the
 full coset enumeration that the abelianization shortcut of Todd-Coxeter
 skips for groups with a free abelian factor, and the linear solves and
 dense comodule axiom loops that the RREF pivot read of support coordinates
-and the one axiom checker replaced."""
+and the one axiom checker replaced, and the tensor-square presentation whose
+from-scratch completion the assembled tensor-square system replaced."""
 
 from fractions import Fraction
 from itertools import permutations, product
@@ -27,7 +28,7 @@ from univhopf.grouppres import (
     invert_word,
 )
 from univhopf.hopf import AxiomReport
-from univhopf.ncalg import NCPoly, deglex_key
+from univhopf.ncalg import AlgebraPresentation, NCPoly, deglex_key
 from univhopf.signature import is_set_homomorphism
 
 F = Fraction
@@ -658,6 +659,34 @@ def scan_completion(pres, degree_bound, max_steps, pass_cap=50):
         _scan_add_and_interreduce(rules, new_polys, budget)
     rules.sort(key=lambda r: deglex_key(r[0]))
     return tuple(rules), closed, skipped
+
+
+def tensor_square_presentation(pres):
+    """Two commuting copies of the presentation: left generators first, then
+    right; cross commutators make the copies commute elementwise."""
+    k = pres.num_gens
+    labels = tuple(f"{x}.l" for x in pres.gen_labels) + tuple(
+        f"{x}.r" for x in pres.gen_labels
+    )
+    relations = []
+    for rel in pres.relations:
+        relations.append(NCPoly(dict(rel.terms)))  # left copy
+    for rel in pres.relations:
+        relations.append(
+            NCPoly({tuple(g + k for g in w): c for w, c in rel.terms.items()})
+        )
+    for i in range(k):
+        for j in range(k):
+            relations.append(
+                NCPoly.monomial((i, k + j)) - NCPoly.monomial((k + j, i))
+            )
+    return AlgebraPresentation(2 * k, labels, tuple(relations))
+
+
+def embed_tensor(left, right, k):
+    """Represent left (x) right inside the 2k-generator tensor-square algebra."""
+    shifted = NCPoly({tuple(g + k for g in w): c for w, c in right.terms.items()})
+    return left * shifted
 
 
 # ---------------------------------------------------------------------------

@@ -322,6 +322,16 @@ def test_usage_errors():
     assert code == 1 and "input document" in err
 
 
+def test_usage_and_help_go_to_the_given_streams(capsys):
+    code, out, err = invoke(["bogus"])
+    assert (code, out) == (1, "")
+    assert err.startswith("usage: univhopf") and "invalid choice: 'bogus'" in err
+    code, out, err = invoke(["--help"])
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: univhopf") and "--degree-bound" in out
+    assert capsys.readouterr() == ("", "")
+
+
 def test_schema_error_exit_code(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{\"kind\": \"monoid_table\"}", encoding="utf-8")

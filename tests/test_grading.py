@@ -243,3 +243,22 @@ def test_equivalence_verdicts_on_fixture_pairs(first, second, verdict):
     }
     assert equivalent(gradings[first], gradings[second]) == verdict
     assert equivalent(gradings[second], gradings[first]) == verdict
+
+
+def test_equivalence_of_infinite_groups_runs_one_smith_form_each(monkeypatch):
+    import univhopf.grading as grading
+
+    calls = []
+
+    def counted(pres):
+        calls.append(pres)
+        return abelian_invariants(pres)
+
+    def refuse(*_):
+        raise AssertionError("todd_coxeter_order called on groups proven infinite")
+
+    monkeypatch.setattr(grading, "abelian_invariants", counted)
+    monkeypatch.setattr(grading, "todd_coxeter_order", refuse)
+    pair = (dual_numbers_grading(), corpus_gradings()["degree_grading_Z"])
+    assert equivalent(*pair) == "unknown"
+    assert len(calls) == 2

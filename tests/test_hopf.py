@@ -191,6 +191,21 @@ def test_sabotaged_coproduct_fails():
     assert verdict.status == "fail" and verdict.witness is not None
 
 
+def test_well_definedness_completes_only_the_base_algebra(monkeypatch):
+    import univhopf.hopf as hopf
+
+    completed = []
+
+    def recorded(pres, bound):
+        completed.append(pres.num_gens)
+        return complete_rules_up_to(pres, bound)
+
+    monkeypatch.setattr(hopf, "complete_rules_up_to", recorded)
+    bial = universal_bialgebra_structure(tambara_presentation(dual_numbers(), dual_numbers()))
+    assert check_comap_well_defined(bial, 4).status == "pass"
+    assert completed == [bial.algebra.num_gens]
+
+
 # ---------------------------------------------------------------------------
 # Hopf envelopes
 

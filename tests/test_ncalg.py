@@ -15,12 +15,12 @@ from univhopf.ncalg import (
     RewriteSystem,
     complete_rules_up_to,
     dim_normal_words,
-    embed_tensor,
     ideal_member_up_to,
     nc_evaluate,
     reduce_normal_form,
-    tensor_square_presentation,
 )
+
+from oracles import embed_tensor, tensor_square_presentation
 
 F = Fraction
 x = NCPoly.gen(0)
