@@ -241,7 +241,7 @@ def _cmd_check_comeasuring(args):
         raise PreconditionError(
             "check-comeasuring needs source, target and coeff_algebra embedded"
         )
-    ok, witness = is_comeasuring(tm.map, tm.coeff_algebra, tm.source, tm.target)
+    ok, witness = is_comeasuring(tm.map, tm.coeff_fd_algebra, tm.source, tm.target)
     out = docs.serialize_tensor_map(tm)
     out["summary"] = {
         "comeasuring": ok,

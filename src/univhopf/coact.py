@@ -278,51 +278,49 @@ def check_axioms(
     return tuple(results)
 
 
-def check_shapes(n, mult=None, unit=None, delta=None, counit=None, antipode=None):
-    """Raise InputError unless the given dense structure constants fit
-    dimension n: mult[i][j], unit and counit are n-vectors, delta[i] maps
-    index pairs in range to exact coefficients and antipode is n x n."""
+def sparse_maps(n, mult=None, unit=None, delta=None, counit=None, antipode=None):
+    """check_axioms keyword arguments for dense structure constants on the
+    basis 0..n-1; S(e_j) is column j of the antipode matrix.
+
+    Raises InputError unless the given constants fit dimension n: mult[i][j],
+    unit and counit are n-vectors, delta[i] maps index pairs in range to
+    exact coefficients and antipode is n x n.
+    """
 
     def square(rows):
         return len(rows) == n and all(len(row) == n for row in rows)
 
-    if mult is not None and not square(mult):
-        raise InputError("multiplication table shape mismatch")
-    if mult is not None and any(len(p) != n for row in mult for p in row):
-        raise InputError("product vector length mismatch")
+    maps = {}
+    if mult is not None:
+        if not square(mult):
+            raise InputError("multiplication table shape mismatch")
+        if any(len(p) != n for row in mult for p in row):
+            raise InputError("product vector length mismatch")
+        table = [[_nonzero(dict(enumerate(p))) for p in row] for row in mult]
+        maps["mul"] = lambda i, j: table[i][j]
     for name, v in (("unit", unit), ("counit", counit)):
         if v is not None and len(v) != n:
             raise InputError(f"{name} vector length mismatch")
-    if delta is not None and len(delta) != n:
-        raise InputError("coalgebra data shape mismatch")
-    for row in delta or ():
-        for (j, k), c in row.items():
-            if not (0 <= j < n and 0 <= k < n):
-                raise InputError("comultiplication index out of range")
-            if not isinstance(c, Fraction):
-                raise InputError("non-exact comultiplication coefficient")
-    if antipode is not None and not square(antipode):
-        raise InputError("antipode matrix shape mismatch")
-
-
-def sparse_maps(mult=None, unit=None, delta=None, counit=None, antipode=None):
-    """check_axioms keyword arguments for dense structure constants on the
-    basis 0..n-1 (shapes as check_shapes accepts them); S(e_j) is column j
-    of the antipode matrix."""
-    maps = {}
-    if mult is not None:
-        table = [[_nonzero(dict(enumerate(p))) for p in row] for row in mult]
-        maps["mul"] = lambda i, j: table[i][j]
     if unit is not None:
         maps["unit"] = _nonzero(dict(enumerate(unit)))
     if delta is not None:
+        if len(delta) != n:
+            raise InputError("coalgebra data shape mismatch")
+        for row in delta:
+            for (j, k), c in row.items():
+                if not (0 <= j < n and 0 <= k < n):
+                    raise InputError("comultiplication index out of range")
+                if not isinstance(c, Fraction):
+                    raise InputError("non-exact comultiplication coefficient")
         maps["delta"] = delta.__getitem__
     if counit is not None:
         maps["eps"] = counit.__getitem__
     if antipode is not None:
+        if not square(antipode):
+            raise InputError("antipode matrix shape mismatch")
         columns = [
             {i: row[j] for i, row in enumerate(antipode) if row[j]}
-            for j in range(len(antipode))
+            for j in range(n)
         ]
         maps["antipode"] = columns.__getitem__
     return maps
@@ -339,9 +337,8 @@ class FDAlgebra:
     unit: Vec
 
     def __post_init__(self):
-        check_shapes(self.dim, mult=self.mult, unit=self.unit)
         (_, _, _, assoc), (_, _, _, unital) = check_axioms(
-            range(self.dim), **sparse_maps(mult=self.mult, unit=self.unit)
+            range(self.dim), **sparse_maps(self.dim, mult=self.mult, unit=self.unit)
         )
         if assoc:
             raise PreconditionError(
@@ -394,9 +391,9 @@ class FDCoalgebra:
     counit: Vec
 
     def __post_init__(self):
-        check_shapes(self.dim, delta=self.delta, counit=self.counit)
         (_, _, _, coassoc), (_, _, _, counital) = check_axioms(
-            range(self.dim), **sparse_maps(delta=self.delta, counit=self.counit)
+            range(self.dim),
+            **sparse_maps(self.dim, delta=self.delta, counit=self.counit),
         )
         # the smallest failing basis vector; coassociativity first on a tie
         i = min(coassoc[:1] + counital[:1], default=None)

@@ -9,7 +9,7 @@ parse followed by serialize is the identity on canonical documents.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
@@ -233,13 +233,24 @@ def fd_algebra_from_vect_magma(vm: FinVectMagma) -> FDAlgebra:
 
 @dataclass(frozen=True, eq=False)
 class TensorMapDoc:
-    """A tensor-valued map with whatever structures its document embeds."""
+    """A tensor-valued map with whatever structures its document embeds.
+
+    The coefficient algebra is kept as the vect magma it was read as, so it
+    is written back as read; ``coeff_fd_algebra`` is that magma read as a
+    validated associative algebra, built once at construction.
+    """
 
     map: TensorValuedMap
     source: FinVectMagma | None = None
     target: FinVectMagma | None = None
-    coeff_algebra: FDAlgebra | None = None
+    coeff_algebra: FinVectMagma | None = None
     coeff_coalgebra: FDCoalgebra | None = None
+    coeff_fd_algebra: FDAlgebra | None = field(default=None, init=False, repr=False)
+
+    def __post_init__(self):
+        if self.coeff_algebra is not None:
+            fd = fd_algebra_from_vect_magma(self.coeff_algebra)
+            object.__setattr__(self, "coeff_fd_algebra", fd)
 
 
 def _parse_matrix(rows, path, ncols=None):
@@ -273,11 +284,14 @@ def _parse_tensor_map(doc, path) -> TensorMapDoc:
     if doc.get("target") is not None:
         target = _parse_nested(doc, "target", "vect_magma", path)
     if doc.get("coeff_algebra") is not None:
-        vm = _parse_nested(doc, "coeff_algebra", "vect_magma", path)
-        coeff_algebra = _make(f"{path}.coeff_algebra", fd_algebra_from_vect_magma, vm)
+        coeff_algebra = _parse_nested(doc, "coeff_algebra", "vect_magma", path)
     if doc.get("coeff_coalgebra") is not None:
         coeff_coalgebra = _parse_nested(doc, "coeff_coalgebra", "coalgebra", path)
-    return TensorMapDoc(tvm, source, target, coeff_algebra, coeff_coalgebra)
+    # of these fields, only the coefficient algebra can fail in the constructor
+    return _make(
+        f"{path}.coeff_algebra",
+        TensorMapDoc, tvm, source, target, coeff_algebra, coeff_coalgebra,
+    )
 
 
 def _parse_family_map(doc, path) -> FamilyMap:
@@ -582,21 +596,6 @@ def serialize_coalgebra(c: FDCoalgebra) -> dict:
     }
 
 
-def serialize_fd_algebra_as_vect_magma(a: FDAlgebra) -> dict:
-    sig = OmegaSignature((("mu", 2, 1), ("unit", 0, 1)))
-    tensors = {"mu": {}, "unit": {}}
-    for i in range(a.dim):
-        for j in range(a.dim):
-            for k, c in enumerate(a.mult[i][j]):
-                if c != 0:
-                    tensors["mu"][((k,), (i, j))] = c
-    for k, c in enumerate(a.unit):
-        if c != 0:
-            tensors["unit"][((k,), ())] = c
-    vm = FinVectMagma(sig, a.dim, tuple(f"e{i}" for i in range(a.dim)), tensors)
-    return serialize_vect_magma(vm)
-
-
 def serialize_tensor_map(t: TensorMapDoc) -> dict:
     doc = {
         "kind": "tensor_map",
@@ -612,7 +611,7 @@ def serialize_tensor_map(t: TensorMapDoc) -> dict:
     if t.target is not None:
         doc["target"] = serialize_vect_magma(t.target)
     if t.coeff_algebra is not None:
-        doc["coeff_algebra"] = serialize_fd_algebra_as_vect_magma(t.coeff_algebra)
+        doc["coeff_algebra"] = serialize_vect_magma(t.coeff_algebra)
     if t.coeff_coalgebra is not None:
         doc["coeff_coalgebra"] = serialize_coalgebra(t.coeff_coalgebra)
     return doc

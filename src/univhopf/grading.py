@@ -6,8 +6,9 @@ operation and every tuple of input labels, all basis tensors hit by nonzero
 structure coefficients out of those components carry one and the same tuple
 of output labels.  The universal group is presented on the support labels
 with one relator h s t^-1 for every nonzero component product landing in
-component t; the presentation is meaningful exactly when the set grading is
-realizable by a group grading, which this module does not attempt to decide.
+component t, under every binary operation; the presentation is meaningful
+exactly when the set grading is realizable by a group grading, which this
+module does not attempt to decide.
 """
 
 from dataclasses import dataclass
@@ -104,28 +105,24 @@ def grading_support(grading: Grading) -> tuple[str, ...]:
 
 
 def _component_products(grading: Grading):
-    """(h, s) -> t over support label positions, from every binary product op."""
-    alg = grading.algebra
+    """Sorted (h, s, t) label positions with A^(h) A^(s) <= A^(t), over every
+    binary operation."""
     assign = grading.assignment
-    products: dict = {}
-    for name, s, t in alg.signature.ops:
-        if (s, t) != (2, 1):
-            continue
-        for (out, inp), _ in sorted(alg.tensors[name].items()):
-            key = (assign[inp[0]], assign[inp[1]])
-            val = assign[out[0]]
-            prev = products.setdefault(key, val)
-            if prev != val:
-                raise RuntimeError("validity check should have rejected this grading")
-    return products
+    return sorted({
+        (assign[inp[0]], assign[inp[1]], assign[out[0]])
+        for name, s, t in grading.algebra.signature.ops
+        if (s, t) == (2, 1)
+        for out, inp in grading.algebra.tensors[name]
+    })
 
 
 def universal_group_of_grading(grading: Grading):
     """Presentation of the universal group on the support labels.
 
-    One relator h s t^-1 per nonzero component product A^(h) A^(s) <= A^(t);
-    relators are freely reduced, no Tietze simplification is applied.
-    Returns (presentation, {label: generator index}).
+    One relator h s t^-1 per nonzero component product A^(h) A^(s) <= A^(t)
+    of any binary operation; relators are freely reduced, no Tietze
+    simplification is applied.  Returns (presentation, {label: generator
+    index}).
     """
     ok, witness = validate_grading(grading)
     if not ok:
@@ -138,7 +135,7 @@ def universal_group_of_grading(grading: Grading):
         if l in gen_of_label
     }
     relators = []
-    for (h, s), t in sorted(_component_products(grading).items()):
+    for h, s, t in _component_products(grading):
         relators.append((gen_of_pos[h] + 1, gen_of_pos[s] + 1, -(gen_of_pos[t] + 1)))
     return presentation(len(supp), relators, gen_labels=supp), gen_of_label
 
@@ -228,8 +225,8 @@ def equivalent(
         return "no"
     if 0 in inv1:
         return "unknown"  # both infinite: no coset enumeration closes
-    o1 = todd_coxeter_order(p1, coset_limit)
-    o2 = todd_coxeter_order(p2, coset_limit)
+    o1 = todd_coxeter_order(s1, coset_limit)
+    o2 = todd_coxeter_order(s2, coset_limit)
     if o1 is not None and o2 is not None and o1 != o2:
         return "no"
     return "unknown"

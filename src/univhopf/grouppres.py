@@ -67,68 +67,49 @@ def presentation(num_gens, relators, gen_labels=None) -> GroupPresentation:
 
 
 def _smith_diagonal(rows, ncols):
-    """Diagonal of the Smith normal form of an integer matrix (list of rows)."""
+    """Diagonal of the Smith normal form of an integer matrix (list of rows).
+
+    Each step pivots on an entry of least absolute value and clears its
+    column and row.  A remainder left by clearing, or an entry the pivot
+    does not divide (moved into the pivot row and reduced there), gives a
+    smaller pivot on the next step; otherwise the pivot is a diagonal entry
+    and its row and column are dropped.
+    """
     m = [list(r) for r in rows]
-    nrows = len(m)
     diag = []
-    t = 0
-    while t < nrows and t < ncols:
-        # pick the entry of least absolute value as pivot
-        pivot = None
-        for i in range(t, nrows):
-            for j in range(t, ncols):
-                if m[i][j] != 0 and (pivot is None or abs(m[i][j]) < abs(pivot[2])):
-                    pivot = (i, j, m[i][j])
-        if pivot is None:
-            break
-        pi, pj, _ = pivot
-        m[t], m[pi] = m[pi], m[t]
-        for row in m:
-            row[t], row[pj] = row[pj], row[t]
-        while True:
-            # clear the pivot column
-            for i in range(t + 1, nrows):
-                if m[i][t]:
-                    q = m[i][t] // m[t][t]
-                    m[i] = [a - q * b for a, b in zip(m[i], m[t])]
-            if any(m[i][t] for i in range(t + 1, nrows)):
-                # a remainder became the new smallest entry; re-pivot on it
-                i = min(
-                    (i for i in range(t + 1, nrows) if m[i][t]),
-                    key=lambda i: abs(m[i][t]),
-                )
-                m[t], m[i] = m[i], m[t]
-                continue
-            # clear the pivot row
-            for j in range(t + 1, ncols):
-                if m[t][j]:
-                    q = m[t][j] // m[t][t]
-                    for row in m:
-                        row[j] -= q * row[t]
-            if any(m[t][j] for j in range(t + 1, ncols)):
-                j = min(
-                    (j for j in range(t + 1, ncols) if m[t][j]),
-                    key=lambda j: abs(m[t][j]),
-                )
+    while True:
+        flat = [abs(x) for row in m for x in row]
+        least = min(filter(None, flat), default=0)
+        if not least:
+            return diag
+        pi, pj = divmod(flat.index(least), ncols)
+        p, prow = m[pi][pj], m[pi]
+        for i, row in enumerate(m):
+            if i != pi and row[pj]:
+                q = row[pj] // p
+                m[i] = [a - q * b for a, b in zip(row, prow)]
+        for j in range(ncols):
+            if j != pj and prow[j]:
+                q = prow[j] // p
                 for row in m:
-                    row[t], row[j] = row[j], row[t]
-                continue
-            # enforce divisibility of the remaining block
-            bad = next(
-                (
-                    (i, j)
-                    for i in range(t + 1, nrows)
-                    for j in range(t + 1, ncols)
-                    if m[i][j] % m[t][t]
-                ),
-                None,
-            )
-            if bad is None:
-                break
-            m[t] = [a + b for a, b in zip(m[t], m[bad[0]])]
-        diag.append(abs(m[t][t]))
-        t += 1
-    return diag
+                    row[j] -= q * row[pj]
+        if any(prow[j] for j in range(ncols) if j != pj) or any(
+            row[pj] for i, row in enumerate(m) if i != pi
+        ):
+            continue
+        # a unit pivot divides every entry
+        bad = least > 1 and next(
+            ((i, j) for i, row in enumerate(m) for j, x in enumerate(row) if x % p),
+            None,
+        )
+        if bad:
+            # column pj is zero off the pivot, so only the pivot row changes
+            m[pi] = [a + b for a, b in zip(prow, m[bad[0]])]
+            m[pi][bad[1]] %= p
+            continue
+        diag.append(least)
+        m = [row[:pj] + row[pj + 1:] for i, row in enumerate(m) if i != pi and any(row)]
+        ncols -= 1
 
 
 def abelian_invariants(pres: GroupPresentation) -> list[int]:

@@ -21,8 +21,8 @@ from math import prod
 
 from ._linalg import Vec, nullspace, solve, unit_vec
 from .errors import InputError, PreconditionError
-from .finmonoid import FinMonoid, grothendieck_group, unit_group
-from .coact import MatrixPresentation, check_axioms, check_shapes, sparse_maps
+from .finmonoid import FinMonoid, grothendieck_group, is_group, unit_group
+from .coact import MatrixPresentation, check_axioms, sparse_maps
 from .ncalg import (
     AlgebraPresentation,
     NCPoly,
@@ -67,8 +67,7 @@ class AxiomReport:
 def check_hopf_axioms_fd(h: FinDimHopf) -> AxiomReport:
     """Exact verification of every Hopf axiom, with a basis witness per failure."""
     structure = (h.mult, h.unit, h.delta, h.counit, h.antipode)
-    check_shapes(h.dim, *structure)
-    results = check_axioms(range(h.dim), **sparse_maps(*structure))
+    results = check_axioms(range(h.dim), **sparse_maps(h.dim, *structure))
     rows = ((name, not f, f[0] if f else None) for name, _, _, f in results)
     return AxiomReport(tuple(rows))
 
@@ -79,7 +78,7 @@ def antipode_from_convolution(h: FinDimHopf):
     Returns (matrix or None, degrees_of_freedom).  For honest Hopf data the
     solution is unique: (S, 0).  Raises InputError on misshapen data.
     """
-    check_shapes(h.dim, h.mult, h.unit, h.delta, h.counit)
+    sparse_maps(h.dim, h.mult, h.unit, h.delta, h.counit)  # shape checks only
     n = h.dim
     rows = []
     rhs = []
@@ -106,8 +105,6 @@ def antipode_from_convolution(h: FinDimHopf):
 
 def group_algebra_hopf(g: FinMonoid) -> FinDimHopf:
     """Group algebra with group-like basis and inversion antipode."""
-    from .finmonoid import is_group
-
     if not is_group(g):
         raise PreconditionError("group algebra Hopf structure needs a group")
     n = g.size
@@ -317,20 +314,12 @@ def hopf_envelope_presentation(
         return NCPoly({lift_word(w, n): c for w, c in p.terms.items()})
 
     def lift_delta_word(word, n):
-        # base tensor-square letters: left 0..k-1, right k..2k-1; output is
-        # normalized left-then-right (interleavings agree modulo the
-        # tensor-square commutators)
-        left = [g for g in word if g < k]
-        right = [g - k for g in word if g >= k]
+        # left then right (interleavings agree modulo the tensor-square
+        # commutators); odd levels flip the tensor factors
+        left, right = _split_tensor_word(word, k)
         if n % 2:
-            # flip the tensor factors; each side is also word-reversed since
-            # the level multiplication is the opposite one
-            new_left = [x + n * k for x in reversed(right)]
-            new_right = [total + x + n * k for x in reversed(left)]
-        else:
-            new_left = [x + n * k for x in left]
-            new_right = [total + x + n * k for x in right]
-        return tuple(new_left + new_right)
+            left, right = right, left
+        return lift_word(left, n) + tuple(total + g for g in lift_word(right, n))
 
     labels = []
     level_of_gen = []

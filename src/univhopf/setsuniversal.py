@@ -5,7 +5,7 @@ out of explicit map sets."""
 from itertools import product
 
 from .errors import InputError, PreconditionError
-from .finmonoid import FinMonoid, monoid_from_rows
+from .finmonoid import FinMonoid, grothendieck_group, monoid_from_rows
 from .grouppres import GroupPresentation
 from .signature import (
     DEFAULT_ENUM_CAP,
@@ -88,8 +88,6 @@ def universal_coacting_group_sets(frame: SetComodFrame) -> GroupPresentation:
 
 
 def _grothendieck_of_magma(magma: FinSetMagma) -> GroupPresentation:
-    from .finmonoid import grothendieck_group
-
     return grothendieck_group(_monoid_of(magma))
 
 

@@ -12,6 +12,7 @@ from univhopf.lio import FiniteCategory, FunctorData
 from univhopf.signature import (
     FinSetMagma,
     FinVectMagma,
+    OmegaSignature,
     make_vect_magma,
     set_magma_from_monoid_table,
     unital_signature,
@@ -116,6 +117,18 @@ def pauli_grading() -> Grading:
 def dual_numbers_grading() -> Grading:
     """deg 1 = 0, deg x = 1."""
     return Grading(dual_numbers(), ("0", "1"), (0, 1))
+
+
+def two_product_grading() -> Grading:
+    """Basis a, b, c graded by itself, with two products: mu sends (a, a) to
+    b and nu sends it to c.  Each operation alone is a valid grading."""
+    algebra = make_vect_magma(
+        OmegaSignature((("mu", 2, 1), ("nu", 2, 1))),
+        3,
+        ("a", "b", "c"),
+        {"mu": [((1,), (0, 0), 1)], "nu": [((2,), (0, 0), 1)]},
+    )
+    return Grading(algebra, ("a", "b", "c"), (0, 1, 2))
 
 
 def trivial_grading(algebra: FinVectMagma) -> Grading:

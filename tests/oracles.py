@@ -11,8 +11,9 @@ rotation scan that the factor index of Tietze shortening replaced, the
 full coset enumeration that the abelianization shortcut of Todd-Coxeter
 skips for groups with a free abelian factor, and the linear solves and
 dense comodule axiom loops that the RREF pivot read of support coordinates
-and the one axiom checker replaced, and the tensor-square presentation whose
-from-scratch completion the assembled tensor-square system replaced."""
+and the one axiom checker replaced, the tensor-square presentation whose
+from-scratch completion the assembled tensor-square system replaced, and the
+staged Smith diagonal that the one-loop Smith form replaced."""
 
 from fractions import Fraction
 from itertools import permutations, product
@@ -974,3 +975,73 @@ def enumerate_todd_coxeter(pres, coset_limit):
             if x != c:
                 raise RuntimeError(f"relator does not close at coset {c}")
     return len(live)
+
+
+# ---------------------------------------------------------------------------
+# Smith diagonal by pivot re-selection within the current row and column
+
+
+def staged_smith_diagonal(rows, ncols):
+    """Diagonal of the Smith normal form of an integer matrix (list of rows),
+    each diagonal position finished in place before the next one."""
+    m = [list(r) for r in rows]
+    nrows = len(m)
+    diag = []
+    t = 0
+    while t < nrows and t < ncols:
+        # pick the entry of least absolute value as pivot
+        pivot = None
+        for i in range(t, nrows):
+            for j in range(t, ncols):
+                if m[i][j] != 0 and (pivot is None or abs(m[i][j]) < abs(pivot[2])):
+                    pivot = (i, j, m[i][j])
+        if pivot is None:
+            break
+        pi, pj, _ = pivot
+        m[t], m[pi] = m[pi], m[t]
+        for row in m:
+            row[t], row[pj] = row[pj], row[t]
+        while True:
+            # clear the pivot column
+            for i in range(t + 1, nrows):
+                if m[i][t]:
+                    q = m[i][t] // m[t][t]
+                    m[i] = [a - q * b for a, b in zip(m[i], m[t])]
+            if any(m[i][t] for i in range(t + 1, nrows)):
+                # a remainder became the new smallest entry; re-pivot on it
+                i = min(
+                    (i for i in range(t + 1, nrows) if m[i][t]),
+                    key=lambda i: abs(m[i][t]),
+                )
+                m[t], m[i] = m[i], m[t]
+                continue
+            # clear the pivot row
+            for j in range(t + 1, ncols):
+                if m[t][j]:
+                    q = m[t][j] // m[t][t]
+                    for row in m:
+                        row[j] -= q * row[t]
+            if any(m[t][j] for j in range(t + 1, ncols)):
+                j = min(
+                    (j for j in range(t + 1, ncols) if m[t][j]),
+                    key=lambda j: abs(m[t][j]),
+                )
+                for row in m:
+                    row[t], row[j] = row[j], row[t]
+                continue
+            # enforce divisibility of the remaining block
+            bad = next(
+                (
+                    (i, j)
+                    for i in range(t + 1, nrows)
+                    for j in range(t + 1, ncols)
+                    if m[i][j] % m[t][t]
+                ),
+                None,
+            )
+            if bad is None:
+                break
+            m[t] = [a + b for a, b in zip(m[t], m[bad[0]])]
+        diag.append(abs(m[t][t]))
+        t += 1
+    return diag

@@ -412,7 +412,7 @@ def _acceptance_cli_invocations(tmp_path):
                 rho,
                 source=dual_numbers(),
                 target=dual_numbers(),
-                coeff_algebra=group_algebra(cyclic_monoid(2)),
+                coeff_algebra=split_quadratic(),
             )
         ),
     )

@@ -5,7 +5,7 @@ import pytest
 
 from univhopf import documents as docs
 from univhopf.cli import build_parser, run
-from univhopf.coact import group_algebra, tensor_valued_map
+from univhopf.coact import tensor_valued_map
 from univhopf.finmonoid import full_transformation_monoid
 from univhopf.grouppres import DEFAULT_COSET_LIMIT
 from univhopf.hopf import DEFAULT_ANTIPODE_LEVELS, group_algebra_hopf
@@ -22,8 +22,10 @@ from helpers import (
     dual_numbers_grading,
     klein_set_magma,
     pauli_grading,
+    split_quadratic,
     thin_chain_category,
     two_incomparable_lio_category,
+    two_product_grading,
 )
 
 
@@ -171,13 +173,27 @@ def test_check_comeasuring_command(tmp_path):
             rho,
             source=dual_numbers(),
             target=dual_numbers(),
-            coeff_algebra=group_algebra(cyclic_monoid(2)),
+            coeff_algebra=split_quadratic(),
         )
     )
     path = write(tmp_path, "tm.json", tm)
     code, out, _ = invoke(["check-comeasuring", path])
     assert code == 0
-    assert json.loads(out)["summary"]["comeasuring"] is True
+    written = json.loads(out)
+    assert written.pop("summary")["comeasuring"] is True
+    # Q[Z/2] on the basis (1, x) comes back as read, not relabelled e0, e1
+    assert docs.document_to_json(written) == docs.document_to_json(tm)
+
+
+def test_universal_group_takes_relators_from_every_binary_operation(tmp_path):
+    path = write(tmp_path, "two.json", docs.serialize_grading(two_product_grading()))
+    code, out, err = invoke(["universal-group", path])
+    # b = c = a^2 leaves Z, which the abelian invariants prove infinite
+    assert code == 4
+    assert err.startswith("warning: coset enumeration did not close")
+    doc = json.loads(out)
+    assert doc["relators"] == [[1, 1, -2], [1, 1, -3]]
+    assert doc["summary"]["abelian_invariants"] == [0]
 
 
 def test_check_comeasuring_needs_embedded_structures(tmp_path):

@@ -3,7 +3,8 @@ index of relator factors, against the pairwise rotation scan in oracles.py,
 on random presentations, on the benchmark's group presentations and on
 hand-made ties of the rewrite order; todd_coxeter_order, which answers at
 once when the abelianization has a free factor, against the full coset
-enumeration in oracles.py."""
+enumeration in oracles.py; the one-loop Smith diagonal against the staged
+one it replaced."""
 
 import os
 import subprocess
@@ -15,6 +16,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from univhopf.grouppres import (
+    _smith_diagonal,
     abelian_invariants,
     presentation,
     tietze_simplify,
@@ -22,7 +24,7 @@ from univhopf.grouppres import (
 )
 
 from helpers import corpus_group_presentations
-from oracles import enumerate_todd_coxeter, scan_tietze
+from oracles import enumerate_todd_coxeter, scan_tietze, staged_smith_diagonal
 
 
 @st.composite
@@ -97,6 +99,29 @@ def test_coset_order_matches_the_full_enumeration(pres, coset_limit):
     else:
         event("unknown" if order is None else "closed")
     assert order == enumerate_todd_coxeter(pres, coset_limit)
+
+
+@st.composite
+def integer_matrices(draw):
+    """Up to 6 x 6 with entries -9..9, some rows and columns zeroed."""
+    nrows, ncols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    entry = st.one_of(st.just(0), st.integers(-9, 9))
+    row = st.lists(entry, min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(row, min_size=nrows, max_size=nrows))
+    zero_rows = draw(st.sets(st.integers(0, 5)))
+    zero_cols = draw(st.sets(st.integers(0, 5)))
+    rows = [
+        [0 if i in zero_rows or j in zero_cols else x for j, x in enumerate(r)]
+        for i, r in enumerate(rows)
+    ]
+    return rows, ncols
+
+
+@settings(max_examples=1000, deadline=None)
+@given(integer_matrices())
+def test_smith_diagonal_matches_the_staged_one(matrix):
+    rows, ncols = matrix
+    assert _smith_diagonal(rows, ncols) == staged_smith_diagonal(rows, ncols)
 
 
 FREE_GROUP_SCRIPT = """

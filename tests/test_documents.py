@@ -8,7 +8,6 @@ from univhopf import documents as docs
 from univhopf.coact import (
     family_map,
     fd_coalgebra,
-    group_algebra,
     manin_end_presentation,
     tambara_presentation,
     tensor_valued_map,
@@ -32,6 +31,7 @@ from helpers import (
     dual_numbers,
     dual_numbers_grading,
     pauli_grading,
+    split_quadratic,
     thin_chain_category,
 )
 
@@ -80,7 +80,7 @@ SERIALIZED_FIXTURES = [
             tensor_valued_map(2, 2, 2, [[[1, 0], ["0", 0]], [[0, 0], [0, 1]]]),
             source=dual_numbers(),
             target=dual_numbers(),
-            coeff_algebra=group_algebra(cyclic_monoid(2)),
+            coeff_algebra=split_quadratic(),
         )
     ),
     docs.serialize_family_map(family_map(2, 2, [[[1, 0], [0, 1]]])),

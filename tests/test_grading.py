@@ -28,6 +28,7 @@ from helpers import (
     pauli_grading,
     split_quadratic,
     trivial_grading,
+    two_product_grading,
 )
 
 F = Fraction
@@ -262,3 +263,12 @@ def test_equivalence_of_infinite_groups_runs_one_smith_form_each(monkeypatch):
     pair = (dual_numbers_grading(), corpus_gradings()["degree_grading_Z"])
     assert equivalent(*pair) == "unknown"
     assert len(calls) == 2
+
+
+def test_every_binary_operation_gives_relators():
+    grading = two_product_grading()
+    assert validate_grading(grading) == (True, None)
+    pres, gen_of_label = universal_group_of_grading(grading)
+    assert gen_of_label == {"a": 0, "b": 1, "c": 2}
+    # a a b^-1 from mu and a a c^-1 from nu
+    assert pres.relators == ((1, 1, -2), (1, 1, -3))
