@@ -1,4 +1,8 @@
-"""Exact linear algebra over the rationals (tuples of tuples of Fraction)."""
+"""Exact linear algebra over the rationals: vectors and matrices are tuples
+(of tuples) of Fraction.  ``exact`` turns an integral rational into the
+equal ``int``, the form in which ncalg keeps integral polynomial
+coefficients: an ``int`` compares and hashes equal to its Fraction and is
+far cheaper to add and multiply."""
 
 from fractions import Fraction
 
@@ -8,6 +12,11 @@ Mat = tuple[Vec, ...]
 
 def frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def exact(x):
+    """x as an int when it is integral, else x unchanged."""
+    return x.numerator if x.denominator == 1 else x
 
 
 def vec(xs) -> Vec:

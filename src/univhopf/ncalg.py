@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 
-from ._linalg import frac
+from ._linalg import exact, frac
 from .errors import InputError
 
 DEFAULT_DEGREE_BOUND = 6
@@ -39,14 +39,15 @@ def deglex_key(w: Word):
 
 
 class NCPoly:
-    """A noncommutative polynomial: finite map from words to nonzero rationals."""
+    """A noncommutative polynomial: finite map from words to nonzero
+    rationals, ``int`` when integral."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
         clean = {}
         for w, c in (terms or {}).items():
-            c = frac(c)
+            c = exact(c if isinstance(c, int) else frac(c))
             if c != 0:
                 clean[tuple(w)] = c
         self.terms = clean
@@ -54,7 +55,8 @@ class NCPoly:
     @classmethod
     def _trusted(cls, terms: dict) -> "NCPoly":
         """Wrap terms whose keys are tuples and whose coefficients are
-        already nonzero Fractions, skipping normalisation."""
+        already nonzero rationals, ``int`` when integral, skipping
+        normalisation."""
         p = object.__new__(cls)
         p.terms = terms
         return p
@@ -65,15 +67,15 @@ class NCPoly:
 
     @staticmethod
     def one() -> "NCPoly":
-        return NCPoly({(): Fraction(1)})
+        return NCPoly._trusted({(): 1})
 
     @staticmethod
     def gen(i: int) -> "NCPoly":
-        return NCPoly({(i,): Fraction(1)})
+        return NCPoly._trusted({(i,): 1})
 
     @staticmethod
     def monomial(w, c=1) -> "NCPoly":
-        return NCPoly({tuple(w): frac(c)})
+        return NCPoly({tuple(w): c})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -100,10 +102,10 @@ class NCPoly:
         return NCPoly._trusted({w: -c for w, c in self.terms.items()})
 
     def scale(self, c) -> "NCPoly":
-        c = frac(c)
+        c = exact(c if isinstance(c, int) else frac(c))
         if not c:
             return NCPoly._trusted({})
-        return NCPoly._trusted({w: c * x for w, x in self.terms.items()})
+        return _nonzero({w: c * x for w, x in self.terms.items()})
 
     def __mul__(self, other: "NCPoly") -> "NCPoly":
         out = {}
@@ -132,7 +134,7 @@ class NCPoly:
 
 
 def _nonzero(terms: dict) -> NCPoly:
-    return NCPoly._trusted({w: c for w, c in terms.items() if c})
+    return NCPoly._trusted({w: exact(c) for w, c in terms.items() if c})
 
 
 def nc_evaluate(p: NCPoly, images) -> NCPoly:
@@ -237,7 +239,7 @@ def _reduce(p: NCPoly, index) -> NCPoly:
             continue
         hit = _redex(w, index)
         if hit is None:
-            out[w] = c
+            out[w] = exact(c)
             continue
         start, end, rhs = hit
         prefix, suffix = w[:start], w[end:]
@@ -264,28 +266,36 @@ def _orient(p: NCPoly) -> tuple[Word, NCPoly]:
     return lw, rest.scale(Fraction(-1) / lc)
 
 
-def _has_factor(words, factor: Word) -> bool:
-    """Whether any of the words contains factor."""
-    n = len(factor)
-    return any(word[i : i + n] == factor for word in words for i in range(len(word) - n + 1))
+def _text(words) -> str:
+    """The words as one string: generator g is chr(g + 1), words joined by NUL."""
+    return "\0".join(["".join([chr(g + 1) for g in w]) for w in words])
 
 
 def _add_and_interreduce(rules: list, pending: list) -> None:
-    """Drain pending polynomials into the rule list, keeping it inter-reduced."""
+    """Drain pending polynomials into the rule list, keeping it inter-reduced.
+
+    A rule goes back to pending when the new leading word is a factor of one
+    of its words: a substring of its _text, since NUL is in no word's text, so
+    no factor straddles two words.  The empty word is a factor of every rule.
+    """
     index = _rule_index(rules)
+    texts = [_text(chain((lw,), rhs.terms)) for lw, rhs in rules]
     while pending:
         p = _reduce(pending.pop(0), index)
         if p.is_zero():
             continue
         lw, rhs = _orient(p)
-        keep = []
-        for old_lw, old_rhs in rules:
-            if _has_factor(chain((old_lw,), old_rhs.terms), lw):
-                pending.append(NCPoly.monomial(old_lw) - old_rhs)
+        factor = _text((lw,))
+        keep, keep_texts = [], []
+        for rule, text in zip(rules, texts):
+            if factor in text:
+                pending.append(NCPoly.monomial(rule[0]) - rule[1])
             else:
-                keep.append((old_lw, old_rhs))
+                keep.append(rule)
+                keep_texts.append(text)
         keep.append((lw, rhs))
-        rules[:] = keep
+        keep_texts.append(_text(chain((lw,), rhs.terms)))
+        rules[:], texts = keep, keep_texts
         index = _rule_index(rules)
 
 

@@ -12,11 +12,14 @@ full coset enumeration that the abelianization shortcut of Todd-Coxeter
 skips for groups with a free abelian factor, and the linear solves and
 dense comodule axiom loops that the RREF pivot read of support coordinates
 and the one axiom checker replaced, the tensor-square presentation whose
-from-scratch completion the assembled tensor-square system replaced, and the
-staged Smith diagonal that the one-loop Smith form replaced."""
+from-scratch completion the assembled tensor-square system replaced, the
+staged Smith diagonal that the one-loop Smith form replaced, the slice scan
+that interreduction's substring factor test replaced, and the rank modulo a
+prime of a truncated ideal, which bounds the normal-word counts of a
+completion without using it."""
 
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import chain, permutations, product
 
 from univhopf._linalg import row_space_basis, solve, unit_vec, vec, zero_vec
 from univhopf.coact import FDCoalgebra, TensorValuedMap
@@ -29,7 +32,14 @@ from univhopf.grouppres import (
     invert_word,
 )
 from univhopf.hopf import AxiomReport
-from univhopf.ncalg import AlgebraPresentation, NCPoly, deglex_key
+from univhopf.ncalg import (
+    AlgebraPresentation,
+    NCPoly,
+    _orient,
+    _reduce,
+    _rule_index,
+    deglex_key,
+)
 from univhopf.signature import is_set_homomorphism
 
 F = Fraction
@@ -688,6 +698,77 @@ def embed_tensor(left, right, k):
     """Represent left (x) right inside the 2k-generator tensor-square algebra."""
     shifted = NCPoly({tuple(g + k for g in w): c for w, c in right.terms.items()})
     return left * shifted
+
+
+def has_factor(words, factor):
+    """Whether any of the words contains factor, comparing every slice."""
+    n = len(factor)
+    return any(word[i : i + n] == factor for word in words for i in range(len(word) - n + 1))
+
+
+def slice_scan_add_and_interreduce(rules, pending):
+    """Interreduction with the factor test a slice scan over every word of
+    every rule, as before the substring search."""
+    index = _rule_index(rules)
+    while pending:
+        p = _reduce(pending.pop(0), index)
+        if p.is_zero():
+            continue
+        lw, rhs = _orient(p)
+        keep = []
+        for old_lw, old_rhs in rules:
+            if has_factor(chain((old_lw,), old_rhs.terms), lw):
+                pending.append(NCPoly.monomial(old_lw) - old_rhs)
+            else:
+                keep.append((old_lw, old_rhs))
+        keep.append((lw, rhs))
+        rules[:] = keep
+        index = _rule_index(rules)
+
+
+PRIME = 2**61 - 1
+
+
+def _mod_prime(c):
+    c = F(c)
+    return c.numerator * pow(c.denominator, -1, PRIME) % PRIME
+
+
+def truncated_ideal_products(pres, degree):
+    """Every product u r v of degree at most `degree`, over the relations r
+    and words u, v, as a dict from words to coefficients."""
+    g = pres.num_gens
+    for rel in pres.relations:
+        for total in range(degree - rel.degree() + 1):
+            for i in range(total + 1):
+                lefts = product(range(g), repeat=i)
+                for u, v in product(lefts, list(product(range(g), repeat=total - i))):
+                    yield {u + w + v: c for w, c in rel.terms.items()}
+
+
+def truncated_ideal_rank_mod_p(pres, degree):
+    """Rank modulo PRIME of the truncated_ideal_products.  It is at most their
+    rank over Q, so the number of words of length at most d minus it bounds
+    how many such words are independent modulo the ideal.  Rows are eliminated
+    on their deglex-largest word, as dicts, without univhopf's linear algebra."""
+    pivots = {}  # leading word -> row with leading coefficient 1
+    for prod_row in truncated_ideal_products(pres, degree):
+        row = {w: x for w, c in prod_row.items() if (x := _mod_prime(c))}
+        while row:
+            top = max(row, key=deglex_key)
+            pivot = pivots.get(top)
+            if pivot is None:
+                inv = pow(row[top], -1, PRIME)
+                pivots[top] = {w: c * inv % PRIME for w, c in row.items()}
+                break
+            f = row[top]
+            for w, c in pivot.items():
+                x = (row.get(w, 0) - f * c) % PRIME
+                if x:
+                    row[w] = x
+                else:
+                    row.pop(w, None)
+    return len(pivots)
 
 
 # ---------------------------------------------------------------------------
