@@ -626,9 +626,7 @@ def _scan_add_and_interreduce(rules, pending, budget):
         budget.check(rhs)
         keep = []
         for old_lw, old_rhs in rules:
-            n = len(lw)
-            contains = any(old_lw[i : i + n] == lw for i in range(len(old_lw) - n + 1))
-            if contains or scan_reduce(old_rhs, [(lw, rhs)]) != old_rhs:
+            if has_factor((old_lw,), lw) or scan_reduce(old_rhs, [(lw, rhs)]) != old_rhs:
                 pending.append(NCPoly.monomial(old_lw) - old_rhs)
             else:
                 keep.append((old_lw, old_rhs))
