@@ -52,7 +52,6 @@ from .hopf import (
     dg_hopf_fixture,
     hopf_envelope_presentation,
     sets_cofree_hopf,
-    sets_hopf_envelope,
     universal_bialgebra_structure,
 )
 from .lio import (

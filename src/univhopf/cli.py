@@ -122,9 +122,8 @@ def _cmd_tambara(args):
 
 def _cmd_manin_end(args):
     grading = _load(args.inputs[0], "grading")
-    mp = manin_end_presentation(grading)
-    bial = universal_bialgebra_structure(mp)
-    return docs.serialize_bialgebra_presentation(bial, mp)
+    bial = universal_bialgebra_structure(manin_end_presentation(grading))
+    return docs.serialize_bialgebra_presentation(bial)
 
 
 def _cmd_manin_aut(args):

@@ -216,8 +216,7 @@ def _parse_coalgebra(doc, path) -> FDCoalgebra:
 
 def fd_algebra_from_vect_magma(vm: FinVectMagma) -> FDAlgebra:
     """Read a unital-product magma as an associative algebra (validated)."""
-    mu = next((n for n, s, t in vm.signature.ops if (s, t) == (2, 1)), None)
-    un = next((n for n, s, t in vm.signature.ops if (s, t) == (0, 1)), None)
+    mu, un = vm.signature.unital_ops()
     if mu is None or un is None:
         raise InputError("algebra data needs a binary product and a unit operation")
     n = vm.dim
@@ -370,7 +369,8 @@ def _parse_bialgebra_presentation(doc, path):
     gens = _get(doc, "generators", path, list)
     pos = _label_index(gens, f"{path}.generators")
     base = _parse_algebra(doc, gens, pos, path)
-    algebra = base.algebra if isinstance(base, MatrixPresentation) else base
+    matrix = base if isinstance(base, MatrixPresentation) else None
+    algebra = base if matrix is None else matrix.algebra
     k = algebra.num_gens
     delta_raw = _get(doc, "delta", path, list)
     _expect(len(delta_raw) == k, f"{path}.delta", "one coproduct image per generator")
@@ -387,7 +387,7 @@ def _parse_bialgebra_presentation(doc, path):
             poly = poly + NCPoly.monomial(tuple(word), coeff)
         delta.append(poly)
     counit = _rationals(doc, "counit", path)
-    bial = _make(path, BialgebraPresentation, algebra, tuple(delta), counit)
+    bial = _make(path, BialgebraPresentation, algebra, tuple(delta), counit, matrix)
     tr = doc.get("truncation")
     if tr is None:
         return bial
@@ -453,8 +453,7 @@ def _parse_frame_sets(doc, path) -> SetComodFrame:
     magma = _parse_nested(doc, "magma", "set_magma", path)
     psi = tuple(_int_list(_get(doc, "psi", path, list), f"{path}.psi"))
     num_labels = _get(doc, "num_labels", path, int)
-    _expect(all(0 <= x < num_labels for x in psi), f"{path}.psi", "label out of range")
-    return _make(path, SetComodFrame, magma, psi)
+    return _make(f"{path}.psi", SetComodFrame, magma, psi, num_labels)
 
 
 
@@ -645,9 +644,10 @@ def serialize_group_presentation(p: GroupPresentation) -> dict:
     }
 
 
-def serialize_algebra_presentation(p, matrix: MatrixPresentation | None = None) -> dict:
-    algebra = p.algebra if isinstance(p, MatrixPresentation) else p
-    matrix = p if isinstance(p, MatrixPresentation) else matrix
+def serialize_algebra_presentation(p) -> dict:
+    """The presentation; a MatrixPresentation also writes its matrix_index."""
+    matrix = p if isinstance(p, MatrixPresentation) else None
+    algebra = p if matrix is None else matrix.algebra
     doc = {
         "kind": "presentation",
         "presentation_type": "algebra",
@@ -677,14 +677,12 @@ def _delta_terms(poly: NCPoly, labels, k: int) -> list:
     return out
 
 
-def serialize_bialgebra_presentation(
-    b, matrix: MatrixPresentation | None = None
-) -> dict:
+def serialize_bialgebra_presentation(b) -> dict:
     hopf = b if isinstance(b, HopfPresentation) else None
     bial = b.bialgebra if hopf is not None else b
     algebra = bial.algebra
     k = algebra.num_gens
-    doc = serialize_algebra_presentation(algebra, matrix)
+    doc = serialize_algebra_presentation(bial.matrix or algebra)
     doc["kind"] = "bialgebra_presentation"
     doc["delta"] = [_delta_terms(p, algebra.gen_labels, k) for p in bial.delta]
     doc["counit"] = [format_rational(x) for x in bial.counit]
@@ -743,7 +741,7 @@ def serialize_frame_sets(f: SetComodFrame) -> dict:
         "kind": "frame_sets",
         "magma": serialize_set_magma(f.magma),
         "psi": list(f.psi),
-        "num_labels": max(f.psi) + 1 if f.psi else 0,
+        "num_labels": f.num_labels,
     }
 
 

@@ -1,10 +1,16 @@
-"""Finite monoids given by multiplication tables: congruences, quotients,
-unit groups, and group completions (as presentations)."""
+"""Finite monoids by multiplication table: the monoid a unital magma carries,
+congruences, quotients, inverses, unit groups and group completions."""
 
 from dataclasses import dataclass
 
 from .errors import InputError, PreconditionError
-from .signature import omega_congruence_closure, set_magma_from_monoid_table
+from .signature import (
+    FinSetMagma,
+    composition_table,
+    omega_congruence_closure,
+    quotient_magma,
+    set_magma_from_monoid_table,
+)
 
 
 @dataclass(frozen=True)
@@ -49,21 +55,37 @@ def monoid_from_rows(rows, unit: int) -> FinMonoid:
     return FinMonoid(tuple(tuple(r) for r in rows), unit)
 
 
+def monoid_of_magma(magma: FinSetMagma) -> FinMonoid:
+    """Extract and validate the monoid carried by a mu/unit-style magma: its
+    signature's first binary product and first unit (``unital_ops``)."""
+    mu_name, unit_name = magma.signature.unital_ops()
+    if mu_name is None or unit_name is None:
+        raise PreconditionError(
+            "the signature does not include a binary product and a unit"
+        )
+    n = magma.size
+    rows = [[magma.apply(mu_name, (i, j))[0] for j in range(n)] for i in range(n)]
+    unit = magma.apply(unit_name, ())[0]
+    try:
+        return monoid_from_rows(rows, unit)
+    except InputError as exc:
+        raise PreconditionError(f"the carrier is not a monoid: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class Congruence:
-    """A translation-closed equivalence, stored as a class index per element."""
+    """A translation-closed equivalence, stored as a class index per element;
+    the classes are numbered 0..k-1 with each number used."""
 
     class_of: tuple[int, ...]
+
+    def __post_init__(self):
+        if set(self.class_of) != set(range(self.num_classes)):
+            raise InputError("congruence classes must be numbered 0..k-1, each used")
 
     @property
     def num_classes(self) -> int:
         return max(self.class_of) + 1 if self.class_of else 0
-
-    def classes(self):
-        out = [[] for _ in range(self.num_classes)]
-        for x, c in enumerate(self.class_of):
-            out[c].append(x)
-        return out
 
 
 def congruence_closure(m: FinMonoid, pairs) -> Congruence:
@@ -91,37 +113,28 @@ def quotient_monoid(m: FinMonoid, c: Congruence):
         raise InputError("congruence size does not match the monoid")
     if not is_congruence(m, c):
         raise PreconditionError("partition is not translation-closed")
-    k = c.num_classes
-    reps = [None] * k
-    for x in range(m.size):
-        if reps[c.class_of[x]] is None:
-            reps[c.class_of[x]] = x
-    table = tuple(
-        tuple(c.class_of[m.mul(reps[i], reps[j])] for j in range(k)) for i in range(k)
-    )
-    q = FinMonoid(table, c.class_of[m.unit])
-    return q, tuple(c.class_of)
+    magma = set_magma_from_monoid_table(m.table, m.unit)
+    return monoid_of_magma(quotient_magma(magma, c.class_of)), tuple(c.class_of)
+
+
+def inverses(m: FinMonoid) -> dict:
+    """Each two-sided invertible element mapped to its inverse, in
+    increasing order of the element."""
+    e, t, rng = m.unit, m.table, range(m.size)
+    found = ((x, [y for y in rng if t[x][y] == e == t[y][x]]) for x in rng)
+    return {x: ys[0] for x, ys in found if ys}
 
 
 def is_group(m: FinMonoid) -> bool:
-    e = m.unit
-    return all(
-        any(m.mul(x, y) == e and m.mul(y, x) == e for y in range(m.size))
-        for x in range(m.size)
-    )
+    return len(inverses(m)) == m.size
 
 
 def unit_group(m: FinMonoid):
     """The group of two-sided invertible elements; returns (group, inclusion)."""
-    e = m.unit
-    members = [
-        x
-        for x in range(m.size)
-        if any(m.mul(x, y) == e and m.mul(y, x) == e for y in range(m.size))
-    ]
+    members = list(inverses(m))
     pos = {x: i for i, x in enumerate(members)}
     table = tuple(tuple(pos[m.mul(x, y)] for y in members) for x in members)
-    g = FinMonoid(table, pos[e])
+    g = FinMonoid(table, pos[m.unit])
     if not is_group(g):
         raise RuntimeError("the invertible elements do not form a group")
     return g, tuple(members)
@@ -150,8 +163,4 @@ def full_transformation_monoid(k: int) -> FinMonoid:
     from itertools import product as iproduct
 
     maps = sorted(iproduct(range(k), repeat=k))
-    pos = {f: i for i, f in enumerate(maps)}
-    table = tuple(
-        tuple(pos[tuple(f[g[x]] for x in range(k))] for g in maps) for f in maps
-    )
-    return FinMonoid(table, pos[tuple(range(k))])
+    return monoid_from_rows(composition_table(maps), maps.index(tuple(range(k))))

@@ -21,8 +21,14 @@ from math import prod
 
 from ._linalg import Vec, nullspace, solve, unit_vec
 from .errors import InputError, PreconditionError
-from .finmonoid import FinMonoid, grothendieck_group, is_group, unit_group
-from .coact import MatrixPresentation, check_axioms, sparse_maps
+from .finmonoid import FinMonoid, inverses, unit_group
+from .coact import (
+    MatrixPresentation,
+    check_axioms,
+    group_algebra,
+    group_like_coalgebra,
+    sparse_maps,
+)
 from .ncalg import (
     AlgebraPresentation,
     NCPoly,
@@ -105,17 +111,14 @@ def antipode_from_convolution(h: FinDimHopf):
 
 def group_algebra_hopf(g: FinMonoid) -> FinDimHopf:
     """Group algebra with group-like basis and inversion antipode."""
-    if not is_group(g):
-        raise PreconditionError("group algebra Hopf structure needs a group")
     n = g.size
-    inv = [next(y for y in range(n) if g.mul(x, y) == g.unit) for x in range(n)]
-    mult = tuple(tuple(unit_vec(n, g.mul(x, y)) for y in range(n)) for x in range(n))
-    delta = tuple({(i, i): Fraction(1)} for i in range(n))
-    counit = tuple(Fraction(1) for _ in range(n))
-    antipode = tuple(
-        tuple(Fraction(1 if inv[j] == i else 0) for j in range(n)) for i in range(n)
-    )
-    return FinDimHopf(n, mult, unit_vec(n, g.unit), delta, counit, antipode)
+    inv = inverses(g)
+    if len(inv) != n:
+        raise PreconditionError("group algebra Hopf structure needs a group")
+    a, c = group_algebra(g), group_like_coalgebra(n)
+    # S e_x = e_{x^-1}: row i of the matrix is e_{i^-1}, inversion being an involution
+    antipode = tuple(unit_vec(n, y) for y in inv.values())
+    return FinDimHopf(n, a.mult, a.unit, c.delta, c.counit, antipode)
 
 
 # The skew-primitive structure on keys (k, l) for c^k v^l, k any integer and
@@ -186,13 +189,15 @@ class BialgebraPresentation:
 
     ``delta[g]`` is the coproduct of generator g written in the tensor-square
     algebra of ``algebra``, whose left copy is generators 0..k-1 and right
-    copy k..2k-1; ``counit[g]`` is rational.
+    copy k..2k-1; ``counit[g]`` is rational.  ``matrix`` is the generic-matrix
+    presentation of ``algebra`` it was built on, if any.
     Well-definedness on the relations is a checked property, not assumed.
     """
 
     algebra: AlgebraPresentation
     delta: tuple  # NCPoly over 2k generators, one per generator
     counit: tuple  # Fraction per generator
+    matrix: MatrixPresentation | None = None  # the matrix frame it came from
 
     def __post_init__(self):
         k = self.algebra.num_gens
@@ -223,7 +228,7 @@ def universal_bialgebra_structure(mp: MatrixPresentation) -> BialgebraPresentati
             image = image + NCPoly.monomial((pos[(i, l)], k + pos[(l, j)]))
         delta.append(image)
         counit.append(Fraction(1 if i == j else 0))
-    return BialgebraPresentation(mp.algebra, tuple(delta), tuple(counit))
+    return BialgebraPresentation(mp.algebra, tuple(delta), tuple(counit), mp)
 
 
 @dataclass(frozen=True)
@@ -382,14 +387,8 @@ def hopf_envelope_presentation(
     )
 
 
-def sets_hopf_envelope(m: FinMonoid):
-    """The free Hopf monoid over a monoid in the set-based world is its group
-    completion."""
-    return grothendieck_group(m)
-
-
 def sets_cofree_hopf(m: FinMonoid) -> FinMonoid:
-    """Dually, the cofree side is the group of invertible elements."""
+    """The cofree side in the set-based world: the group of invertible elements."""
     g, _ = unit_group(m)
     return g
 

@@ -1,53 +1,36 @@
 """Set-based universal objects: the universal coacting quotient of a monoid
-along a labelling, its group completion, and the measuring/acting sides cut
-out of explicit map sets."""
-
-from itertools import product
+along a labelling and its group completion, and the measuring/acting sides
+cut out of explicit map sets.  The quotient, the monoid read from a magma and
+the composition table are the ones of ``signature`` and ``finmonoid``."""
 
 from .errors import InputError, PreconditionError
-from .finmonoid import FinMonoid, grothendieck_group, monoid_from_rows
+from .finmonoid import grothendieck_group, monoid_from_rows, monoid_of_magma
 from .grouppres import GroupPresentation
 from .signature import (
     DEFAULT_ENUM_CAP,
     FinSetMagma,
+    composition_table,
     enumerate_set_homs,
     is_set_homomorphism,
     omega_automorphisms,
     omega_congruence_closure,
+    quotient_magma,
 )
 
 
-def _monoid_of(magma: FinSetMagma) -> FinMonoid:
-    """Extract and validate the monoid carried by a mu/unit-style magma."""
-    mu_name = next(
-        (name for name, s, t in magma.signature.ops if (s, t) == (2, 1)), None
-    )
-    unit_name = next(
-        (name for name, s, t in magma.signature.ops if (s, t) == (0, 1)), None
-    )
-    if mu_name is None or unit_name is None:
-        raise PreconditionError(
-            "the signature does not include a binary product and a unit"
-        )
-    n = magma.size
-    rows = [[magma.apply(mu_name, (i, j))[0] for j in range(n)] for i in range(n)]
-    unit = magma.apply(unit_name, ())[0]
-    try:
-        return monoid_from_rows(rows, unit)
-    except InputError as exc:
-        raise PreconditionError(f"the carrier is not a monoid: {exc}") from exc
-
-
 class SetComodFrame:
-    """A monoid-like magma together with a labelling map psi: A -> U; the
-    coaction it frames is a |-> (a, psi(a))."""
+    """A monoid-like magma together with a labelling map psi: A -> U, U the
+    labels 0..num_labels-1; the coaction it frames is a |-> (a, psi(a))."""
 
-    def __init__(self, magma: FinSetMagma, psi):
+    def __init__(self, magma: FinSetMagma, psi, num_labels: int):
+        if any(not 0 <= x < num_labels for x in psi):
+            raise InputError("label out of range")
         if len(psi) != magma.size:
             raise InputError("labelling is not total on the carrier")
         self.magma = magma
         self.psi = tuple(psi)
-        _monoid_of(magma)  # validates the precondition
+        self.num_labels = num_labels
+        monoid_of_magma(magma)  # validates the precondition
 
 
 def universal_coacting_sets(frame: SetComodFrame):
@@ -64,31 +47,13 @@ def universal_coacting_sets(frame: SetComodFrame):
         if frame.psi[a] == frame.psi[b]
     ]
     class_of = omega_congruence_closure(magma, kernel_pairs)
-    k = max(class_of) + 1 if class_of else 0
-    reps = [None] * k
-    for x in range(magma.size):
-        if reps[class_of[x]] is None:
-            reps[class_of[x]] = x
-    tables = {}
-    for name, s, t in magma.signature.ops:
-        table = {}
-        for args in product(range(k), repeat=s):
-            lifted = tuple(reps[c] for c in args)
-            out = magma.apply(name, lifted)
-            table[args] = tuple(class_of[o] for o in out)
-        tables[name] = table
-    quotient = FinSetMagma(magma.signature, k, tables)
-    return quotient, class_of
+    return quotient_magma(magma, class_of), class_of
 
 
 def universal_coacting_group_sets(frame: SetComodFrame) -> GroupPresentation:
     """Group completion of the universal coacting quotient."""
     quotient, _ = universal_coacting_sets(frame)
-    return _grothendieck_of_magma(quotient)
-
-
-def _grothendieck_of_magma(magma: FinSetMagma) -> GroupPresentation:
-    return grothendieck_group(_monoid_of(magma))
+    return grothendieck_group(monoid_of_magma(quotient))
 
 
 def universal_measuring_comonoid_sets(
@@ -144,9 +109,7 @@ def universal_acting_group_sets(
         and tuple(sorted(range(a.size), key=f.__getitem__)) in vset
         and is_set_homomorphism(f, a, a)
     )
-    pos = {f: i for i, f in enumerate(members)}
-    rows = [[pos[tuple(f[x] for x in g)] for g in members] for f in members]
-    return members, monoid_from_rows(rows, 0)
+    return members, monoid_from_rows(composition_table(members), 0)
 
 
 def sets_support_of_map(psi, u_size: int):

@@ -35,6 +35,14 @@ class OmegaSignature:
                     f"operation {name!r} has arity (0, 0); a map 1 -> 1 carries no data"
                 )
 
+    def unital_ops(self):
+        """The names of the first (2, 1) and the first (0, 1) operation, each
+        None when there is none: the product and unit a monoid or algebra is read by."""
+        first = {}
+        for name, s, t in self.ops:
+            first.setdefault((s, t), name)
+        return first.get((2, 1)), first.get((0, 1))
+
 
 def unital_signature() -> OmegaSignature:
     """The signature of a unital binary product: mu (2 -> 1) and unit (0 -> 1)."""
@@ -158,9 +166,14 @@ def omega_automorphisms(a: FinSetMagma, cap: int = DEFAULT_ENUM_CAP):
     if math.factorial(a.size) > cap:
         raise ResourceLimitError("factorial search space exceeds the enumeration cap")
     perms = _hom_search(a, a, injective=True)
-    index = {p: i for i, p in enumerate(perms)}
-    table = [[index[tuple(p[x] for x in q)] for q in perms] for p in perms]
-    return perms, table
+    return perms, composition_table(perms)
+
+
+def composition_table(maps):
+    """table[i][j] is the index in maps of maps[i] after maps[j]; maps are
+    self-maps as index tuples, closed under composition."""
+    index = {f: i for i, f in enumerate(maps)}
+    return [[index[tuple(f[x] for x in g)] for g in maps] for f in maps]
 
 
 def omega_congruence_closure(magma: FinSetMagma, pairs):
@@ -205,6 +218,22 @@ def omega_congruence_closure(magma: FinSetMagma, pairs):
                         union(u, v)
     label = {}
     return tuple(label.setdefault(find(x), len(label)) for x in range(n))
+
+
+def quotient_magma(magma: FinSetMagma, class_of) -> FinSetMagma:
+    """The magma on the classes 0..k-1 of class_of (each number used), every
+    operation read at the first element of each class: the quotient when
+    every operation respects the classes, as the closure's classes do."""
+    k = max(class_of) + 1 if class_of else 0
+    reps = [class_of.index(c) for c in range(k)]
+    tables = {}
+    for name, s, _ in magma.signature.ops:
+        table = magma.tables[name]
+        tables[name] = {
+            args: tuple(class_of[o] for o in table[tuple(reps[c] for c in args)])
+            for args in product(range(k), repeat=s)
+        }
+    return FinSetMagma(magma.signature, k, tables)
 
 
 @dataclass(frozen=True)

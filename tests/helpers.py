@@ -8,6 +8,7 @@ from univhopf import documents
 from univhopf.coact import TensorValuedMap, group_algebra, tensor_valued_map
 from univhopf.finmonoid import FinMonoid, grothendieck_group, monoid_from_rows
 from univhopf.grading import Grading, universal_group_of_grading
+from univhopf.grouppres import GroupPresentation
 from univhopf.lio import FiniteCategory, FunctorData
 from univhopf.signature import (
     FinSetMagma,
@@ -340,3 +341,40 @@ def corpus_gradings(seed=42):
         for family, (kind, value) in _corpus_group_documents(seed).items()
         if kind == "grading"
     }
+
+
+def serialize_again(kind, value):
+    """The parsed value of a document of this kind, serialized again."""
+    if kind == "signature":
+        return documents.serialize_signature(value)
+    if kind == "vect_magma":
+        return documents.serialize_vect_magma(value)
+    if kind == "set_magma":
+        return documents.serialize_set_magma(value)
+    if kind == "monoid_table":
+        return documents.serialize_monoid_table(value)
+    if kind == "grading":
+        return documents.serialize_grading(value)
+    if kind == "coalgebra":
+        return documents.serialize_coalgebra(value)
+    if kind == "tensor_map":
+        return documents.serialize_tensor_map(value)
+    if kind == "family_map":
+        return documents.serialize_family_map(value)
+    if kind == "presentation":
+        if isinstance(value, GroupPresentation):
+            return documents.serialize_group_presentation(value)
+        return documents.serialize_algebra_presentation(value)
+    if kind == "bialgebra_presentation":
+        return documents.serialize_bialgebra_presentation(value)
+    if kind == "hopf_fd":
+        return documents.serialize_hopf_fd(value)
+    if kind == "category":
+        return documents.serialize_category(value)
+    if kind == "functor":
+        return documents.serialize_functor(value)
+    if kind == "frame_sets":
+        return documents.serialize_frame_sets(value)
+    if kind == "map_set":
+        return documents.serialize_map_set(value)
+    raise AssertionError(kind)

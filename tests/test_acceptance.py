@@ -77,6 +77,7 @@ from helpers import (
     pauli_coaction,
     pauli_grading,
     rational_line,
+    serialize_again,
     split_quadratic,
     thin_chain_category,
     trivial_grading,
@@ -173,7 +174,7 @@ def test_criterion_07_identity_frame_quotient_is_isomorphic():
         ),
     ]
     for magma in magmas:
-        frame = SetComodFrame(magma, tuple(range(magma.size)))
+        frame = SetComodFrame(magma, tuple(range(magma.size)), magma.size)
         quotient, projection = universal_coacting_sets(frame)
         assert quotient.size == magma.size
         assert sorted(projection) == list(range(magma.size))
@@ -396,7 +397,7 @@ def _acceptance_cli_invocations(tmp_path):
     k4 = write("k4.json", docs.serialize_set_magma(klein_set_magma()))
     frame = write(
         "frame.json",
-        docs.serialize_frame_sets(SetComodFrame(cyclic_set_magma(4), (0, 1, 2, 3))),
+        docs.serialize_frame_sets(SetComodFrame(cyclic_set_magma(4), (0, 1, 2, 3), 4)),
     )
     hopf = write("hopf.json", docs.serialize_hopf_fd(group_algebra_hopf(cyclic_monoid(2))))
     cat = write("cat.json", docs.serialize_category(two_incomparable_lio_category()))
@@ -465,6 +466,12 @@ def test_criterion_15_cli_determinism(tmp_path):
         code2 = run(argv, stdout=out2, stderr=err2)
         assert code1 == code2 == 0, (argv, code1, err1.getvalue())
         assert out1.getvalue() == out2.getvalue(), argv
-        # outputs are re-parseable documents
+        # outputs are re-parseable documents, and without their summary they
+        # serialize again byte-identically
         docs.parse_input_document(out1.getvalue())
+        doc = json.loads(out1.getvalue())
+        doc.pop("summary", None)
+        text = docs.document_to_json(doc)
+        kind, value = docs.parse_input_document(text)
+        assert docs.document_to_json(serialize_again(kind, value)) == text, argv
     _report(15, f"{len(invocations)} command invocations re-ran byte-identically")

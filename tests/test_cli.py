@@ -234,7 +234,7 @@ def test_check_hopf_rejects_misshapen_structure_constants(tmp_path):
 
 
 def test_coact_sets_command(tmp_path):
-    frame = SetComodFrame(cyclic_set_magma(4), (0, 1, 0, 1))
+    frame = SetComodFrame(cyclic_set_magma(4), (0, 1, 0, 1), 2)
     path = write(tmp_path, "frame.json", docs.serialize_frame_sets(frame))
     code, out, _ = invoke(["coact-sets", path])
     assert code == 0
@@ -462,7 +462,7 @@ def test_hopf_envelope_rejects_bad_matrix_index(tmp_path, field, value, message)
     from univhopf.hopf import universal_bialgebra_structure
 
     mp = manin_end_presentation(dual_numbers_grading())
-    doc = docs.serialize_bialgebra_presentation(universal_bialgebra_structure(mp), mp)
+    doc = docs.serialize_bialgebra_presentation(universal_bialgebra_structure(mp))
     doc["matrix_index"][field] = value
     code, out, err = invoke(["hopf-envelope", write(tmp_path, "bial.json", doc)])
     assert (code, out) == (2, "")

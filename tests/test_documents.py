@@ -1,5 +1,6 @@
 import copy
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -31,11 +32,17 @@ from helpers import (
     dual_numbers,
     dual_numbers_grading,
     pauli_grading,
+    serialize_again,
     split_quadratic,
     thin_chain_category,
 )
 
 F = Fraction
+
+_MANIN_END = manin_end_presentation(dual_numbers_grading())
+_MANIN_END_BIALGEBRA = docs.serialize_bialgebra_presentation(
+    universal_bialgebra_structure(_MANIN_END)
+)
 
 
 def test_rational_parsing():
@@ -89,7 +96,7 @@ SERIALIZED_FIXTURES = [
         tambara_presentation(dual_numbers(), dual_numbers())
     ),
     docs.serialize_bialgebra_presentation(
-        universal_bialgebra_structure(manin_end_presentation(dual_numbers_grading()))
+        replace(universal_bialgebra_structure(_MANIN_END), matrix=None)
     ),
     docs.serialize_bialgebra_presentation(
         hopf_envelope_presentation(
@@ -103,68 +110,44 @@ SERIALIZED_FIXTURES = [
     docs.serialize_hopf_fd(group_algebra_hopf(cyclic_monoid(2))),
     docs.serialize_category(thin_chain_category(3)),
     docs.serialize_functor(identity_functor(thin_chain_category(2))),
-    docs.serialize_frame_sets(SetComodFrame(cyclic_set_magma(3), (0, 1, 1))),
+    docs.serialize_frame_sets(SetComodFrame(cyclic_set_magma(3), (0, 1, 1), 2)),
     docs.serialize_map_set("all"),
     docs.serialize_map_set([(0, 1), (1, 0)]),
 ]
 
 
-@pytest.mark.parametrize("doc", SERIALIZED_FIXTURES, ids=lambda d: d["kind"])
+# documents with a field the serializer must write back as read: a label set
+# larger than the labels used, and a bialgebra's matrix index
+ROUNDTRIP_ONLY = [
+    pytest.param(
+        {
+            "kind": "frame_sets",
+            "magma": docs.serialize_set_magma(cyclic_set_magma(2)),
+            "psi": [0, 0],
+            "num_labels": 3,
+        },
+        id="frame_sets_num_labels",
+    ),
+    pytest.param(_MANIN_END_BIALGEBRA, id="bialgebra_presentation_matrix_index"),
+]
+
+
+@pytest.mark.parametrize(
+    "doc", SERIALIZED_FIXTURES + ROUNDTRIP_ONLY, ids=lambda d: d["kind"]
+)
 def test_roundtrip_byte_identical(doc):
     kind, value, text = _roundtrip(doc)
     assert kind == doc["kind"]
-    reserialized = _serialize_again(kind, value)
+    reserialized = serialize_again(kind, value)
     assert docs.document_to_json(reserialized) == text
-
-
-def _serialize_again(kind, value):
-    from univhopf.grouppres import GroupPresentation
-
-    if kind == "signature":
-        return docs.serialize_signature(value)
-    if kind == "vect_magma":
-        return docs.serialize_vect_magma(value)
-    if kind == "set_magma":
-        return docs.serialize_set_magma(value)
-    if kind == "monoid_table":
-        return docs.serialize_monoid_table(value)
-    if kind == "grading":
-        return docs.serialize_grading(value)
-    if kind == "coalgebra":
-        return docs.serialize_coalgebra(value)
-    if kind == "tensor_map":
-        return docs.serialize_tensor_map(value)
-    if kind == "family_map":
-        return docs.serialize_family_map(value)
-    if kind == "presentation":
-        if isinstance(value, GroupPresentation):
-            return docs.serialize_group_presentation(value)
-        return docs.serialize_algebra_presentation(value)
-    if kind == "bialgebra_presentation":
-        return docs.serialize_bialgebra_presentation(value)
-    if kind == "hopf_fd":
-        return docs.serialize_hopf_fd(value)
-    if kind == "category":
-        return docs.serialize_category(value)
-    if kind == "functor":
-        return docs.serialize_functor(value)
-    if kind == "frame_sets":
-        return docs.serialize_frame_sets(value)
-    if kind == "map_set":
-        return docs.serialize_map_set(value)
-    raise AssertionError(kind)
 
 
 MUTANT_VALUES = (None, 0, 1.5, True, "x", [], [0], [[0]], ["x"], {}, {"a": 1}, [{}])
 
-_MANIN_END = manin_end_presentation(dual_numbers_grading())
-
 # the fixtures plus a hopf-envelope input (a bialgebra with its matrix index)
 # and a second hopf_fd
 MUTATION_FIXTURES = SERIALIZED_FIXTURES + [
-    docs.serialize_bialgebra_presentation(
-        universal_bialgebra_structure(_MANIN_END), _MANIN_END
-    ),
+    _MANIN_END_BIALGEBRA,
     docs.serialize_hopf_fd(group_algebra_hopf(klein_four())),
 ]
 

@@ -2,7 +2,7 @@ from itertools import product
 
 import pytest
 
-from univhopf.errors import PreconditionError
+from univhopf.errors import InputError, PreconditionError
 from univhopf.finmonoid import (
     Congruence,
     FinMonoid,
@@ -68,6 +68,17 @@ def test_quotient_rejects_a_partition_that_is_not_translation_closed():
     # {0, 1} is a class, but adding 1 sends it to {1, 2}, which is split
     with pytest.raises(PreconditionError):
         quotient_monoid(cyclic_monoid(4), Congruence((0, 0, 1, 2)))
+
+
+def test_congruence_classes_are_numbered_zero_to_k_minus_one():
+    # {a, a^2} is a class of the chain monoid {1, a, a^2} with a^3 = a; a
+    # negative or skipped class number leaves the quotient without a class
+    for class_of in ((0, -1, -1), (0, 2, 2)):
+        with pytest.raises(InputError):
+            Congruence(class_of)
+    q, proj = quotient_monoid(chain_monoid_a3_eq_a(), Congruence((1, 0, 0)))
+    assert q == monoid_from_rows([[0, 0], [0, 1]], 1)
+    assert proj == (1, 0, 0)
 
 
 def _all_congruences(m: FinMonoid):

@@ -5,7 +5,11 @@ import pytest
 
 from univhopf.coact import manin_end_presentation, tambara_presentation
 from univhopf.errors import InputError, PreconditionError
-from univhopf.finmonoid import full_transformation_monoid, monoid_from_rows
+from univhopf.finmonoid import (
+    full_transformation_monoid,
+    grothendieck_group,
+    monoid_from_rows,
+)
 from univhopf.grouppres import todd_coxeter_order
 from univhopf.hopf import (
     BialgebraPresentation,
@@ -17,7 +21,6 @@ from univhopf.hopf import (
     group_algebra_hopf,
     hopf_envelope_presentation,
     sets_cofree_hopf,
-    sets_hopf_envelope,
     skew_primitive_hopf,
     universal_bialgebra_structure,
 )
@@ -329,9 +332,9 @@ def test_envelope_convolution_identity_on_degree_two_products():
 
 
 def test_sets_hopf_envelope_is_group_completion():
-    assert todd_coxeter_order(sets_hopf_envelope(chain_monoid_a3_eq_a())) == 2
-    assert todd_coxeter_order(sets_hopf_envelope(monoid_from_rows([[0]], 0))) == 1
-    assert todd_coxeter_order(sets_hopf_envelope(klein_four())) == 4
+    assert todd_coxeter_order(grothendieck_group(chain_monoid_a3_eq_a())) == 2
+    assert todd_coxeter_order(grothendieck_group(monoid_from_rows([[0]], 0))) == 1
+    assert todd_coxeter_order(grothendieck_group(klein_four())) == 4
 
 
 def test_sets_cofree_hopf_is_unit_group():

@@ -22,7 +22,7 @@ from helpers import cyclic_set_magma, klein_set_magma
 
 def test_injective_labelling_gives_isomorphic_quotient():
     for magma in (cyclic_set_magma(4), klein_set_magma()):
-        frame = SetComodFrame(magma, tuple(range(magma.size)))
+        frame = SetComodFrame(magma, tuple(range(magma.size)), magma.size)
         quotient, projection = universal_coacting_sets(frame)
         assert quotient.size == magma.size
         assert sorted(projection) == list(range(magma.size))
@@ -37,13 +37,13 @@ def test_injective_labelling_gives_isomorphic_quotient():
 
 def test_constant_labelling_gives_trivial_quotient():
     z4 = cyclic_set_magma(4)
-    quotient, _ = universal_coacting_sets(SetComodFrame(z4, (0, 0, 0, 0)))
+    quotient, _ = universal_coacting_sets(SetComodFrame(z4, (0, 0, 0, 0), 1))
     assert quotient.size == 1
 
 
 def test_z4_identifying_zero_and_two():
     z4 = cyclic_set_magma(4)
-    quotient, projection = universal_coacting_sets(SetComodFrame(z4, (0, 1, 0, 3)))
+    quotient, projection = universal_coacting_sets(SetComodFrame(z4, (0, 1, 0, 3), 4))
     assert quotient.size == 2
     assert projection == (0, 1, 0, 1)
 
@@ -58,7 +58,7 @@ def test_non_monoid_magma_rejected():
     }
     bad = FinSetMagma(sig, 3, tables)
     with pytest.raises(PreconditionError):
-        SetComodFrame(bad, (0, 1, 2))
+        SetComodFrame(bad, (0, 1, 2), 3)
 
 
 def test_quotient_is_universal_among_kernel_collapses():
@@ -70,7 +70,7 @@ def test_quotient_is_universal_among_kernel_collapses():
             [[(i + j) % n for j in range(n)] for i in range(n)], 0
         )
         for psi in product(range(2), repeat=n):
-            frame = SetComodFrame(magma, psi)
+            frame = SetComodFrame(magma, psi, 2)
             _, projection = universal_coacting_sets(frame)
             kernel = [
                 (a, b)
@@ -112,12 +112,12 @@ def test_omega_closure_respects_every_operation():
 
 def test_universal_coacting_group():
     z4 = cyclic_set_magma(4)
-    pres = universal_coacting_group_sets(SetComodFrame(z4, (0, 1, 2, 3)))
+    pres = universal_coacting_group_sets(SetComodFrame(z4, (0, 1, 2, 3), 4))
     assert todd_coxeter_order(pres) == 4
     chain = set_magma_from_monoid_table([[0, 1, 2], [1, 2, 1], [2, 1, 2]], 0)
-    pres2 = universal_coacting_group_sets(SetComodFrame(chain, (0, 1, 2)))
+    pres2 = universal_coacting_group_sets(SetComodFrame(chain, (0, 1, 2), 3))
     assert todd_coxeter_order(pres2) == 2
-    pres3 = universal_coacting_group_sets(SetComodFrame(z4, (0, 0, 0, 0)))
+    pres3 = universal_coacting_group_sets(SetComodFrame(z4, (0, 0, 0, 0), 1))
     assert todd_coxeter_order(pres3) == 1
 
 
