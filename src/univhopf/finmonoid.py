@@ -121,8 +121,8 @@ def inverses(m: FinMonoid) -> dict:
     """Each two-sided invertible element mapped to its inverse, in
     increasing order of the element."""
     e, t, rng = m.unit, m.table, range(m.size)
-    found = ((x, [y for y in rng if t[x][y] == e == t[y][x]]) for x in rng)
-    return {x: ys[0] for x, ys in found if ys}
+    found = ((x, next((y for y in rng if t[x][y] == e == t[y][x]), None)) for x in rng)
+    return {x: y for x, y in found if y is not None}
 
 
 def is_group(m: FinMonoid) -> bool:

@@ -201,6 +201,8 @@ class BialgebraPresentation:
 
     def __post_init__(self):
         k = self.algebra.num_gens
+        if self.matrix is not None and self.matrix.algebra != self.algebra:
+            raise InputError("matrix frame presents a different algebra")
         if len(self.delta) != k or len(self.counit) != k:
             raise InputError("coalgebra data must cover every generator")
         for p in self.delta:

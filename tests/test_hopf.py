@@ -194,6 +194,13 @@ def test_sabotaged_coproduct_fails():
     assert verdict.status == "fail" and verdict.witness is not None
 
 
+def test_matrix_frame_must_present_the_algebra():
+    bial = universal_bialgebra_structure(tambara_presentation(dual_numbers(), dual_numbers()))
+    free = AlgebraPresentation(bial.algebra.num_gens, bial.algebra.gen_labels, ())
+    with pytest.raises(InputError, match="matrix frame presents a different algebra"):
+        BialgebraPresentation(free, bial.delta, bial.counit, bial.matrix)
+
+
 def test_well_definedness_completes_only_the_base_algebra(monkeypatch):
     import univhopf.hopf as hopf
 
