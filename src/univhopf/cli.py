@@ -93,24 +93,29 @@ def _cmd_cosupport(args):
     return out
 
 
-def _cmd_universal_group(args):
-    grading = _load(args.inputs[0], "grading")
-    pres, gen_of_label = universal_group_of_grading(grading)
+def _group_output(pres, coset_limit, summary, invariants=()):
+    """The presentation with its coset enumeration order added to the
+    summary; exit 4, naming the cause, when the enumeration does not close
+    (the group is infinite when the known abelian invariants contain 0)."""
     out = docs.serialize_group_presentation(pres)
-    order = todd_coxeter_order(pres, args.coset_limit)
-    invariants = abelian_invariants(pres)
-    out["summary"] = {
-        "support": list(grading_support(grading)),
-        "abelian_invariants": invariants,
-        "coset_enumeration_order": order if order is not None else "unknown",
-    }
+    order = todd_coxeter_order(pres, coset_limit)
+    summary["coset_enumeration_order"] = order if order is not None else "unknown"
+    out["summary"] = summary
     if order is None:
         if 0 in invariants:
             cause = ": the abelian invariants contain 0, so the group is infinite"
         else:
-            cause = f" within {args.coset_limit}"
+            cause = f" within {coset_limit}"
         raise _BoundHit(out, f"coset enumeration did not close{cause}")
     return out
+
+
+def _cmd_universal_group(args):
+    grading = _load(args.inputs[0], "grading")
+    pres, _ = universal_group_of_grading(grading)
+    invariants = abelian_invariants(pres)
+    summary = {"support": list(grading_support(grading)), "abelian_invariants": invariants}
+    return _group_output(pres, args.coset_limit, summary, invariants)
 
 
 def _cmd_tambara(args):
@@ -144,15 +149,7 @@ def _cmd_hopf_envelope(args):
 
 def _cmd_grothendieck(args):
     monoid = _load(args.inputs[0], "monoid_table")
-    pres = grothendieck_group(monoid)
-    out = docs.serialize_group_presentation(pres)
-    order = todd_coxeter_order(pres, args.coset_limit)
-    out["summary"] = {
-        "coset_enumeration_order": order if order is not None else "unknown"
-    }
-    if order is None:
-        raise _BoundHit(out, f"coset enumeration did not close within {args.coset_limit}")
-    return out
+    return _group_output(grothendieck_group(monoid), args.coset_limit, {})
 
 
 def _cmd_unit_group(args):

@@ -10,7 +10,7 @@ coordinates in it are its entries at the pivot columns.  The comodule axioms
 are the coalgebra axioms of k (+) V (+) C, checked by the same checker.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 
@@ -26,7 +26,7 @@ from ._linalg import (
 )
 from .errors import InputError, PreconditionError
 from .finmonoid import FinMonoid
-from .grading import Grading, grading_support, validate_grading
+from .grading import Grading, grading_support
 from .ncalg import AlgebraPresentation, NCPoly
 from .signature import FinVectMagma, coordinate_identities
 
@@ -585,11 +585,29 @@ class MatrixPresentation:
     ``gen_index[g] = (block, i, j)`` with i over the target basis and j over
     the source basis; the single-block case uses block "".  ``blocks`` lists
     the basis indices of each block, in generator declaration order.
+
+    Raises InputError unless every generator has its own (i, j) and, when
+    there are blocks, the generators are exactly the pairs inside each
+    block, the blocks having distinct labels; ``pos`` maps each (i, j) to
+    its generator.
     """
 
     algebra: AlgebraPresentation
     gen_index: tuple  # (block label, i, j) per generator
     blocks: tuple  # (block label, (basis indices...)) pairs
+    pos: dict = field(init=False, repr=False)
+
+    def __post_init__(self):
+        pos = {(i, j): g for g, (_, i, j) in enumerate(self.gen_index)}
+        if not len(pos) == len(self.gen_index) == self.algebra.num_gens:
+            raise InputError("matrix index must put each generator at its own (i, j)")
+        square = [(b, i, j) for b, ms in self.blocks for i in ms for j in ms]
+        if self.blocks and (
+            sorted(self.gen_index) != sorted(square)
+            or len(dict(self.blocks)) != len(self.blocks)
+        ):
+            raise InputError("matrix index does not fill its distinct square blocks")
+        object.__setattr__(self, "pos", pos)
 
 
 def _coordinate_relations(a, b, gen_of):
@@ -621,9 +639,7 @@ def tambara_presentation(a: FinVectMagma, b: FinVectMagma) -> MatrixPresentation
         raise PreconditionError("zero-dimensional inputs are rejected")
     gen_index = tuple(("", i, j) for i in range(b.dim) for j in range(a.dim))
     labels = tuple(f"u[{i},{j}]" for _, i, j in gen_index)
-    pos = {(i, j): g for g, (_, i, j) in enumerate(gen_index)}
-
-    relations = _coordinate_relations(a, b, lambda i, j: pos[(i, j)])
+    relations = _coordinate_relations(a, b, lambda i, j: i * a.dim + j)
     algebra = AlgebraPresentation(len(gen_index), labels, tuple(relations))
     # matrix comultiplication needs a square frame; leave blocks empty otherwise
     blocks = (("", tuple(range(a.dim))),) if a.dim == b.dim else ()
@@ -636,25 +652,13 @@ def manin_end_presentation(grading: Grading) -> MatrixPresentation:
     Generators exist only for basis pairs inside one grading component; the
     relations are the Tambara relations of the grading-preserving coaction.
     """
-    ok, witness = validate_grading(grading)
-    if not ok:
-        raise PreconditionError(f"invalid grading: {witness}")
     a = grading.algebra
     if a.dim < 1:
         raise PreconditionError("zero-dimensional inputs are rejected")
     supp = grading_support(grading)
-    members = {
-        label: tuple(
-            i for i in range(a.dim) if grading.label_of_basis(i) == label
-        )
-        for label in supp
-    }
-    gen_index = []
-    for label in supp:
-        for i in members[label]:
-            for j in members[label]:
-                gen_index.append((label, i, j))
-    gen_index = tuple(gen_index)
+    label_of = [grading.label_of_basis(i) for i in range(a.dim)]
+    members = {l: tuple(i for i in range(a.dim) if label_of[i] == l) for l in supp}
+    gen_index = tuple((l, i, j) for l in supp for i in members[l] for j in members[l])
     labels = tuple(f"u({k})[{i},{j}]" for k, i, j in gen_index)
     pos = {(i, j): g for g, (_, i, j) in enumerate(gen_index)}
     relations = _coordinate_relations(a, a, lambda i, j: pos.get((i, j)))
@@ -681,10 +685,9 @@ def factor_through_universal(
     """
     if rho.dim_coeff != q_alg.dim:
         raise InputError("coefficient space does not match the algebra")
-    covered = {(i, j) for _, i, j in mp.gen_index}
     for beta in range(rho.dim_out):
         for alpha in range(rho.dim_in):
-            if (beta, alpha) not in covered and any(
+            if (beta, alpha) not in mp.pos and any(
                 x != 0 for x in rho.q(beta, alpha)
             ):
                 raise PreconditionError(

@@ -362,7 +362,7 @@ def _parse_algebra(doc, gens, pos, path):
         p = f"{at}.blocks[{n}]"
         members = _int_list(_get(b, "members", p, list), f"{p}.members")
         blocks.append((_get(b, "block", p, str), tuple(members)))
-    return MatrixPresentation(algebra, tuple(gen_index), tuple(blocks))
+    return _make(at, MatrixPresentation, algebra, tuple(gen_index), tuple(blocks))
 
 
 def _parse_bialgebra_presentation(doc, path):
@@ -393,17 +393,22 @@ def _parse_bialgebra_presentation(doc, path):
         return bial
     levels = _get(tr, "levels", f"{path}.truncation", int)
     degree = _get(tr, "degree_bound", f"{path}.truncation", int)
+    hopf = _make(f"{path}.truncation.levels", HopfPresentation, bial, levels, degree)
     antipode = tuple(
         None if entry is None else _parse_ncpoly(entry, pos, f"{path}.antipode[{g}]")
         for g, entry in enumerate(_get(doc, "antipode", path, list))
     )
-    level_of_gen = _int_list(
+    levels_of = _int_list(
         _get(doc, "levels_of_generators", path, list), f"{path}.levels_of_generators"
     )
-    base_gen_of = _int_list(_get(doc, "base_generators", path, list), f"{path}.base_generators")
-    return HopfPresentation(
-        bial, antipode, levels, degree, tuple(level_of_gen), tuple(base_gen_of)
-    )
+    base_of = _int_list(_get(doc, "base_generators", path, list), f"{path}.base_generators")
+    for key, value, derived in (
+        ("antipode", antipode, hopf.antipode),
+        ("levels_of_generators", tuple(levels_of), hopf.level_of_gen),
+        ("base_generators", tuple(base_of), hopf.base_gen_of),
+    ):
+        _expect(value == derived, f"{path}.{key}", "does not follow from the truncation")
+    return hopf
 
 
 def _parse_hopf_fd(doc, path) -> FinDimHopf:
@@ -415,7 +420,7 @@ def _parse_hopf_fd(doc, path) -> FinDimHopf:
     delta = _parse_delta(_get(doc, "delta", path, list), f"{path}.delta")
     counit = _rationals(doc, "counit", path)
     antipode = _parse_matrix(_get(doc, "antipode", path, list), f"{path}.antipode", ncols=dim)
-    return FinDimHopf(dim, mult, unit, delta, counit, antipode)
+    return _make(path, FinDimHopf, dim, mult, unit, delta, counit, antipode)
 
 
 def _parse_category(doc, path) -> FiniteCategory:

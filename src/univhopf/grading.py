@@ -4,9 +4,11 @@ supports, coarsening, and the universal group of a grading.
 A grading assigns one label per basis vector.  It is valid when, for every
 operation and every tuple of input labels, all basis tensors hit by nonzero
 structure coefficients out of those components carry one and the same tuple
-of output labels.  The universal group is presented on the support labels
-with one relator h s t^-1 for every nonzero component product landing in
-component t, under every binary operation; the presentation is meaningful
+of output labels, and, with a group attached, the components obey the group
+law.  ``Grading`` checks this once, at construction, so every function here
+reads a valid grading.  The universal group is presented on the support
+labels with one relator h s t^-1 for every nonzero component product landing
+in component t, under every binary operation; the presentation is meaningful
 exactly when the set grading is realizable by a group grading, which this
 module does not attempt to decide.
 """
@@ -50,13 +52,17 @@ class Grading:
                 raise InputError("label element map length does not match")
             if any(not 0 <= g < self.group.size for g in self.label_elems):
                 raise InputError("label element out of range")
+        ok, witness = validate_grading(self)
+        if not ok:
+            raise PreconditionError(f"invalid grading: {witness}")
 
     def label_of_basis(self, i: int) -> str:
         return self.labels[self.assignment[i]]
 
 
 def validate_grading(grading: Grading):
-    """Component-closure check; returns (ok, witness or None).
+    """Component-closure check; returns (ok, witness or None).  ``Grading``
+    runs it at construction and raises on a witness.
 
     A witness names the operation, the offending input label tuple and the
     two distinct output label tuples (or the group-law violation).
@@ -124,19 +130,13 @@ def universal_group_of_grading(grading: Grading):
     simplification is applied.  Returns (presentation, {label: generator
     index}).
     """
-    ok, witness = validate_grading(grading)
-    if not ok:
-        raise PreconditionError(f"invalid grading: {witness}")
     supp = grading_support(grading)
     gen_of_label = {l: i for i, l in enumerate(supp)}
-    gen_of_pos = {
-        pos: gen_of_label[l]
-        for pos, l in enumerate(grading.labels)
-        if l in gen_of_label
-    }
-    relators = []
-    for h, s, t in _component_products(grading):
-        relators.append((gen_of_pos[h] + 1, gen_of_pos[s] + 1, -(gen_of_pos[t] + 1)))
+    gen_of_pos = {pos: gen_of_label.get(l) for pos, l in enumerate(grading.labels)}
+    relators = [
+        (gen_of_pos[h] + 1, gen_of_pos[s] + 1, -(gen_of_pos[t] + 1))
+        for h, s, t in _component_products(grading)
+    ]
     return presentation(len(supp), relators, gen_labels=supp), gen_of_label
 
 
@@ -147,7 +147,8 @@ def coarsen_by_map(
     target_group: FinMonoid | None = None,
     target_label_elems=None,
 ) -> Grading:
-    """Relabel a grading along a label map and re-validate.
+    """Relabel a grading along a label map; the relabelled Grading checks
+    its own closure.
 
     When both sides carry groups the map is checked to be a group
     homomorphism, which requires the source labels to enumerate the whole
@@ -156,14 +157,9 @@ def coarsen_by_map(
     for l in grading.labels:
         if l not in label_map:
             raise InputError(f"label map does not cover label {l!r}")
-    if target_labels is None:
-        seen = []
-        for l in grading.labels:
-            if label_map[l] not in seen:
-                seen.append(label_map[l])
-        target_labels = tuple(seen)
-    else:
-        target_labels = tuple(target_labels)
+    if target_labels is None:  # the images, in order of first appearance
+        target_labels = dict.fromkeys(label_map[l] for l in grading.labels)
+    target_labels = tuple(target_labels)
     new_pos = {l: i for i, l in enumerate(target_labels)}
     assignment = tuple(
         new_pos[label_map[grading.labels[a]]] for a in grading.assignment
@@ -175,9 +171,6 @@ def coarsen_by_map(
         target_group,
         tuple(target_label_elems) if target_label_elems is not None else None,
     )
-    ok, witness = validate_grading(out)
-    if not ok:
-        raise PreconditionError(f"coarsened grading is invalid: {witness}")
     if grading.group is not None and target_group is not None:
         src = grading.group
         if sorted(grading.label_elems) != list(range(src.size)):

@@ -15,7 +15,7 @@ Every output records its (levels, degree) truncation; claims about the
 envelope are meaningful up to that truncation only.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import prod
 
@@ -47,8 +47,9 @@ DEFAULT_ANTIPODE_LEVELS = 3
 
 @dataclass(frozen=True, eq=False)
 class FinDimHopf:
-    """Raw structure constants; nothing is validated at construction so that
-    the axiom checker can report failures instead of refusing the data."""
+    """Structure constants on the basis 0..dim-1, shape-checked at
+    construction by ``coact.sparse_maps``, whose maps are kept.  The axioms
+    are not checked, so that the axiom checker can report their failures."""
 
     dim: int
     mult: tuple  # mult[i][j] is the product vector e_i e_j
@@ -56,6 +57,11 @@ class FinDimHopf:
     delta: tuple  # delta[i] is {(j, k): coefficient}
     counit: Vec
     antipode: tuple  # matrix rows; S(x)_i = sum_j antipode[i][j] x_j
+    maps: dict = field(init=False, repr=False)  # check_axioms keyword arguments
+
+    def __post_init__(self):
+        structure = (self.mult, self.unit, self.delta, self.counit, self.antipode)
+        object.__setattr__(self, "maps", sparse_maps(self.dim, *structure))
 
 
 @dataclass(frozen=True)
@@ -72,8 +78,7 @@ class AxiomReport:
 
 def check_hopf_axioms_fd(h: FinDimHopf) -> AxiomReport:
     """Exact verification of every Hopf axiom, with a basis witness per failure."""
-    structure = (h.mult, h.unit, h.delta, h.counit, h.antipode)
-    results = check_axioms(range(h.dim), **sparse_maps(h.dim, *structure))
+    results = check_axioms(range(h.dim), **h.maps)
     rows = ((name, not f, f[0] if f else None) for name, _, _, f in results)
     return AxiomReport(tuple(rows))
 
@@ -82,9 +87,8 @@ def antipode_from_convolution(h: FinDimHopf):
     """Solve both convolution identities for the antipode matrix.
 
     Returns (matrix or None, degrees_of_freedom).  For honest Hopf data the
-    solution is unique: (S, 0).  Raises InputError on misshapen data.
+    solution is unique: (S, 0).
     """
-    sparse_maps(h.dim, h.mult, h.unit, h.delta, h.counit)  # shape checks only
     n = h.dim
     rows = []
     rhs = []
@@ -220,17 +224,13 @@ def universal_bialgebra_structure(mp: MatrixPresentation) -> BialgebraPresentati
     if not mp.blocks:
         raise PreconditionError("presentation does not carry square matrix blocks")
     k = mp.algebra.num_gens
-    members = dict(mp.blocks)
-    pos = {(i, j): g for g, (_, i, j) in enumerate(mp.gen_index)}
-    delta = []
-    counit = []
-    for block, i, j in mp.gen_index:
-        image = NCPoly.zero()
-        for l in members[block]:
-            image = image + NCPoly.monomial((pos[(i, l)], k + pos[(l, j)]))
-        delta.append(image)
-        counit.append(Fraction(1 if i == j else 0))
-    return BialgebraPresentation(mp.algebra, tuple(delta), tuple(counit), mp)
+    members, pos = dict(mp.blocks), mp.pos
+    delta = tuple(
+        NCPoly({(pos[(i, l)], k + pos[(l, j)]): 1 for l in members[block]})
+        for block, i, j in mp.gen_index
+    )
+    counit = tuple(Fraction(1 if i == j else 0) for _, i, j in mp.gen_index)
+    return BialgebraPresentation(mp.algebra, delta, counit, mp)
 
 
 @dataclass(frozen=True)
@@ -278,18 +278,41 @@ def check_comap_well_defined(
 
 @dataclass(frozen=True, eq=False)
 class HopfPresentation:
-    """Truncated antipode-level presentation of a Hopf envelope."""
+    """Truncated antipode-level presentation of a Hopf envelope: with k
+    generators per level 0..levels, generator n*k + g is g^(n), and the
+    antipode sends g^(n) to g^(n+1) (None on the top level).  Raises
+    InputError unless levels >= 0 and levels + 1 divides the generator count."""
 
     bialgebra: BialgebraPresentation
-    antipode: tuple  # NCPoly per generator, None on the top level
     levels: int
     degree_bound: int
-    level_of_gen: tuple
-    base_gen_of: tuple
+
+    def __post_init__(self):
+        if self.levels < 0:
+            raise InputError("levels must be nonnegative")
+        if self.algebra.num_gens % (self.levels + 1):
+            raise InputError("generator count is not a multiple of levels + 1")
 
     @property
     def algebra(self) -> AlgebraPresentation:
         return self.bialgebra.algebra
+
+    @property
+    def _k(self) -> int:  # generators per level
+        return self.algebra.num_gens // (self.levels + 1)
+
+    @property
+    def antipode(self) -> tuple:
+        k, total = self._k, self.algebra.num_gens
+        return tuple(NCPoly.gen(g + k) if g + k < total else None for g in range(total))
+
+    @property
+    def level_of_gen(self) -> tuple:
+        return tuple(g // self._k for g in range(self.algebra.num_gens))
+
+    @property
+    def base_gen_of(self) -> tuple:
+        return tuple(g % self._k for g in range(self.algebra.num_gens))
 
 
 def _split_tensor_word(word, total_gens: int):
@@ -328,36 +351,16 @@ def hopf_envelope_presentation(
             left, right = right, left
         return lift_word(left, n) + tuple(total + g for g in lift_word(right, n))
 
-    labels = []
-    level_of_gen = []
-    base_gen_of = []
-    for n in range(levels + 1):
-        for g in range(k):
-            labels.append(f"{b.algebra.gen_labels[g]}^({n})")
-            level_of_gen.append(n)
-            base_gen_of.append(g)
-
+    labels = tuple(
+        f"{label}^({n})" for n in range(levels + 1) for label in b.algebra.gen_labels
+    )
     relations = []
     delta = []
-    counit = []
-    antipode = []
     for n in range(levels + 1):
-        for rel in b.algebra.relations:
-            relations.append(lift_poly(rel, n))
-        for g in range(k):
-            delta.append(
-                NCPoly(
-                    {
-                        lift_delta_word(w, n): c
-                        for w, c in b.delta[g].terms.items()
-                    }
-                )
-            )
-            counit.append(b.counit[g])
-            if n < levels:
-                antipode.append(NCPoly.gen((n + 1) * k + g))
-            else:
-                antipode.append(None)
+        relations.extend(lift_poly(rel, n) for rel in b.algebra.relations)
+        delta.extend(
+            NCPoly({lift_delta_word(w, n): c for w, c in p.terms.items()}) for p in b.delta
+        )
         if n >= 1:
             # convolution identities for the level below, now that its
             # antipode images exist
@@ -377,16 +380,9 @@ def hopf_envelope_presentation(
                 relations.append(s_conv - eps_term)
                 relations.append(conv_s - eps_term)
 
-    algebra = AlgebraPresentation(total, tuple(labels), tuple(relations))
-    bial = BialgebraPresentation(algebra, tuple(delta), tuple(counit))
-    return HopfPresentation(
-        bial,
-        tuple(antipode),
-        levels,
-        degree_bound,
-        tuple(level_of_gen),
-        tuple(base_gen_of),
-    )
+    algebra = AlgebraPresentation(total, labels, tuple(relations))
+    bial = BialgebraPresentation(algebra, tuple(delta), tuple(b.counit) * (levels + 1))
+    return HopfPresentation(bial, levels, degree_bound)
 
 
 def sets_cofree_hopf(m: FinMonoid) -> FinMonoid:

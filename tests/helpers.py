@@ -1,5 +1,6 @@
 """Shared fixture builders for the test suite."""
 
+import importlib
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -265,6 +266,28 @@ def reflective_subchain_functor():
     return functor, left_adjoint_objects
 
 
+def full_subcategory_inclusion(cat, objects):
+    """The inclusion into cat of its full subcategory on the given objects."""
+    objects = sorted(objects)
+    obj = {x: i for i, x in enumerate(objects)}
+    morphs = [
+        f for f in range(cat.num_morphisms) if cat.dom[f] in obj and cat.cod[f] in obj
+    ]
+    mor = {f: i for i, f in enumerate(morphs)}
+    sub = FiniteCategory(
+        len(objects),
+        tuple(obj[cat.dom[f]] for f in morphs),
+        tuple(obj[cat.cod[f]] for f in morphs),
+        tuple(mor[cat.identity[x]] for x in objects),
+        {
+            (mor[g], mor[f]): mor[h]
+            for (g, f), h in cat.compose.items()
+            if g in mor and f in mor
+        },
+    )
+    return FunctorData(sub, cat, tuple(objects), tuple(morphs))
+
+
 def random_q_algebra(rng):
     """A random pick from a pool of small associative unital algebras."""
     from univhopf.coact import fd_algebra as _fd_algebra
@@ -304,17 +327,20 @@ def random_unital_magma(rng, dim):
     )
 
 
+def _bench_module(name):
+    """A module of the benchmark under perfbench/."""
+    bench = str(Path(__file__).resolve().parent.parent / "perfbench")
+    if bench not in sys.path:
+        sys.path.insert(0, bench)
+    return importlib.import_module(name)
+
+
 def _corpus_group_documents(seed):
     """The parsed input document of each job of the benchmark's ``groups``
     workload, by family (the first job of a family wins), as generated by
     perfbench/gen.py for the seed."""
-    bench = str(Path(__file__).resolve().parent.parent / "perfbench")
-    if bench not in sys.path:
-        sys.path.insert(0, bench)
-    import gen
-
     out = {}
-    for job in gen.generate("groups", seed):
+    for job in _bench_module("gen").generate("groups", seed):
         if job["family"] not in out:
             out[job["family"]] = documents.parse_input_document(job["docs"][0])
     return out
@@ -341,6 +367,19 @@ def corpus_gradings(seed=42):
         for family, (kind, value) in _corpus_group_documents(seed).items()
         if kind == "grading"
     }
+
+
+def corpus_membership_answers(seed):
+    """Every ideal-membership query of the benchmark's ``presentations``
+    workload for the seed, as (algebra presentation, polynomial, answer),
+    run through the workload's own job runner."""
+    gen, jobs, spans = (_bench_module(name) for name in ("gen", "jobs", "spans"))
+    out = []
+    for job in gen.generate("presentations", seed):
+        res = jobs.run_presentations(job, spans.Untraced())
+        queries = (poly for poly, _ in res["queries"])
+        out += [(res["mp"].algebra, p, a) for p, a in zip(queries, res["answers"])]
+    return out
 
 
 def serialize_again(kind, value):

@@ -747,26 +747,41 @@ def truncated_ideal_products(pres, degree):
 def truncated_ideal_rank_mod_p(pres, degree):
     """Rank modulo PRIME of the truncated_ideal_products.  It is at most their
     rank over Q, so the number of words of length at most d minus it bounds
-    how many such words are independent modulo the ideal.  Rows are eliminated
-    on their deglex-largest word, as dicts, without univhopf's linear algebra."""
-    pivots = {}  # leading word -> row with leading coefficient 1
+    how many such words are independent modulo the ideal."""
+    return len(truncated_ideal_pivots(pres, degree))
+
+
+def truncated_ideal_pivots(pres, degree):
+    """An echelon basis modulo PRIME of the truncated_ideal_products, as
+    {leading word: row with leading coefficient 1}.  Rows are eliminated on
+    their deglex-largest word, as dicts, without univhopf's linear algebra."""
+    pivots = {}
     for prod_row in truncated_ideal_products(pres, degree):
-        row = {w: x for w, c in prod_row.items() if (x := _mod_prime(c))}
-        while row:
+        row = reduce_mod_pivots(prod_row, pivots)
+        if row:
             top = max(row, key=deglex_key)
-            pivot = pivots.get(top)
-            if pivot is None:
-                inv = pow(row[top], -1, PRIME)
-                pivots[top] = {w: c * inv % PRIME for w, c in row.items()}
-                break
-            f = row[top]
-            for w, c in pivot.items():
-                x = (row.get(w, 0) - f * c) % PRIME
-                if x:
-                    row[w] = x
-                else:
-                    row.pop(w, None)
-    return len(pivots)
+            inv = pow(row[top], -1, PRIME)
+            pivots[top] = {w: c * inv % PRIME for w, c in row.items()}
+    return pivots
+
+
+def reduce_mod_pivots(terms, pivots):
+    """The remainder modulo PRIME of {word: coefficient} after eliminating
+    every pivot word it reaches; empty exactly when it lies in their span."""
+    row = {w: x for w, c in terms.items() if (x := _mod_prime(c))}
+    while row:
+        top = max(row, key=deglex_key)
+        pivot = pivots.get(top)
+        if pivot is None:
+            return row
+        f = row[top]
+        for w, c in pivot.items():
+            x = (row.get(w, 0) - f * c) % PRIME
+            if x:
+                row[w] = x
+            else:
+                row.pop(w, None)
+    return row
 
 
 # ---------------------------------------------------------------------------

@@ -489,3 +489,10 @@ def test_check_comeasuring_rejects_non_algebra_coefficients(tmp_path):
     path.write_text(docs.document_to_json(doc), encoding="utf-8")
     code, _, err = invoke(["check-comeasuring", str(path)])
     assert code == 2 and "unit" in err
+
+
+def test_check_hopf_names_the_path_of_misshapen_data(tmp_path):
+    doc = docs.serialize_hopf_fd(group_algebra_hopf(cyclic_monoid(2)))
+    doc["mult"][0][0] = ["1"]
+    code, out, err = invoke(["check-hopf", write(tmp_path, "h.json", doc)])
+    assert (code, out, err) == (2, "", "error: $: product vector length mismatch\n")

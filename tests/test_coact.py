@@ -8,6 +8,7 @@ from univhopf._linalg import rank
 from univhopf.coact import (
     FDAlgebra,
     FDCoalgebra,
+    MatrixPresentation,
     compose_with_matrix,
     cosupport_of_map,
     factor_through_universal,
@@ -460,3 +461,33 @@ def test_structure_shapes_are_validated():
     for build in bad:
         with pytest.raises(InputError):
             build()
+
+
+def test_matrix_frame_keeps_one_generator_per_position():
+    mp = manin_end_presentation(trivial_grading(pauli_algebra()))
+    assert mp.pos == {(i, j): g for g, (_, i, j) in enumerate(mp.gen_index)}
+    assert len(mp.pos) == mp.algebra.num_gens == 16
+    # a non-square Tambara frame has no blocks and every (i, j) still once
+    wide = tambara_presentation(rational_line(), dual_numbers())
+    assert wide.blocks == () and sorted(wide.pos) == [(0, 0), (1, 0)]
+
+
+def test_matrix_frame_rejects_an_index_that_misplaces_generators():
+    mp = tambara_presentation(dual_numbers(), dual_numbers())
+    a, index, blocks = mp.algebra, mp.gen_index, mp.blocks
+    own = "matrix index must put each generator at its own (i, j)"
+    fill = "matrix index does not fill its distinct square blocks"
+    bad = [
+        (index[:3], blocks, own),
+        (index[:3] + index[:1], blocks, own),
+        (index[:3] + (("", 1, 2),), blocks, fill),
+        (index[:3] + (("ghost", 1, 1),), blocks, fill),
+        (index, (("", (0,)),), fill),
+        (index, (("", (0, 1)), ("", (0, 1))), fill),
+    ]
+    for gen_index, frame_blocks, message in bad:
+        with pytest.raises(InputError) as err:
+            MatrixPresentation(a, gen_index, frame_blocks)
+        assert str(err.value) == message
+    # without blocks only the positions are checked
+    assert MatrixPresentation(a, index[:3] + (("", 1, 2),), ()).pos[(1, 2)] == 3

@@ -20,6 +20,7 @@ from univhopf.lio import (
     universal_object_of,
 )
 
+from helpers import full_subcategory_inclusion
 from oracles import (
     scan_absolute_value,
     scan_hom,
@@ -49,28 +50,6 @@ def categories(draw):
         tuple(mor[cat.identity[x]] for x in old_obj),
         {(mor[g], mor[f]): mor[h] for (g, f), h in cat.compose.items()},
     )
-
-
-def full_subcategory_inclusion(cat, objects):
-    """The inclusion into cat of its full subcategory on the given objects."""
-    objects = sorted(objects)
-    obj = {x: i for i, x in enumerate(objects)}
-    morphs = [
-        f for f in range(cat.num_morphisms) if cat.dom[f] in obj and cat.cod[f] in obj
-    ]
-    mor = {f: i for i, f in enumerate(morphs)}
-    sub = FiniteCategory(
-        len(objects),
-        tuple(obj[cat.dom[f]] for f in morphs),
-        tuple(obj[cat.cod[f]] for f in morphs),
-        tuple(mor[cat.identity[x]] for x in objects),
-        {
-            (mor[g], mor[f]): mor[h]
-            for (g, f), h in cat.compose.items()
-            if g in mor and f in mor
-        },
-    )
-    return FunctorData(sub, cat, tuple(objects), tuple(morphs))
 
 
 @st.composite

@@ -32,9 +32,12 @@ from oracles import (
     scan_completion,
     scan_reduce,
     slice_scan_add_and_interreduce,
+    reduce_mod_pivots,
     tensor_square_presentation,
+    truncated_ideal_pivots,
     truncated_ideal_rank_mod_p,
 )
+from helpers import corpus_membership_answers
 
 F = Fraction
 ORACLE_STEPS = 3_000
@@ -330,3 +333,22 @@ def test_quantum_plane_normal_words_fill_the_truncated_ideal_bound():
     assert system.confluent_up_to
     count, bound = _count_and_bound(pres, system)
     assert count == bound == sum(k + 1 for k in range(7))
+
+
+def test_certain_non_members_stay_outside_the_truncated_ideal():
+    # a "certain" verdict of non-membership must survive the products u r v
+    # of one degree more than the polynomial's, on instances of at most 400
+    # words in that degree
+    checked = skipped = 0
+    for seed in (42, 7):
+        for pres, poly, answer in corpus_membership_answers(seed):
+            if answer.member or not answer.certain:
+                continue
+            degree = poly.degree() + 1
+            if pres.num_gens**degree > 400:
+                skipped += 1
+                continue
+            pivots = truncated_ideal_pivots(pres, degree)
+            assert reduce_mod_pivots(poly.terms, pivots), poly
+            checked += 1
+    assert (checked, skipped) == (77, 23)

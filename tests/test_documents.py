@@ -250,3 +250,109 @@ def test_unreduced_relator_rejected():
     with pytest.raises(InputError) as err:
         docs.parse_document(doc)
     assert "freely reduced" in str(err.value)
+
+
+# documents that parsed before their values checked their own invariants,
+# with the error each one now raises at parse
+_TAMBARA = docs.serialize_algebra_presentation(
+    tambara_presentation(dual_numbers(), dual_numbers())
+)
+_ENVELOPE = docs.serialize_bialgebra_presentation(
+    hopf_envelope_presentation(universal_bialgebra_structure(_MANIN_END), 1, 4)
+)
+_HOPF_FD = docs.serialize_hopf_fd(group_algebra_hopf(cyclic_monoid(2)))
+_GHOST = _replaced(_MANIN_END_BIALGEBRA, ("matrix_index", "gen_index", 1, "block"), "ghost")
+_BAD_TRUNCATION = {
+    **_replaced(_ENVELOPE, ("truncation", "levels"), -3),
+    "levels_of_generators": [9, 9, 9, 9],
+    "base_generators": [5],
+    "antipode": [None],
+}
+
+MALFORMED = [
+    pytest.param(
+        _replaced(_MANIN_END_BIALGEBRA, ("matrix_index", "gen_index"),
+                  _MANIN_END_BIALGEBRA["matrix_index"]["gen_index"][:1]),
+        "$.matrix_index: matrix index must put each generator at its own (i, j)",
+        id="gen_index_one_entry_for_two_generators",
+    ),
+    pytest.param(
+        _GHOST,
+        "$.matrix_index: matrix index does not fill its distinct square blocks",
+        id="generator_in_a_ghost_block",
+    ),
+    pytest.param(
+        _replaced(_TAMBARA, ("matrix_index", "gen_index"), []),
+        "$.matrix_index: matrix index must put each generator at its own (i, j)",
+        id="presentation_with_empty_gen_index",
+    ),
+    pytest.param(
+        _replaced(_TAMBARA, ("matrix_index", "blocks", 0, "members"), [0]),
+        "$.matrix_index: matrix index does not fill its distinct square blocks",
+        id="block_missing_a_member",
+    ),
+    pytest.param(
+        _BAD_TRUNCATION,
+        "$.truncation.levels: levels must be nonnegative",
+        id="envelope_with_negative_levels",
+    ),
+    pytest.param(
+        _replaced(_ENVELOPE, ("truncation", "levels"), 2),
+        "$.truncation.levels: generator count is not a multiple of levels + 1",
+        id="envelope_levels_not_dividing_the_generators",
+    ),
+    pytest.param(
+        _replaced(_ENVELOPE, ("levels_of_generators",), [9, 9, 9, 9]),
+        "$.levels_of_generators: does not follow from the truncation",
+        id="envelope_levels_of_generators",
+    ),
+    pytest.param(
+        _replaced(_ENVELOPE, ("base_generators",), [5]),
+        "$.base_generators: does not follow from the truncation",
+        id="envelope_base_generators",
+    ),
+    pytest.param(
+        _replaced(_ENVELOPE, ("antipode",), [None]),
+        "$.antipode: does not follow from the truncation",
+        id="envelope_antipode",
+    ),
+    pytest.param(
+        _replaced(_HOPF_FD, ("mult", 0, 0), ["1"]),
+        "$: product vector length mismatch",
+        id="hopf_fd_short_product_vector",
+    ),
+    pytest.param(
+        _replaced(_HOPF_FD, ("unit",), ["1"]),
+        "$: unit vector length mismatch",
+        id="hopf_fd_short_unit",
+    ),
+    pytest.param(
+        _replaced(_HOPF_FD, ("delta", 0, 0, "left"), 9),
+        "$: comultiplication index out of range",
+        id="hopf_fd_delta_index_9",
+    ),
+    pytest.param(
+        _replaced(_HOPF_FD, ("antipode",), _HOPF_FD["antipode"][:1]),
+        "$: antipode matrix shape mismatch",
+        id="hopf_fd_one_antipode_row",
+    ),
+    pytest.param(
+        _replaced(_HOPF_FD, ("delta",), _HOPF_FD["delta"][:1]),
+        "$: coalgebra data shape mismatch",
+        id="hopf_fd_one_delta_row",
+    ),
+]
+
+
+@pytest.mark.parametrize("doc, message", MALFORMED)
+def test_values_check_their_invariants_at_parse(doc, message):
+    with pytest.raises(InputError) as err:
+        docs.parse_document(doc)
+    assert str(err.value) == message
+
+
+def test_envelope_document_derives_its_bookkeeping():
+    kind, env = docs.parse_document(_ENVELOPE)
+    assert kind == "bialgebra_presentation" and env.levels == 1
+    assert env.level_of_gen == (0, 0, 1, 1) and env.base_gen_of == (0, 1, 0, 1)
+    assert _ENVELOPE["antipode"][2:] == [None, None]

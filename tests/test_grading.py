@@ -51,9 +51,8 @@ def test_pauli_grading_is_valid():
 
 def test_same_component_with_group_law_is_invalid():
     # 1 and x both of degree "one" under a Z2 law: 1*1 lands wrong
-    bad = Grading(dual_numbers(), ("zero", "one"), (1, 1), z2_monoid(), (0, 1))
-    ok, witness = validate_grading(bad)
-    assert not ok and witness["op"] == "mu"
+    with pytest.raises(PreconditionError, match=r"^invalid grading: \{'op': 'mu'"):
+        Grading(dual_numbers(), ("zero", "one"), (1, 1), z2_monoid(), (0, 1))
 
 
 def test_support_drops_unused_labels():
@@ -118,9 +117,10 @@ def test_canonical_map_satisfies_every_relator():
 
 
 def test_invalid_grading_rejected_by_universal_group():
-    bad = Grading(dual_numbers(), ("zero", "one"), (1, 1), z2_monoid(), (0, 1))
     with pytest.raises(PreconditionError):
-        universal_group_of_grading(bad)
+        universal_group_of_grading(
+            Grading(dual_numbers(), ("zero", "one"), (1, 1), z2_monoid(), (0, 1))
+        )
 
 
 def test_coarsen_identity_map():
@@ -144,6 +144,16 @@ def test_coarsen_z_to_z2():
 def test_coarsen_merging_pauli_labels_fails():
     with pytest.raises(PreconditionError):
         coarsen_by_map(pauli_grading(), {"e": "m", "x": "m", "y": "y", "z": "z"})
+
+
+def test_coarsening_raises_what_the_grading_constructor_raises():
+    label_map = {"e": "m", "x": "m", "y": "y", "z": "z"}
+    with pytest.raises(PreconditionError) as coarsened:
+        coarsen_by_map(pauli_grading(), label_map)
+    with pytest.raises(PreconditionError) as built:
+        Grading(pauli_algebra(), ("m", "y", "z"), (0, 0, 1, 2))
+    assert str(coarsened.value) == str(built.value)
+    assert str(built.value).startswith("invalid grading: {'op': 'mu'")
 
 
 def test_coarsen_checks_group_homomorphism():

@@ -14,6 +14,7 @@ from univhopf.grouppres import todd_coxeter_order
 from univhopf.hopf import (
     BialgebraPresentation,
     FinDimHopf,
+    HopfPresentation,
     antipode_from_convolution,
     check_comap_well_defined,
     check_hopf_axioms_fd,
@@ -88,9 +89,9 @@ def test_convolution_inverse_is_unique():
 def test_convolution_rejects_misshapen_data():
     # C2 with Delta e_1 = e_{-1} (x) e_{-1}: the index -1 must not wrap
     h = group_algebra_hopf(z2())
-    bad = FinDimHopf(h.dim, h.mult, h.unit, (h.delta[0], {(-1, -1): F(1)}), h.counit, h.antipode)
+    delta = (h.delta[0], {(-1, -1): F(1)})
     with pytest.raises(InputError, match="comultiplication index out of range"):
-        antipode_from_convolution(bad)
+        antipode_from_convolution(FinDimHopf(h.dim, h.mult, h.unit, delta, h.counit, h.antipode))
 
 
 # ---------------------------------------------------------------------------
@@ -406,3 +407,23 @@ def test_skew_primitive_hopf_higher_even_order():
     assert h.dim == 8
     report = check_hopf_axioms_fd(h)
     assert report.all_pass, report.results
+
+
+def test_hopf_presentation_rejects_a_truncation_that_does_not_fit():
+    bial = universal_bialgebra_structure(manin_end_presentation(dual_numbers_grading()))
+    with pytest.raises(InputError, match="levels must be nonnegative"):
+        HopfPresentation(bial, -1, 4)
+    with pytest.raises(InputError, match="not a multiple of levels"):
+        HopfPresentation(bial, 2, 4)  # 2 generators on 3 levels
+    one_level = HopfPresentation(bial, 1, 4)
+    assert one_level.antipode == (NCPoly.gen(1), None)
+    assert one_level.level_of_gen == (0, 1) and one_level.base_gen_of == (0, 0)
+
+
+def test_hopf_data_shapes_are_checked_at_construction():
+    h = group_algebra_hopf(z2())
+    with pytest.raises(InputError, match="antipode matrix shape mismatch"):
+        FinDimHopf(h.dim, h.mult, h.unit, h.delta, h.counit, h.antipode[:1])
+    assert check_hopf_axioms_fd(h).all_pass and set(h.maps) == {
+        "mul", "unit", "delta", "eps", "antipode"
+    }

@@ -30,9 +30,9 @@ verdict = ideal_member_up_to(a * b - a, system)
 print("certain", system.confluent_up_to, verdict.certain)
 
 h = group_algebra_hopf(monoid_from_rows([[0, 1], [1, 0]], 0))
-bad = FinDimHopf(h.dim, h.mult, h.unit, (h.delta[0], {(-1, -1): Fraction(1)}), h.counit, h.antipode)
+delta = (h.delta[0], {(-1, -1): Fraction(1)})
 try:
-    antipode_from_convolution(bad)
+    antipode_from_convolution(FinDimHopf(h.dim, h.mult, h.unit, delta, h.counit, h.antipode))
 except InputError as exc:
     print("InputError", exc)
 
