@@ -4,8 +4,11 @@ Every document is one JSON object with a top-level "kind".  Rationals are
 strings "p/q" with q > 0 and gcd(p, q) = 1 (bare "p" for integers); labels
 and generator names are strings.  Every malformed document is rejected with
 an InputError whose message starts with the path to the offending field
-("$.delta[1][0].coeff: ...").  Serialization is canonical and deterministic:
-parse followed by serialize is the identity on canonical documents.
+("$.delta[1][0].coeff: ...").  parse_document alone writes that path: a bad
+field raises with no path, and each parse step puts its key or list index in
+front as the error unwinds (_at).  Serialization is canonical and
+deterministic: parse followed by serialize is the identity on canonical
+documents.
 """
 
 import json
@@ -13,13 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
-from .coact import (
-    FamilyMap,
-    FDAlgebra,
-    FDCoalgebra,
-    MatrixPresentation,
-    TensorValuedMap,
-)
+from .coact import FamilyMap, FDAlgebra, FDCoalgebra, MatrixPresentation, TensorValuedMap
 from .errors import InputError
 from .finmonoid import FinMonoid
 from .grading import Grading
@@ -31,51 +28,77 @@ from .setsuniversal import SetComodFrame
 from .signature import FinSetMagma, FinVectMagma, OmegaSignature
 
 
-def _fail(path, message):
-    raise InputError(f"{path}: {message}")
+class _BadField(InputError):
+    """A bad field: its message, and the keys and list indices that lead to it."""
+
+    def __init__(self, message, *where):
+        super().__init__(message)
+        self.where = list(where)
 
 
-def _expect(cond, path, message):
+def _expect(cond, message, *where):
     if not cond:
-        _fail(path, message)
+        raise _BadField(message, *where)
 
 
-def _make(path, build, *args):
-    """build(*args), with path put before the message of its InputError."""
+def _at(where, parse, *args):
+    """parse(*args), a bad field or a constructor's InputError put under where."""
     try:
-        return build(*args)
+        return parse(*args)
+    except _BadField as exc:
+        exc.where[:0] = where
+        raise
     except InputError as exc:
-        _fail(path, str(exc))
+        raise _BadField(str(exc), *where) from exc
 
 
-def _get(obj, key, path, types=None):
+def _get(obj, key, types=None):
     if not isinstance(obj, dict) or key not in obj:
-        _fail(path, f"missing field {key!r}")
+        raise _BadField(f"missing field {key!r}")
     value = obj[key]
     # a JSON boolean is no integer, though bool subclasses int
     if types is not None and (
         not isinstance(value, types) or types is int and isinstance(value, bool)
     ):
-        _fail(f"{path}.{key}", f"expected {types}, got {type(value).__name__}")
+        raise _BadField(f"expected {types}, got {type(value).__name__}", key)
     return value
 
 
-def _list(xs, path):
-    _expect(isinstance(xs, list), path, "expected a list")
-    return xs
+def _field(obj, key, parse, *args, types=list):
+    """parse(obj[key], *args)."""
+    return _at((key,), parse, _get(obj, key, types), *args)
 
 
-def parse_rational(s, path) -> Fraction:
-    _expect(isinstance(s, str), path, "rationals are strings 'p/q'")
+def _each(xs, parse, *args):
+    """The tuple of parse(x, *args) over the items x of the list xs."""
+    _expect(isinstance(xs, list), "expected a list")
+    return tuple([_at((i,), parse, x, *args) for i, x in enumerate(xs)])
+
+
+def _by_name(obj, key, parse):
+    """{name: parse(x)} over the items name: x of the object obj[key]."""
+    return {name: _at((key, name), parse, x) for name, x in _get(obj, key, dict).items()}
+
+
+def _record(obj, *fields):
+    """The tuple of the fields (key, types) of obj."""
+    return tuple([_get(obj, key, types) for key, types in fields])
+
+
+def parse_rational(s) -> Fraction:
+    _expect(isinstance(s, str), "rationals are strings 'p/q'")
     num, sep, den = s.partition("/")
     try:
         p = int(num)
         q = int(den) if sep else 1
     except ValueError:
-        _fail(path, f"malformed rational {s!r}")
-    _expect(q > 0, path, f"rational {s!r} must have a positive denominator")
-    _expect(gcd(abs(p), q) == 1, path, f"rational {s!r} is not in lowest terms")
-    _expect(not (sep and q == 1), path, f"rational {s!r} must be written without /1")
+        raise _BadField(f"malformed rational {s!r}") from None
+    if q <= 0:
+        raise _BadField(f"rational {s!r} must have a positive denominator")
+    if gcd(abs(p), q) != 1:
+        raise _BadField(f"rational {s!r} is not in lowest terms")
+    if sep and q == 1:
+        raise _BadField(f"rational {s!r} must be written without /1")
     return Fraction(p, q)
 
 
@@ -84,29 +107,24 @@ def format_rational(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
-def _int_list(xs, path):
-    _expect(isinstance(xs, list), path, "expected a list of integers")
+def _int_list(xs):
+    _expect(isinstance(xs, list), "expected a list of integers")
     for i, x in enumerate(xs):
-        _expect(isinstance(x, int) and not isinstance(x, bool), f"{path}[{i}]", "expected an integer")
-    return list(xs)
+        if not isinstance(x, int) or isinstance(x, bool):
+            raise _BadField("expected an integer", i)
+    return tuple(xs)
 
 
-def _rationals(doc, key, path):
-    return tuple(
-        parse_rational(x, f"{path}.{key}[{i}]")
-        for i, x in enumerate(_get(doc, key, path, list))
-    )
-
-
-def _label_index(labels, path):
+def _label_index(labels):
     """The map label -> position; a repeated label maps to its last position."""
     for i, label in enumerate(labels):
-        _expect(isinstance(label, str), f"{path}[{i}]", "expected a string")
+        _expect(isinstance(label, str), "expected a string", i)
     return {label: i for i, label in enumerate(labels)}
 
 
-def _index_of(pos, label, path, what):
-    _expect(isinstance(label, str) and label in pos, path, f"unknown {what} {label!r}")
+def _index_of(label, pos, what):
+    if not isinstance(label, str) or label not in pos:
+        raise _BadField(f"unknown {what} {label!r}")
     return pos[label]
 
 
@@ -114,104 +132,89 @@ def _index_of(pos, label, path, what):
 # parsers per kind
 
 
-def _parse_signature(doc, path) -> OmegaSignature:
-    ops_raw = _get(doc, "ops", path, list)
-    ops = []
-    for i, op in enumerate(ops_raw):
-        p = f"{path}.ops[{i}]"
-        name = _get(op, "name", p, str)
-        s = _get(op, "in", p, int)
-        t = _get(op, "out", p, int)
-        ops.append((name, s, t))
-    return _make(path, OmegaSignature, tuple(ops))
+def _parse_signature(doc) -> OmegaSignature:
+    ops = _field(doc, "ops", _each, _record, ("name", str), ("in", int), ("out", int))
+    return OmegaSignature(ops)
 
 
-def _parse_vect_magma(doc, path) -> FinVectMagma:
-    sig = _parse_nested(doc, "signature", "signature", path)
-    dim = _get(doc, "dim", path, int)
-    basis = _get(doc, "basis", path, list)
-    tensors_raw = _get(doc, "tensors", path, dict)
-    tensors = {}
-    for name, entries in tensors_raw.items():
-        table = {}
-        for i, e in enumerate(_list(entries, f"{path}.tensors.{name}")):
-            p = f"{path}.tensors.{name}[{i}]"
-            out = tuple(_int_list(_get(e, "out", p, list), f"{p}.out"))
-            inp = tuple(_int_list(_get(e, "in", p, list), f"{p}.in"))
-            coeff = parse_rational(_get(e, "coeff", p), f"{p}.coeff")
-            _expect((out, inp) not in table, p, "duplicate tensor entry")
-            if coeff != 0:
-                table[(out, inp)] = coeff
-        tensors[name] = table
-    return _make(path, FinVectMagma, sig, dim, tuple(basis), tensors)
+def _parse_vect_magma(doc) -> FinVectMagma:
+    sig = _parse_nested(doc, "signature", "signature")
+    dim = _get(doc, "dim", int)
+    basis = _get(doc, "basis", list)
+    return FinVectMagma(sig, dim, tuple(basis), _by_name(doc, "tensors", _parse_tensor))
 
 
-def _parse_set_magma(doc, path) -> FinSetMagma:
-    sig = _parse_nested(doc, "signature", "signature", path)
-    size = _get(doc, "size", path, int)
-    tables_raw = _get(doc, "tables", path, dict)
-    tables = {}
-    for name, entries in tables_raw.items():
-        table = {}
-        for i, e in enumerate(_list(entries, f"{path}.tables.{name}")):
-            p = f"{path}.tables.{name}[{i}]"
-            inp = tuple(_int_list(_get(e, "in", p, list), f"{p}.in"))
-            out = tuple(_int_list(_get(e, "out", p, list), f"{p}.out"))
-            _expect(inp not in table, p, "duplicate table entry")
-            table[inp] = out
-        tables[name] = table
-    return _make(path, FinSetMagma, sig, size, tables)
+def _parse_tensor(entries):
+    """{(out, in): coeff}, zero coefficients dropped."""
+    _expect(isinstance(entries, list), "expected a list")
+    table = {}
+    for i, e in enumerate(entries):
+        out, inp, coeff = _at((i,), _parse_tensor_entry, e)
+        _expect((out, inp) not in table, "duplicate tensor entry", i)
+        if coeff != 0:
+            table[(out, inp)] = coeff
+    return table
 
 
-def _parse_monoid_table(doc, path) -> FinMonoid:
-    table = _get(doc, "table", path, list)
-    rows = tuple(tuple(_int_list(r, f"{path}.table[{i}]")) for i, r in enumerate(table))
-    unit = _get(doc, "unit", path, int)
-    return _make(path, FinMonoid, rows, unit)
+def _parse_tensor_entry(e):
+    out = _field(e, "out", _int_list)
+    inp = _field(e, "in", _int_list)
+    return out, inp, _field(e, "coeff", parse_rational, types=None)
 
 
-def _parse_grading(doc, path) -> Grading:
-    algebra = _parse_nested(doc, "algebra", "vect_magma", path)
-    labels = _get(doc, "labels", path, list)
-    assignment_raw = _get(doc, "assignment", path, list)
-    pos = _label_index(labels, f"{path}.labels")
-    assignment = tuple(
-        _index_of(pos, l, f"{path}.assignment[{i}]", "label")
-        for i, l in enumerate(assignment_raw)
-    )
+def _parse_set_magma(doc) -> FinSetMagma:
+    sig = _parse_nested(doc, "signature", "signature")
+    size = _get(doc, "size", int)
+    return FinSetMagma(sig, size, _by_name(doc, "tables", _parse_table))
+
+
+def _parse_table(entries):
+    _expect(isinstance(entries, list), "expected a list")
+    table = {}
+    for i, e in enumerate(entries):
+        inp, out = _at((i,), _parse_table_entry, e)
+        _expect(inp not in table, "duplicate table entry", i)
+        table[inp] = out
+    return table
+
+
+def _parse_table_entry(e):
+    return _field(e, "in", _int_list), _field(e, "out", _int_list)
+
+
+def _parse_monoid_table(doc) -> FinMonoid:
+    return FinMonoid(_field(doc, "table", _each, _int_list), _get(doc, "unit", int))
+
+
+def _parse_grading(doc) -> Grading:
+    algebra = _parse_nested(doc, "algebra", "vect_magma")
+    labels = _get(doc, "labels", list)
+    assignment = _get(doc, "assignment", list)
+    pos = _at(("labels",), _label_index, labels)
+    assignment = _at(("assignment",), _each, assignment, _index_of, pos, "label")
     group = label_elems = None
-    gblock = doc.get("group")
-    if gblock is not None:
-        group = _parse_nested(gblock, "monoid", "monoid_table", f"{path}.group")
-        label_elems = tuple(
-            _int_list(_get(gblock, "label_elements", f"{path}.group", list),
-                      f"{path}.group.label_elements")
-        )
-    return _make(path, Grading, algebra, tuple(labels), assignment, group, label_elems)
+    if doc.get("group") is not None:
+        group = _at(("group",), _parse_nested, doc["group"], "monoid", "monoid_table")
+        label_elems = _at(("group",), _field, doc["group"], "label_elements", _int_list)
+    return Grading(algebra, tuple(labels), assignment, group, label_elems)
 
 
-def _parse_delta(rows, path):
-    """Each row of terms {left, right, coeff} as {(left, right): coeff}, zero
-    coefficients dropped."""
-    delta = []
-    for i, row in enumerate(rows):
-        terms = {}
-        for t, e in enumerate(_list(row, f"{path}[{i}]")):
-            p = f"{path}[{i}][{t}]"
-            jk = (_get(e, "left", p, int), _get(e, "right", p, int))
-            coeff = parse_rational(_get(e, "coeff", p), f"{p}.coeff")
-            if coeff != 0:
-                terms[jk] = coeff
-        delta.append(terms)
-    return tuple(delta)
+def _parse_delta_row(row):
+    """Terms {left, right, coeff} as {(left, right): coeff}, zeros dropped."""
+    return {jk: c for jk, c in _each(row, _parse_delta_term) if c != 0}
 
 
-def _parse_coalgebra(doc, path) -> FDCoalgebra:
-    dim = _get(doc, "dim", path, int)
-    delta_raw = _get(doc, "delta", path, list)
-    _expect(len(delta_raw) == dim, f"{path}.delta", "one entry list per basis vector")
-    delta = _parse_delta(delta_raw, f"{path}.delta")
-    return _make(path, FDCoalgebra, dim, delta, _rationals(doc, "counit", path))
+def _parse_delta_term(e):
+    jk = _record(e, ("left", int), ("right", int))
+    return jk, _field(e, "coeff", parse_rational, types=None)
+
+
+def _parse_coalgebra(doc) -> FDCoalgebra:
+    dim = _get(doc, "dim", int)
+    delta = _get(doc, "delta", list)
+    _expect(len(delta) == dim, "one entry list per basis vector", "delta")
+    delta = _at(("delta",), _each, delta, _parse_delta_row)
+    return FDCoalgebra(dim, delta, _field(doc, "counit", _each, parse_rational))
 
 
 def fd_algebra_from_vect_magma(vm: FinVectMagma) -> FDAlgebra:
@@ -252,223 +255,209 @@ class TensorMapDoc:
             object.__setattr__(self, "coeff_fd_algebra", fd)
 
 
-def _parse_matrix(rows, path, ncols=None):
-    _expect(isinstance(rows, list), path, "expected a matrix (list of rows)")
-    out = []
-    for i, r in enumerate(rows):
-        _expect(isinstance(r, list), f"{path}[{i}]", "expected a row")
-        if ncols is not None:
-            _expect(len(r) == ncols, f"{path}[{i}]", f"expected {ncols} entries")
-        out.append(tuple(parse_rational(x, f"{path}[{i}][{j}]") for j, x in enumerate(r)))
-    return tuple(out)
+def _parse_matrix(rows, ncols=None):
+    _expect(isinstance(rows, list), "expected a matrix (list of rows)")
+    return _each(rows, _parse_row, ncols)
 
 
-def _parse_tensor_map(doc, path) -> TensorMapDoc:
-    dim_in = _get(doc, "dim_in", path, int)
-    dim_out = _get(doc, "dim_out", path, int)
-    dim_coeff = _get(doc, "dim_coeff", path, int)
-    entries_raw = _get(doc, "entries", path, list)
-    _expect(len(entries_raw) == dim_out, f"{path}.entries", "one row per target basis vector")
-    entries = []
-    for b, row in enumerate(entries_raw):
-        p = f"{path}.entries[{b}]"
-        _expect(isinstance(row, list) and len(row) == dim_in,
-                p, "one coefficient vector per source basis vector")
-        entries.append(_parse_matrix(row, p))
-    tvm = _make(path, TensorValuedMap, dim_in, dim_out, dim_coeff, tuple(entries))
-    source = target = None
-    coeff_algebra = coeff_coalgebra = None
-    if doc.get("source") is not None:
-        source = _parse_nested(doc, "source", "vect_magma", path)
-    if doc.get("target") is not None:
-        target = _parse_nested(doc, "target", "vect_magma", path)
-    if doc.get("coeff_algebra") is not None:
-        coeff_algebra = _parse_nested(doc, "coeff_algebra", "vect_magma", path)
-    if doc.get("coeff_coalgebra") is not None:
-        coeff_coalgebra = _parse_nested(doc, "coeff_coalgebra", "coalgebra", path)
+def _parse_row(row, ncols):
+    _expect(isinstance(row, list), "expected a row")
+    if ncols is not None and len(row) != ncols:
+        raise _BadField(f"expected {ncols} entries")
+    return _each(row, parse_rational)
+
+
+def _parse_tensor_map(doc) -> TensorMapDoc:
+    fields = ("dim_in", int), ("dim_out", int), ("dim_coeff", int)
+    dim_in, dim_out, dim_coeff = _record(doc, *fields)
+    entries = _get(doc, "entries", list)
+    _expect(len(entries) == dim_out, "one row per target basis vector", "entries")
+    entries = _at(("entries",), _each, entries, _parse_tensor_map_row, dim_in)
+    tvm = TensorValuedMap(dim_in, dim_out, dim_coeff, entries)
+    source = _parse_nested(doc, "source", "vect_magma", optional=True)
+    target = _parse_nested(doc, "target", "vect_magma", optional=True)
+    coeff_algebra = _parse_nested(doc, "coeff_algebra", "vect_magma", optional=True)
+    coeff_coalgebra = _parse_nested(doc, "coeff_coalgebra", "coalgebra", optional=True)
     # of these fields, only the coefficient algebra can fail in the constructor
-    return _make(
-        f"{path}.coeff_algebra",
-        TensorMapDoc, tvm, source, target, coeff_algebra, coeff_coalgebra,
-    )
+    return _at(("coeff_algebra",), TensorMapDoc,
+               tvm, source, target, coeff_algebra, coeff_coalgebra)
 
 
-def _parse_family_map(doc, path) -> FamilyMap:
-    dim_p = _get(doc, "dim_p", path, int)
-    dim_in = _get(doc, "dim_in", path, int)
-    dim_out = _get(doc, "dim_out", path, int)
-    mats_raw = _get(doc, "matrices", path, list)
-    _expect(len(mats_raw) == dim_p, f"{path}.matrices", "one matrix per P basis vector")
-    mats = tuple(
-        _parse_matrix(m, f"{path}.matrices[{i}]", ncols=dim_in) for i, m in enumerate(mats_raw)
-    )
-    return _make(path, FamilyMap, dim_p, dim_in, dim_out, mats)
+def _parse_tensor_map_row(row, dim_in):
+    _expect(isinstance(row, list) and len(row) == dim_in,
+            "one coefficient vector per source basis vector")
+    return _parse_matrix(row)
 
 
-def _parse_ncpoly(terms_raw, pos, path) -> NCPoly:
+def _parse_family_map(doc) -> FamilyMap:
+    dim_p, dim_in, dim_out = _record(doc, ("dim_p", int), ("dim_in", int), ("dim_out", int))
+    mats = _get(doc, "matrices", list)
+    _expect(len(mats) == dim_p, "one matrix per P basis vector", "matrices")
+    mats = _at(("matrices",), _each, mats, _parse_matrix, dim_in)
+    return FamilyMap(dim_p, dim_in, dim_out, mats)
+
+
+def _parse_ncpoly(terms_raw, pos) -> NCPoly:
     terms = {}
-    for i, term in enumerate(_list(terms_raw, path)):
-        p = f"{path}[{i}]"
-        _expect(isinstance(term, list) and len(term) == 2, p, "expected [word, coeff]")
-        word_raw, coeff_raw = term
-        _expect(isinstance(word_raw, list), f"{p}[0]", "expected a word (label array)")
-        word = tuple(
-            _index_of(pos, lab, f"{p}[0][{j}]", "generator") for j, lab in enumerate(word_raw)
-        )
-        coeff = parse_rational(coeff_raw, f"{p}[1]")
+    for word, coeff in _each(terms_raw, _parse_ncpoly_term, pos):
         terms[word] = terms.get(word, Fraction(0)) + coeff
     return NCPoly(terms)
 
 
-def _parse_presentation(doc, path):
-    ptype = _get(doc, "presentation_type", path, str)
-    gens = _get(doc, "generators", path, list)
-    _expect(ptype in ("group", "algebra"), path, f"unknown presentation_type {ptype!r}")
-    pos = _label_index(gens, f"{path}.generators")
+def _parse_ncpoly_term(term, pos):
+    _expect(isinstance(term, list) and len(term) == 2, "expected [word, coeff]")
+    word, coeff = term
+    _expect(isinstance(word, list), "expected a word (label array)", 0)
+    word = _at((0,), _each, word, _index_of, pos, "generator")
+    return word, _at((1,), parse_rational, coeff)
+
+
+def _parse_presentation(doc):
+    ptype = _get(doc, "presentation_type", str)
+    gens = _get(doc, "generators", list)
+    if ptype not in ("group", "algebra"):
+        raise _BadField(f"unknown presentation_type {ptype!r}")
+    pos = _at(("generators",), _label_index, gens)
     if ptype == "algebra":
-        return _parse_algebra(doc, gens, pos, path)
-    relators_raw = _get(doc, "relators", path, list)
-    relators = []
-    for i, w in enumerate(relators_raw):
-        word = tuple(_int_list(w, f"{path}.relators[{i}]"))
-        _expect(
-            free_reduce_word(word) == word,
-            f"{path}.relators[{i}]",
-            "relator is not freely reduced",
-        )
-        relators.append(word)
-    return _make(path, GroupPresentation, len(gens), tuple(relators), tuple(gens))
+        return _parse_algebra(doc, gens, pos)
+    relators = _field(doc, "relators", _each, _parse_relator)
+    return GroupPresentation(len(gens), relators, tuple(gens))
 
 
-def _parse_algebra(doc, gens, pos, path):
+def _parse_relator(word):
+    word = _int_list(word)
+    _expect(free_reduce_word(word) == word, "relator is not freely reduced")
+    return word
+
+
+def _parse_algebra(doc, gens, pos):
     """The algebra presentation on gens, a MatrixPresentation when the
     document has a matrix_index; pos is the generator label -> index map."""
-    relations = []
-    for i, terms in enumerate(_get(doc, "relations", path, list)):
-        poly = _parse_ncpoly(terms, pos, f"{path}.relations[{i}]")
-        _expect(not poly.is_zero(), f"{path}.relations[{i}]", "zero relation")
-        relations.append(poly)
-    algebra = _make(path, AlgebraPresentation, len(gens), tuple(gens), tuple(relations))
-    mi = doc.get("matrix_index")
-    if mi is None:
+    relations = _field(doc, "relations", _each, _parse_relation, pos)
+    algebra = AlgebraPresentation(len(gens), tuple(gens), relations)
+    if doc.get("matrix_index") is None:
         return algebra
-    at = f"{path}.matrix_index"
-    gen_index = []
-    for n, e in enumerate(_get(mi, "gen_index", at, list)):
-        p = f"{at}.gen_index[{n}]"
-        gen_index.append((_get(e, "block", p, str), _get(e, "i", p, int), _get(e, "j", p, int)))
-    blocks = []
-    for n, b in enumerate(_get(mi, "blocks", at, list)):
-        p = f"{at}.blocks[{n}]"
-        members = _int_list(_get(b, "members", p, list), f"{p}.members")
-        blocks.append((_get(b, "block", p, str), tuple(members)))
-    return _make(at, MatrixPresentation, algebra, tuple(gen_index), tuple(blocks))
+    return _at(("matrix_index",), _parse_matrix_index, doc["matrix_index"], algebra)
 
 
-def _parse_bialgebra_presentation(doc, path):
-    gens = _get(doc, "generators", path, list)
-    pos = _label_index(gens, f"{path}.generators")
-    base = _parse_algebra(doc, gens, pos, path)
+def _parse_relation(terms, pos):
+    poly = _parse_ncpoly(terms, pos)
+    _expect(not poly.is_zero(), "zero relation")
+    return poly
+
+
+def _parse_matrix_index(mi, algebra):
+    gen_index = _field(mi, "gen_index", _each, _record, ("block", str), ("i", int), ("j", int))
+    blocks = _field(mi, "blocks", _each, _parse_block)
+    return MatrixPresentation(algebra, gen_index, blocks)
+
+
+def _parse_block(b):
+    members = _field(b, "members", _int_list)
+    return _get(b, "block", str), members
+
+
+def _parse_bialgebra_presentation(doc):
+    gens = _get(doc, "generators", list)
+    pos = _at(("generators",), _label_index, gens)
+    base = _parse_algebra(doc, gens, pos)
     matrix = base if isinstance(base, MatrixPresentation) else None
     algebra = base if matrix is None else matrix.algebra
     k = algebra.num_gens
-    delta_raw = _get(doc, "delta", path, list)
-    _expect(len(delta_raw) == k, f"{path}.delta", "one coproduct image per generator")
-    delta = []
-    for g, terms_raw in enumerate(delta_raw):
-        poly = NCPoly.zero()
-        for i, term in enumerate(_list(terms_raw, f"{path}.delta[{g}]")):
-            p = f"{path}.delta[{g}][{i}]"
-            left = _get(term, "left", p, list)
-            right = _get(term, "right", p, list)
-            coeff = parse_rational(_get(term, "coeff", p), f"{p}.coeff")
-            word = [_index_of(pos, lab, p, "generator") for lab in left]
-            word += [k + _index_of(pos, lab, p, "generator") for lab in right]
-            poly = poly + NCPoly.monomial(tuple(word), coeff)
-        delta.append(poly)
-    counit = _rationals(doc, "counit", path)
-    bial = _make(path, BialgebraPresentation, algebra, tuple(delta), counit, matrix)
-    tr = doc.get("truncation")
-    if tr is None:
+    delta = _get(doc, "delta", list)
+    _expect(len(delta) == k, "one coproduct image per generator", "delta")
+    delta = _at(("delta",), _each, delta, _parse_coproduct, pos, k)
+    counit = _field(doc, "counit", _each, parse_rational)
+    bial = BialgebraPresentation(algebra, delta, counit, matrix)
+    if doc.get("truncation") is None:
         return bial
-    levels = _get(tr, "levels", f"{path}.truncation", int)
-    degree = _get(tr, "degree_bound", f"{path}.truncation", int)
-    hopf = _make(f"{path}.truncation.levels", HopfPresentation, bial, levels, degree)
-    antipode = tuple(
-        None if entry is None else _parse_ncpoly(entry, pos, f"{path}.antipode[{g}]")
-        for g, entry in enumerate(_get(doc, "antipode", path, list))
-    )
-    levels_of = _int_list(
-        _get(doc, "levels_of_generators", path, list), f"{path}.levels_of_generators"
-    )
-    base_of = _int_list(_get(doc, "base_generators", path, list), f"{path}.base_generators")
+    tr = doc["truncation"]
+    levels, degree = _at(("truncation",), _record, tr, ("levels", int), ("degree_bound", int))
+    # each of the constructor's messages names its own field of the truncation
+    hopf = _at(("truncation",), HopfPresentation, bial, levels, degree)
+    antipode = _field(doc, "antipode", _each, _parse_antipode_entry, pos)
+    levels_of = _field(doc, "levels_of_generators", _int_list)
+    base_of = _field(doc, "base_generators", _int_list)
     for key, value, derived in (
         ("antipode", antipode, hopf.antipode),
-        ("levels_of_generators", tuple(levels_of), hopf.level_of_gen),
-        ("base_generators", tuple(base_of), hopf.base_gen_of),
+        ("levels_of_generators", levels_of, hopf.level_of_gen),
+        ("base_generators", base_of, hopf.base_gen_of),
     ):
-        _expect(value == derived, f"{path}.{key}", "does not follow from the truncation")
+        _expect(value == derived, "does not follow from the truncation", key)
     return hopf
 
 
-def _parse_hopf_fd(doc, path) -> FinDimHopf:
-    dim = _get(doc, "dim", path, int)
-    mult_raw = _get(doc, "mult", path, list)
-    _expect(len(mult_raw) == dim, f"{path}.mult", "one row per basis vector")
-    mult = tuple(_parse_matrix(row, f"{path}.mult[{i}]") for i, row in enumerate(mult_raw))
-    unit = _rationals(doc, "unit", path)
-    delta = _parse_delta(_get(doc, "delta", path, list), f"{path}.delta")
-    counit = _rationals(doc, "counit", path)
-    antipode = _parse_matrix(_get(doc, "antipode", path, list), f"{path}.antipode", ncols=dim)
-    return _make(path, FinDimHopf, dim, mult, unit, delta, counit, antipode)
+def _parse_coproduct(terms, pos, k):
+    return sum(_each(terms, _parse_coproduct_term, pos, k), NCPoly.zero())
 
 
-def _parse_category(doc, path) -> FiniteCategory:
-    objects = _get(doc, "objects", path, int)
-    morphisms_raw = _get(doc, "morphisms", path, list)
-    dom = []
-    cod = []
-    for i, m in enumerate(morphisms_raw):
-        p = f"{path}.morphisms[{i}]"
-        dom.append(_get(m, "dom", p, int))
-        cod.append(_get(m, "cod", p, int))
-    identity = tuple(_int_list(_get(doc, "identity", path, list), f"{path}.identity"))
-    compose_raw = _get(doc, "compose", path, list)
+def _parse_coproduct_term(term, pos, k):
+    left = _get(term, "left", list)
+    right = _get(term, "right", list)
+    coeff = _field(term, "coeff", parse_rational, types=None)
+    word = [_index_of(lab, pos, "generator") for lab in left]
+    word += [k + _index_of(lab, pos, "generator") for lab in right]
+    return NCPoly.monomial(tuple(word), coeff)
+
+
+def _parse_antipode_entry(entry, pos):
+    return None if entry is None else _parse_ncpoly(entry, pos)
+
+
+def _parse_hopf_fd(doc) -> FinDimHopf:
+    dim = _get(doc, "dim", int)
+    mult = _get(doc, "mult", list)
+    _expect(len(mult) == dim, "one row per basis vector", "mult")
+    mult = _at(("mult",), _each, mult, _parse_matrix)
+    unit = _field(doc, "unit", _each, parse_rational)
+    delta = _field(doc, "delta", _each, _parse_delta_row)
+    counit = _field(doc, "counit", _each, parse_rational)
+    antipode = _field(doc, "antipode", _parse_matrix, dim)
+    return FinDimHopf(dim, mult, unit, delta, counit, antipode)
+
+
+def _parse_category(doc) -> FiniteCategory:
+    objects = _get(doc, "objects", int)
+    morphisms = _field(doc, "morphisms", _each, _record, ("dom", int), ("cod", int))
+    identity = _field(doc, "identity", _int_list)
+    compose = _field(doc, "compose", _parse_compose)
+    dom = tuple(d for d, _ in morphisms)
+    cod = tuple(c for _, c in morphisms)
+    return FiniteCategory(objects, dom, cod, identity, compose)
+
+
+def _parse_compose(triples):
     compose = {}
-    for i, triple in enumerate(compose_raw):
-        p = f"{path}.compose[{i}]"
-        _expect(isinstance(triple, list) and len(triple) == 3, p, "expected [g, f, h]")
-        g, f, h = _int_list(triple, p)
-        _expect((g, f) not in compose, p, f"second composite of {g} after {f}")
+    for i, triple in enumerate(triples):
+        _expect(isinstance(triple, list) and len(triple) == 3, "expected [g, f, h]", i)
+        g, f, h = _at((i,), _int_list, triple)
+        if (g, f) in compose:
+            raise _BadField(f"second composite of {g} after {f}", i)
         compose[(g, f)] = h
-    return _make(path, FiniteCategory, objects, tuple(dom), tuple(cod), identity, compose)
+    return compose
 
 
-def _parse_functor(doc, path) -> FunctorData:
-    source = _parse_nested(doc, "source", "category", path)
-    target = _parse_nested(doc, "target", "category", path)
-    object_map = tuple(_int_list(_get(doc, "object_map", path, list), f"{path}.object_map"))
-    morphism_map = tuple(
-        _int_list(_get(doc, "morphism_map", path, list), f"{path}.morphism_map")
-    )
-    return _make(path, FunctorData, source, target, object_map, morphism_map)
+def _parse_functor(doc) -> FunctorData:
+    source = _parse_nested(doc, "source", "category")
+    target = _parse_nested(doc, "target", "category")
+    object_map = _field(doc, "object_map", _int_list)
+    morphism_map = _field(doc, "morphism_map", _int_list)
+    return FunctorData(source, target, object_map, morphism_map)
 
 
-def _parse_frame_sets(doc, path) -> SetComodFrame:
-    magma = _parse_nested(doc, "magma", "set_magma", path)
-    psi = tuple(_int_list(_get(doc, "psi", path, list), f"{path}.psi"))
-    num_labels = _get(doc, "num_labels", path, int)
-    return _make(f"{path}.psi", SetComodFrame, magma, psi, num_labels)
+def _parse_frame_sets(doc) -> SetComodFrame:
+    magma = _parse_nested(doc, "magma", "set_magma")
+    psi = _field(doc, "psi", _int_list)
+    num_labels = _get(doc, "num_labels", int)
+    return _at(("psi",), SetComodFrame, magma, psi, num_labels)
 
 
-
-
-def _parse_map_set(doc, path):
-    maps = _get(doc, "maps", path)
+def _parse_map_set(doc):
+    maps = _get(doc, "maps")
     if maps == "all":
         return "all"
-    _expect(isinstance(maps, list), f"{path}.maps", "expected 'all' or a list of maps")
-    return [tuple(_int_list(m, f"{path}.maps[{i}]")) for i, m in enumerate(maps)]
+    _expect(isinstance(maps, list), "expected 'all' or a list of maps", "maps")
+    return list(_at(("maps",), _each, maps, _int_list))
 
 
 _PARSERS = {
@@ -490,21 +479,29 @@ _PARSERS = {
 }
 
 
-def _parse_nested(doc, key, expected_kind, path):
-    sub = _get(doc, key, path, dict)
-    kind = _get(sub, "kind", f"{path}.{key}", str)
-    _expect(kind == expected_kind, f"{path}.{key}", f"expected kind {expected_kind!r}")
-    return _PARSERS[expected_kind](sub, f"{path}.{key}")
+def _parse_nested(doc, key, kind, optional=False):
+    if optional and doc.get(key) is None:
+        return None
+    return _field(doc, key, _parse_kind, kind, types=dict)
+
+
+def _parse_kind(sub, kind):
+    if _get(sub, "kind", str) != kind:
+        raise _BadField(f"expected kind {kind!r}")
+    return _PARSERS[kind](sub)
 
 
 def parse_document(doc: dict):
     """Parse an already-decoded document; returns (kind, typed value)."""
-    if not isinstance(doc, dict):
-        raise InputError("$: document must be a JSON object")
-    kind = _get(doc, "kind", "$", str)
-    if kind not in _PARSERS:
-        _fail("$.kind", f"unknown kind {kind!r}")
-    return kind, _PARSERS[kind](doc, "$")
+    try:
+        _expect(isinstance(doc, dict), "document must be a JSON object")
+        kind = _get(doc, "kind", str)
+        if kind not in _PARSERS:
+            raise _BadField(f"unknown kind {kind!r}", "kind")
+        return kind, _at((), _PARSERS[kind], doc)
+    except _BadField as exc:
+        path = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in exc.where)
+        raise InputError(f"${path}: {exc}") from None
 
 
 def parse_input_document(text: str):

@@ -281,7 +281,7 @@ class HopfPresentation:
     """Truncated antipode-level presentation of a Hopf envelope: with k
     generators per level 0..levels, generator n*k + g is g^(n), and the
     antipode sends g^(n) to g^(n+1) (None on the top level).  Raises
-    InputError unless levels >= 0 and levels + 1 divides the generator count."""
+    InputError unless levels, degree_bound >= 0 and levels + 1 divides the generator count."""
 
     bialgebra: BialgebraPresentation
     levels: int
@@ -292,6 +292,8 @@ class HopfPresentation:
             raise InputError("levels must be nonnegative")
         if self.algebra.num_gens % (self.levels + 1):
             raise InputError("generator count is not a multiple of levels + 1")
+        if self.degree_bound < 0:
+            raise InputError("degree bound must be nonnegative")
 
     @property
     def algebra(self) -> AlgebraPresentation:

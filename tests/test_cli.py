@@ -496,3 +496,20 @@ def test_check_hopf_names_the_path_of_misshapen_data(tmp_path):
     doc["mult"][0][0] = ["1"]
     code, out, err = invoke(["check-hopf", write(tmp_path, "h.json", doc)])
     assert (code, out, err) == (2, "", "error: $: product vector length mismatch\n")
+
+
+@pytest.mark.parametrize("command", ["hopf-envelope", "manin-aut"])
+def test_negative_degree_bound_is_rejected(tmp_path, command):
+    from univhopf.coact import manin_end_presentation
+    from univhopf.hopf import universal_bialgebra_structure
+
+    grading = dual_numbers_grading()
+    if command == "hopf-envelope":
+        bial = universal_bialgebra_structure(manin_end_presentation(grading))
+        doc = docs.serialize_bialgebra_presentation(bial)
+    else:
+        doc = docs.serialize_grading(grading)
+    path = write(tmp_path, "in.json", doc)
+    argv = [command, path, "--antipode-levels", "1", "--degree-bound", "-3"]
+    code, out, err = invoke(argv)
+    assert (code, out, err) == (2, "", "error: degree bound must be nonnegative\n")

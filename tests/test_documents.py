@@ -1,4 +1,6 @@
 import copy
+import functools
+import hashlib
 import json
 from dataclasses import replace
 from fractions import Fraction
@@ -46,11 +48,11 @@ _MANIN_END_BIALGEBRA = docs.serialize_bialgebra_presentation(
 
 
 def test_rational_parsing():
-    assert docs.parse_rational("3", "$") == F(3)
-    assert docs.parse_rational("-7/2", "$") == F(-7, 2)
+    assert docs.parse_rational("3") == F(3)
+    assert docs.parse_rational("-7/2") == F(-7, 2)
     for bad in ("2/4", "1/-2", "1/0", "x", "3/1", 7):
         with pytest.raises(InputError):
-            docs.parse_rational(bad, "$")
+            docs.parse_rational(bad)
 
 
 def test_format_rational():
@@ -174,16 +176,39 @@ def _replaced(doc, path, value):
     return out
 
 
-@pytest.mark.parametrize("doc", MUTATION_FIXTURES, ids=lambda d: d["kind"])
-def test_one_field_mutations_raise_only_typed_errors(doc):
+@functools.cache
+def _mutation_outcomes(k):
+    """[path, repr(value), outcome] for every one-field mutation of fixture k,
+    the outcome "ok" or the typed error raised, as "ClassName: message"."""
+    doc = MUTATION_FIXTURES[k]
+    outcomes = []
     for path in _field_paths(doc):
         for value in MUTANT_VALUES:
             try:
                 docs.parse_document(_replaced(doc, path, value))
-            except (InputError, PreconditionError):
-                pass
+                outcome = "ok"
+            except (InputError, PreconditionError) as exc:
+                outcome = f"{type(exc).__name__}: {exc}"
             except Exception as exc:
                 pytest.fail(f"{path} = {value!r}: {exc!r}")
+            outcomes.append([list(path), repr(value), outcome])
+    return outcomes
+
+
+@pytest.mark.parametrize(
+    "k", range(len(MUTATION_FIXTURES)), ids=lambda k: MUTATION_FIXTURES[k]["kind"]
+)
+def test_one_field_mutations_raise_only_typed_errors(k):
+    _mutation_outcomes(k)
+
+
+def test_one_field_mutation_outcomes_are_pinned():
+    # every outcome, each rejection with its path and message
+    outcomes = [o for k in range(len(MUTATION_FIXTURES)) for o in _mutation_outcomes(k)]
+    assert len(outcomes) == 11736
+    assert sum(o[2] != "ok" for o in outcomes) == 11252
+    digest = hashlib.sha256(json.dumps(outcomes).encode()).hexdigest()
+    assert digest == "086d7fc8489b1bda11a81a017f9d730b047dde121f540e0e56d4f70be2323791"
 
 
 def test_missing_kind_rejected():
@@ -293,13 +318,18 @@ MALFORMED = [
     ),
     pytest.param(
         _BAD_TRUNCATION,
-        "$.truncation.levels: levels must be nonnegative",
+        "$.truncation: levels must be nonnegative",
         id="envelope_with_negative_levels",
     ),
     pytest.param(
         _replaced(_ENVELOPE, ("truncation", "levels"), 2),
-        "$.truncation.levels: generator count is not a multiple of levels + 1",
+        "$.truncation: generator count is not a multiple of levels + 1",
         id="envelope_levels_not_dividing_the_generators",
+    ),
+    pytest.param(
+        _replaced(_ENVELOPE, ("truncation", "degree_bound"), -3),
+        "$.truncation: degree bound must be nonnegative",
+        id="envelope_with_negative_degree_bound",
     ),
     pytest.param(
         _replaced(_ENVELOPE, ("levels_of_generators",), [9, 9, 9, 9]),
@@ -356,3 +386,38 @@ def test_envelope_document_derives_its_bookkeeping():
     assert kind == "bialgebra_presentation" and env.levels == 1
     assert env.level_of_gen == (0, 0, 1, 1) and env.base_gen_of == (0, 1, 0, 1)
     assert _ENVELOPE["antipode"][2:] == [None, None]
+
+
+# each document repeats an item and has a malformed item after it: the repeat,
+# the first fault, is the one reported
+_CATEGORY = docs.serialize_category(thin_chain_category(3))
+_C3 = docs.serialize_set_magma(cyclic_set_magma(3))
+_DUAL = docs.serialize_vect_magma(dual_numbers())
+
+FIRST_FAULTS = [
+    pytest.param(
+        _replaced(_CATEGORY, ("compose",),
+                  _CATEGORY["compose"] + [_CATEGORY["compose"][0], ["x", 0, 0]]),
+        "$.compose[10]: second composite of 0 after 0",
+        id="category_second_composite",
+    ),
+    pytest.param(
+        _replaced(_replaced(_C3, ("tables", "mu", 1), _C3["tables"]["mu"][0]),
+                  ("tables", "mu", 2, "in"), ["x"]),
+        "$.tables.mu[1]: duplicate table entry",
+        id="set_magma_duplicate_table_entry",
+    ),
+    pytest.param(
+        _replaced(_replaced(_DUAL, ("tensors", "mu", 1), _DUAL["tensors"]["mu"][0]),
+                  ("tensors", "mu", 2, "coeff"), "2/4"),
+        "$.tensors.mu[1]: duplicate tensor entry",
+        id="vect_magma_duplicate_tensor_entry",
+    ),
+]
+
+
+@pytest.mark.parametrize("doc, message", FIRST_FAULTS)
+def test_the_first_of_two_faults_is_reported(doc, message):
+    with pytest.raises(InputError) as err:
+        docs.parse_document(doc)
+    assert str(err.value) == message
