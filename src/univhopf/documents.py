@@ -8,13 +8,16 @@ an InputError whose message starts with the path to the offending field
 field raises with no path, and each parse step puts its key or list index in
 front as the error unwinds (_at).  Serialization is canonical and
 deterministic: parse followed by serialize is the identity on canonical
-documents.
+documents.  document_to_json writes the text of json.dumps(doc, indent=1)
+byte for byte, with its strings and int lists written by C calls.
 """
 
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from math import gcd
+from operator import countOf
 
 from .coact import FamilyMap, FDAlgebra, FDCoalgebra, MatrixPresentation, TensorValuedMap
 from .errors import InputError
@@ -110,7 +113,7 @@ def format_rational(x: Fraction) -> str:
 def _int_list(xs):
     _expect(isinstance(xs, list), "expected a list of integers")
     for i, x in enumerate(xs):
-        if not isinstance(x, int) or isinstance(x, bool):
+        if type(x) is not int and (not isinstance(x, int) or isinstance(x, bool)):
             raise _BadField("expected an integer", i)
     return tuple(xs)
 
@@ -145,15 +148,15 @@ def _parse_vect_magma(doc) -> FinVectMagma:
 
 
 def _parse_tensor(entries):
-    """{(out, in): coeff}, zero coefficients dropped."""
+    """{(out, in): coeff} without its zero coefficients; a repeated
+    (out, in) is rejected, whether its coefficients are zero or not."""
     _expect(isinstance(entries, list), "expected a list")
     table = {}
     for i, e in enumerate(entries):
         out, inp, coeff = _at((i,), _parse_tensor_entry, e)
         _expect((out, inp) not in table, "duplicate tensor entry", i)
-        if coeff != 0:
-            table[(out, inp)] = coeff
-    return table
+        table[(out, inp)] = coeff
+    return {key: c for key, c in table.items() if c != 0}
 
 
 def _parse_tensor_entry(e):
@@ -754,7 +757,49 @@ def serialize_map_set(maps) -> dict:
 
 
 def document_to_json(doc: dict) -> str:
-    return json.dumps(doc, indent=1, sort_keys=False) + "\n"
+    """json.dumps(doc, indent=1) + "\n", byte for byte, without json's
+    pure-Python indenting encoder: a list of exact ints or of exact strs is
+    written in one join."""
+    return _json_text(doc, "") + "\n"
+
+
+# the values written in one C call each; bool is no int here
+_EXACT = {str: encode_basestring_ascii, int: int.__repr__}
+
+
+def _json_text(x, pad):
+    """The json.dumps(x, indent=1) text of x, its inner lines indented past pad."""
+    write = _EXACT.get(type(x))
+    if write is not None:
+        return write(x)
+    if isinstance(x, dict):
+        if not x:
+            return "{}"
+        inner = pad + " "
+        sep = ",\n" + inner
+        items = [f"{_json_key(k)}: {_json_text(v, inner)}" for k, v in x.items()]
+        return f"{{\n{inner}{sep.join(items)}\n{pad}}}"
+    if isinstance(x, (list, tuple)):
+        if not x:
+            return "[]"
+        inner = pad + " "
+        sep = ",\n" + inner
+        kind = type(x[0])
+        if kind in _EXACT and countOf(map(type, x), kind) == len(x):
+            items = map(_EXACT[kind], x)
+        else:
+            items = [_json_text(v, inner) for v in x]
+        return f"[\n{inner}{sep.join(items)}\n{pad}]"
+    return json.dumps(x)  # a scalar other than an exact str or int, by json's C encoder
+
+
+def _json_key(k):
+    """A dict key as json writes it: a number, a bool or None in quotes."""
+    if isinstance(k, str):
+        return encode_basestring_ascii(k)
+    if isinstance(k, (int, float)) or k is None:
+        return f'"{json.dumps(k)}"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
 
 
 def document_to_text(doc: dict, indent: int = 0) -> str:

@@ -2,6 +2,8 @@
 congruences, quotients, inverses, unit groups and group completions."""
 
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 
 from .errors import InputError, PreconditionError
 from .signature import (
@@ -27,21 +29,27 @@ class FinMonoid:
             )
         if any(len(row) != n for row in self.table):
             raise InputError("multiplication table is not square")
-        if any(x not in rng for row in self.table for x in row):
+        if not all(map(rng.__contains__, chain.from_iterable(self.table))):
             raise InputError("table entry out of range")
         if self.unit not in rng:
             raise InputError("unit index out of range")
         e = self.unit
         if any(self.table[e][x] != x or self.table[x][e] != x for x in rng):
             raise PreconditionError("unit element is not a two-sided identity")
-        for a in rng:
-            for b in rng:
-                ab = self.table[a][b]
-                for c in rng:
-                    if self.table[ab][c] != self.table[a][self.table[b][c]]:
-                        raise PreconditionError(
-                            f"table is not associative at ({a}, {b}, {c})"
-                        )
+        # one row per (a, b): (ab)c over all c is the row of ab, and a(bc)
+        # is row a read through row b, one itemgetter call.  Rows are made
+        # tuples to compare with itemgetter's; one element is associative,
+        # and a one-item itemgetter returns no tuple
+        rows = tuple(map(tuple, self.table))
+        through = [itemgetter(*row) for row in rows] if n > 1 else ()
+        for a, row in enumerate(rows):
+            for b, (ab, read) in enumerate(zip(row, through)):
+                lhs, rhs = rows[ab], read(row)
+                if lhs != rhs:
+                    c = next(c for c in rng if lhs[c] != rhs[c])
+                    raise PreconditionError(
+                        f"table is not associative at ({a}, {b}, {c})"
+                    )
 
     @property
     def size(self) -> int:

@@ -63,18 +63,23 @@ class FiniteCategory:
         fault = self._composition_fault()
         if fault is not None:
             raise InputError(fault)
+        # after[g][f] = g after f: the laws read one row per morphism instead
+        # of building and hashing a (g, f) key per lookup
+        after = [{} for _ in range(m)]
+        for (g, f), h in compose.items():
+            after[g][f] = h
         for x in range(n):
             i = self.identity[x]
             for f in sorted({*self._outgoing[x], *self._incoming[x]}):
-                if dom[f] == x and compose[(f, i)] != f:
+                if dom[f] == x and after[f][i] != f:
                     raise PreconditionError("right identity law fails")
-                if cod[f] == x and compose[(i, f)] != f:
+                if cod[f] == x and after[i][f] != f:
                     raise PreconditionError("left identity law fails")
-        for h in range(m):
+        for h, h_after in enumerate(after):
             for g in self._incoming[dom[h]]:
-                hg = compose[(h, g)]
+                hg_after, g_after = after[h_after[g]], after[g]
                 for f in self._incoming[dom[g]]:
-                    if compose[(hg, f)] != compose[(h, compose[(g, f)])]:
+                    if hg_after[f] != h_after[g_after[f]]:
                         raise PreconditionError("composition is not associative")
         lio = tuple(
             x

@@ -58,7 +58,8 @@ class FinSetMagma:
     def __post_init__(self):
         if self.size < 0:
             raise InputError("negative carrier size")
-        rng = range(self.size)
+        # the test of x in range(size), applied from C over each tuple
+        in_range = range(self.size).__contains__
         for name, s, t in self.signature.ops:
             if name not in self.tables:
                 raise InputError(f"missing table for operation {name!r}")
@@ -69,9 +70,9 @@ class FinSetMagma:
                     f"table for {name!r} has {len(table)} entries, expected {expected}"
                 )
             for key, out in table.items():
-                if len(key) != s or any(x not in rng for x in key):
+                if len(key) != s or not all(map(in_range, key)):
                     raise InputError(f"bad input tuple {key} for {name!r}")
-                if len(out) != t or any(x not in rng for x in out):
+                if len(out) != t or not all(map(in_range, out)):
                     raise InputError(f"bad output tuple {out} for {name!r}")
 
     def apply(self, name: str, args: tuple[int, ...]) -> tuple[int, ...]:

@@ -13,7 +13,8 @@ skips for groups with a free abelian factor, and the linear solves and
 dense comodule axiom loops that the RREF pivot read of support coordinates
 and the one axiom checker replaced, the tensor-square presentation whose
 from-scratch completion the assembled tensor-square system replaced, the
-staged Smith diagonal that the one-loop Smith form replaced, the slice scan
+staged Smith diagonal that the one-loop Smith form replaced, the monoid
+associativity triple loop that the row-per-step check replaced, the slice scan
 that interreduction's substring factor test replaced, and the rank modulo a
 prime of a truncated ideal, which bounds the normal-word counts of a
 completion without using it."""
@@ -782,6 +783,35 @@ def reduce_mod_pivots(terms, pivots):
             else:
                 row.pop(w, None)
     return row
+
+
+# ---------------------------------------------------------------------------
+# the triple loop that FinMonoid's row-per-step associativity check replaced
+
+
+def scan_validate_monoid(table, unit):
+    """The n^3 validation of a monoid table: raises what FinMonoid raised
+    before it compared whole rows, the first (a, b, c) named."""
+    n = len(table)
+    rng = range(n)
+    if n == 0:
+        raise InputError(
+            "multiplication table is empty; a monoid needs at least its unit"
+        )
+    if any(len(row) != n for row in table):
+        raise InputError("multiplication table is not square")
+    if any(x not in rng for row in table for x in row):
+        raise InputError("table entry out of range")
+    if unit not in rng:
+        raise InputError("unit index out of range")
+    if any(table[unit][x] != x or table[x][unit] != x for x in rng):
+        raise PreconditionError("unit element is not a two-sided identity")
+    for a in rng:
+        for b in rng:
+            ab = table[a][b]
+            for c in rng:
+                if table[ab][c] != table[a][table[b][c]]:
+                    raise PreconditionError(f"table is not associative at ({a}, {b}, {c})")
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ damaged category and functor data."""
 
 from random import Random
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from univhopf.errors import InputError, PreconditionError
@@ -166,6 +166,23 @@ def _damage_category(draw, cat):
 @given(st.data(), categories())
 def test_category_validation_matches_scan(data, cat):
     args = _damage_category(data.draw, cat)
+    assert rejection(FiniteCategory, *args) == rejection(scan_validate_category, *args)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), categories())
+def test_one_moved_composite_is_judged_as_the_scan_judges_it(data, cat):
+    """One composite of two morphisms other than identities moved to a
+    parallel morphism: every type and identity law holds, so associativity
+    decides."""
+    ids = set(cat.identity)
+    movable = sorted((g, f) for (g, f), h in cat.compose.items()
+                     if g not in ids and f not in ids and _parallel(cat, h))
+    assume(movable)
+    key = data.draw(st.sampled_from(movable))
+    compose = dict(cat.compose)
+    compose[key] = data.draw(st.sampled_from(_parallel(cat, compose[key])))
+    args = (cat.num_objects, cat.dom, cat.cod, cat.identity, compose)
     assert rejection(FiniteCategory, *args) == rejection(scan_validate_category, *args)
 
 

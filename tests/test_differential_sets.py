@@ -1,13 +1,16 @@
 """Differential tests: the set-level hom search and congruence closure against
-the brute-force scans in oracles.py, on random magmas of size 0-3."""
+the brute-force scans in oracles.py, on random magmas of size 0-3, and the
+monoid table check against the triple loop, on perturbed tables of size 1-8."""
 
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from univhopf.errors import InputError, PreconditionError
 from univhopf.finmonoid import (
+    FinMonoid,
     congruence_closure,
     full_transformation_monoid,
     is_congruence,
@@ -19,6 +22,7 @@ from univhopf.setsuniversal import (
 from univhopf.signature import (
     FinSetMagma,
     OmegaSignature,
+    composition_table,
     enumerate_set_homs,
     omega_automorphisms,
     set_magma_from_monoid_table,
@@ -29,6 +33,7 @@ from oracles import (
     fixed_point_closure,
     permutation_scan_automorphisms,
     product_scan_homs,
+    scan_validate_monoid,
 )
 
 # (name, arity in, arity out); a carrier of size 0 cannot carry the constant
@@ -130,3 +135,61 @@ def test_monoid_closure_is_the_magma_closure(name, data):
     assert closure == omega_congruence_closure(magma, pairs)
     if m.size <= 6:  # the fixed point scans all pairs of pairs: too slow on T3
         assert closure == fixed_point_closure(magma, pairs)
+
+
+def _closure(generators, k):
+    """The self-maps of range(k) that the generators and the identity generate."""
+    maps = {tuple(range(k))}
+    frontier = list(maps)
+    while frontier:
+        f = frontier.pop()
+        for g in generators:
+            fg = tuple(f[x] for x in g)
+            if fg not in maps:
+                maps.add(fg)
+                frontier.append(fg)
+    return sorted(maps)
+
+
+@st.composite
+def monoid_tables(draw):
+    """(table, unit) of a monoid of size 1-8, its elements renumbered at
+    random, then possibly one entry changed: a transformation monoid, or a
+    random table with a two-sided unit, which is seldom associative."""
+    if draw(st.booleans()):
+        k = draw(st.integers(1, 3))
+        point_map = st.tuples(*[st.integers(0, k - 1)] * k)
+        maps = _closure(draw(st.lists(point_map, max_size=2)), k)
+        assume(len(maps) <= 8)
+        n, unit = len(maps), maps.index(tuple(range(k)))
+        rows = composition_table(maps)
+    else:
+        n, unit = draw(st.integers(1, 8)), 0
+        element = st.integers(0, n - 1)
+        rows = [[j if i == 0 else i if j == 0 else draw(element) for j in range(n)]
+                for i in range(n)]
+    new = draw(st.permutations(range(n)))  # old element -> new element
+    table = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            table[new[i]][new[j]] = new[rows[i][j]]
+    if draw(st.booleans()):
+        a, b = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        table[a][b] = draw(st.integers(0, n - 1) | st.integers(-1, n))
+    return tuple(map(tuple, table)), new[unit]
+
+
+def _rejection(call, *args):
+    """The type and message of what call(*args) raised, or None."""
+    try:
+        call(*args)
+    except (InputError, PreconditionError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@settings(max_examples=600, deadline=None)
+@given(monoid_tables())
+def test_monoid_validation_matches_triple_loop(case):
+    """The same verdict and message, the first failing (a, b, c) included."""
+    assert _rejection(FinMonoid, *case) == _rejection(scan_validate_monoid, *case)

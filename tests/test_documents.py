@@ -6,6 +6,8 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from univhopf import documents as docs
 from univhopf.coact import (
@@ -421,3 +423,68 @@ def test_the_first_of_two_faults_is_reported(doc, message):
     with pytest.raises(InputError) as err:
         docs.parse_document(doc)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("coeffs", [("0", "1"), ("1", "0")], ids=["zero_first", "zero_last"])
+def test_a_repeated_tensor_entry_is_rejected_whatever_its_coefficients(coeffs):
+    entry = _DUAL["tensors"]["mu"][0]
+    repeated = [{**entry, "coeff": c} for c in coeffs]
+    doc = _replaced(_DUAL, ("tensors", "mu"), repeated + _DUAL["tensors"]["mu"][1:])
+    with pytest.raises(InputError) as err:
+        docs.parse_document(doc)
+    assert str(err.value) == "$.tensors.mu[1]: duplicate tensor entry"
+
+
+# ---------------------------------------------------------------------------
+# the writer reproduces json.dumps(indent=1) byte for byte
+
+
+def _dumps(doc):
+    return json.dumps(doc, indent=1) + "\n"
+
+
+@pytest.mark.parametrize(
+    "doc", SERIALIZED_FIXTURES + ROUNDTRIP_ONLY + MUTATION_FIXTURES[-2:],
+    ids=lambda d: d["kind"],
+)
+def test_serializer_outputs_are_written_as_json_writes_them(doc):
+    assert docs.document_to_json(doc) == _dumps(doc)
+
+
+_SCALARS = (
+    st.text()  # any code point, control characters and surrogates included
+    | st.integers()
+    | st.integers(-(2**80), 2**80)
+    | st.booleans()
+    | st.none()
+    | st.floats()
+)
+_KEYS = st.text() | st.integers() | st.floats() | st.booleans() | st.none()
+_TREES = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=5)
+    | st.lists(inner, max_size=5).map(tuple)
+    | st.lists(st.integers(), max_size=5)
+    | st.lists(st.text(max_size=3), max_size=5)
+    | st.dictionaries(_KEYS, inner, max_size=5),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_TREES)
+def test_any_json_tree_is_written_as_json_writes_it(doc):
+    assert docs.document_to_json(doc) == _dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [Fraction(1, 2), {1, 2}, [0, Fraction(1, 2)], {"a": [{0}]}, {(0, 1): 2}, {"a": b"x"}],
+    ids=["fraction", "set", "fraction_in_int_list", "set_in_dict", "tuple_key", "bytes"],
+)
+def test_what_json_rejects_raises_its_type_error(doc):
+    with pytest.raises(TypeError) as want:
+        _dumps(doc)
+    with pytest.raises(TypeError) as got:
+        docs.document_to_json(doc)
+    assert str(got.value) == str(want.value)
