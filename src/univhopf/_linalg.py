@@ -1,8 +1,9 @@
-"""Exact linear algebra over the rationals: vectors and matrices are tuples
-(of tuples) of Fraction.  ``exact`` turns an integral rational into the
-equal ``int``, the form in which ncalg keeps integral polynomial
-coefficients: an ``int`` compares and hashes equal to its Fraction and is
-far cheaper to add and multiply."""
+"""Exact linear algebra over the rationals: the vectors and matrices built
+here are tuples (of tuples) of Fraction.  ``exact`` turns an integral
+rational into the equal ``int``, the form in which ncalg keeps integral
+polynomial coefficients and coact's sparse structure tables (and the
+products computed on them) keep integral constants: an ``int`` compares and
+hashes equal to its Fraction and is far cheaper to add and multiply."""
 
 from fractions import Fraction
 

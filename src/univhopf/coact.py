@@ -14,16 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 
-from ._linalg import (
-    Vec,
-    frac,
-    rank,
-    row_space_basis,
-    rref,
-    unit_vec,
-    vec,
-    zero_vec,
-)
+from ._linalg import Vec, exact, rank, row_space_basis, rref, unit_vec, vec
 from .errors import InputError, PreconditionError
 from .finmonoid import FinMonoid
 from .grading import Grading, grading_support
@@ -97,28 +88,6 @@ def support_of_map(rho: TensorValuedMap):
 def is_tensor_epimorphism(rho: TensorValuedMap) -> bool:
     """True iff the q-coefficients span all of Q."""
     return rank(_all_coefficients(rho)) == rho.dim_coeff
-
-
-def compose_with_matrix(rho: TensorValuedMap, tau) -> TensorValuedMap:
-    """(id_B (x) tau) . rho for a matrix tau from Q to another space."""
-    rows = len(tau)
-    return TensorValuedMap(
-        rho.dim_in,
-        rho.dim_out,
-        rows,
-        tuple(
-            tuple(
-                tuple(
-                    sum(
-                        (tau[r][c] * q[c] for c in range(rho.dim_coeff)), Fraction(0)
-                    )
-                    for r in range(rows)
-                )
-                for q in row
-            )
-            for row in rho.entries
-        ),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -278,13 +247,20 @@ def check_axioms(
     return tuple(results)
 
 
+def _sparse(x) -> dict:
+    """A coefficient vector as {index: coefficient}, zeros dropped and an
+    integral coefficient as an int."""
+    return {i: exact(c) for i, c in enumerate(x) if c}
+
+
 def sparse_maps(n, mult=None, unit=None, delta=None, counit=None, antipode=None):
     """check_axioms keyword arguments for dense structure constants on the
     basis 0..n-1; S(e_j) is column j of the antipode matrix.
 
     Raises InputError unless the given constants fit dimension n: mult[i][j],
     unit and counit are n-vectors, delta[i] maps index pairs in range to
-    exact coefficients and antipode is n x n.
+    exact coefficients and antipode is n x n.  The maps hold the constants
+    with zeros dropped and integral ones as ints.
     """
 
     def square(rows):
@@ -296,13 +272,13 @@ def sparse_maps(n, mult=None, unit=None, delta=None, counit=None, antipode=None)
             raise InputError("multiplication table shape mismatch")
         if any(len(p) != n for row in mult for p in row):
             raise InputError("product vector length mismatch")
-        table = [[_nonzero(dict(enumerate(p))) for p in row] for row in mult]
+        table = [[_sparse(p) for p in row] for row in mult]
         maps["mul"] = lambda i, j: table[i][j]
     for name, v in (("unit", unit), ("counit", counit)):
         if v is not None and len(v) != n:
             raise InputError(f"{name} vector length mismatch")
     if unit is not None:
-        maps["unit"] = _nonzero(dict(enumerate(unit)))
+        maps["unit"] = _sparse(unit)
     if delta is not None:
         if len(delta) != n:
             raise InputError("coalgebra data shape mismatch")
@@ -312,17 +288,14 @@ def sparse_maps(n, mult=None, unit=None, delta=None, counit=None, antipode=None)
                     raise InputError("comultiplication index out of range")
                 if not isinstance(c, Fraction):
                     raise InputError("non-exact comultiplication coefficient")
-        maps["delta"] = delta.__getitem__
+        rows = [{jk: exact(c) for jk, c in row.items() if c} for row in delta]
+        maps["delta"] = rows.__getitem__
     if counit is not None:
-        maps["eps"] = counit.__getitem__
+        maps["eps"] = tuple(map(exact, counit)).__getitem__
     if antipode is not None:
         if not square(antipode):
             raise InputError("antipode matrix shape mismatch")
-        columns = [
-            {i: row[j] for i, row in enumerate(antipode) if row[j]}
-            for j in range(n)
-        ]
-        maps["antipode"] = columns.__getitem__
+        maps["antipode"] = [_sparse(column) for column in zip(*antipode)].__getitem__
     return maps
 
 
@@ -332,14 +305,19 @@ def sparse_maps(n, mult=None, unit=None, delta=None, counit=None, antipode=None)
 
 @dataclass(frozen=True, eq=False)
 class FDAlgebra:
+    """Structure constants on the basis 0..dim-1, checked associative and
+    unital at construction on the ``sparse_maps`` tables, which are kept
+    and do every multiplication."""
+
     dim: int
     mult: tuple  # mult[i][j] is the product vector e_i e_j
     unit: Vec
+    _maps: dict = field(init=False, repr=False)
 
     def __post_init__(self):
-        (_, _, _, assoc), (_, _, _, unital) = check_axioms(
-            range(self.dim), **sparse_maps(self.dim, mult=self.mult, unit=self.unit)
-        )
+        maps = sparse_maps(self.dim, mult=self.mult, unit=self.unit)
+        object.__setattr__(self, "_maps", maps)
+        (_, _, _, assoc), (_, _, _, unital) = check_axioms(range(self.dim), **maps)
         if assoc:
             raise PreconditionError(
                 "algebra is not associative at ({},{},{})".format(*assoc[0])
@@ -348,31 +326,29 @@ class FDAlgebra:
             raise PreconditionError("unit laws fail")
 
     def multiply(self, x: Vec, y: Vec) -> Vec:
-        n = self.dim
-        out = [Fraction(0)] * n
-        for i in range(n):
-            if x[i] == 0:
-                continue
-            for j in range(n):
-                if y[j] == 0:
-                    continue
-                c = x[i] * y[j]
-                for k, m in enumerate(self.mult[i][j]):
-                    if m != 0:
-                        out[k] += c * m
-        return tuple(out)
+        return self.product_of((x, y))
 
     def product_of(self, vectors) -> Vec:
-        vectors = iter(vectors)
-        out = next(vectors, self.unit)
-        for v in vectors:
-            out = self.multiply(out, v)
+        """The product of the vectors in order (the unit for none), its
+        integral coefficients as ints."""
+        return _dense(self._product(map(_sparse, vectors)), self.dim)
+
+    def _product(self, factors) -> dict:
+        """The product of sparse vectors in order, zeros dropped."""
+        mul = self._maps["mul"]
+        factors = iter(factors)
+        out = next(factors, self._maps["unit"])
+        for y in factors:
+            acc = {}
+            for i, a in out.items():
+                for j, b in y.items():
+                    _add_scaled(acc, mul(i, j), a * b)
+            out = _nonzero(acc)
         return out
 
 
-def fd_algebra(mult_rows, unit) -> FDAlgebra:
-    m = tuple(tuple(vec(p) for p in row) for row in mult_rows)
-    return FDAlgebra(len(m), m, vec(unit))
+def _dense(x: dict, n: int) -> tuple:
+    return tuple(exact(x.get(k, 0)) for k in range(n))
 
 
 def group_algebra(g: FinMonoid) -> FDAlgebra:
@@ -386,41 +362,24 @@ def group_algebra(g: FinMonoid) -> FDAlgebra:
 
 @dataclass(frozen=True, eq=False)
 class FDCoalgebra:
+    """Structure constants on the basis 0..dim-1, checked coassociative and
+    counital at construction on the ``sparse_maps`` tables, which are kept."""
+
     dim: int
     delta: tuple  # delta[i] is a dict {(j, k): coefficient}
     counit: Vec
+    _maps: dict = field(init=False, repr=False)
 
     def __post_init__(self):
-        (_, _, _, coassoc), (_, _, _, counital) = check_axioms(
-            range(self.dim),
-            **sparse_maps(self.dim, delta=self.delta, counit=self.counit),
-        )
+        maps = sparse_maps(self.dim, delta=self.delta, counit=self.counit)
+        object.__setattr__(self, "_maps", maps)
+        (_, _, _, coassoc), (_, _, _, counital) = check_axioms(range(self.dim), **maps)
         # the smallest failing basis vector; coassociativity first on a tie
         i = min(coassoc[:1] + counital[:1], default=None)
         if i is not None and coassoc[:1] == (i,):
             raise PreconditionError(f"comultiplication is not coassociative at {i}")
         if i is not None:
             raise PreconditionError(f"counit laws fail at basis vector {i}")
-
-    def comultiply(self, x: Vec) -> dict:
-        out: dict = {}
-        for i, c in enumerate(x):
-            if c == 0:
-                continue
-            for key, d in self.delta[i].items():
-                out[key] = out.get(key, Fraction(0)) + c * d
-        return {k: v for k, v in out.items() if v != 0}
-
-    def counit_of(self, x: Vec) -> Fraction:
-        return sum((c * e for c, e in zip(x, self.counit)), Fraction(0))
-
-
-def fd_coalgebra(delta_entries, counit) -> FDCoalgebra:
-    """Build from per-basis lists of ((j, k), coefficient)."""
-    delta = tuple(
-        {tuple(jk): frac(c) for jk, c in row if frac(c) != 0} for row in delta_entries
-    )
-    return FDCoalgebra(len(delta), delta, vec(counit))
 
 
 def group_like_coalgebra(n: int) -> FDCoalgebra:
@@ -479,9 +438,14 @@ def support_of_comodule(rho: TensorValuedMap, c: FDCoalgebra):
         raise PreconditionError(f"not a comodule structure: {failures[:3]}")
     basis, corestricted = support_of_map(rho)
     pivots = [next(j for j, x in enumerate(b) if x) for b in basis]
+    delta, eps = c._maps["delta"], c._maps["eps"]
     delta0 = []
     for b in basis:
-        image = c.comultiply(b)
+        image = {}
+        for j, x in enumerate(b):
+            if x:
+                _add_scaled(image, delta(j), x)
+        image = _nonzero(image)
         coords, rebuilt = {}, {}
         for (i, p), (k, r) in product(enumerate(pivots), repeat=2):
             x = image.get((p, r))
@@ -494,7 +458,7 @@ def support_of_comodule(rho: TensorValuedMap, c: FDCoalgebra):
                 "support is not closed under comultiplication; input data corrupt"
             )
         delta0.append(coords)
-    eps0 = tuple(c.counit_of(b) for b in basis)
+    eps0 = tuple(sum(x * eps(j) for j, x in enumerate(b)) for b in basis)
     support_coalg = FDCoalgebra(len(basis), tuple(delta0), eps0)
     if comodule_axiom_failures(corestricted, support_coalg):
         raise RuntimeError("corestriction to the support is not a comodule")
@@ -545,13 +509,13 @@ def cosupport_of_map(psi: FamilyMap):
 # comeasurings in coordinates
 
 
-def _evaluate(terms, values, q_alg: FDAlgebra) -> Vec:
+def _evaluate(terms, values, q_alg: FDAlgebra) -> dict:
     """The sum of c * values[k1] ... values[kn] in Q over the terms
-    (c, (k1, ..., kn)); an empty product is the unit of Q."""
-    total = zero_vec(q_alg.dim)
+    (c, (k1, ..., kn)), the values sparse (``_sparse``) and so the sum,
+    which may keep zero coefficients; an empty product is the unit of Q."""
+    total = {}
     for c, keys in terms:
-        prod = q_alg.product_of(values[k] for k in keys)
-        total = tuple(x + c * y for x, y in zip(total, prod))
+        _add_scaled(total, q_alg._product(values[k] for k in keys), exact(c))
     return total
 
 
@@ -566,10 +530,12 @@ def is_comeasuring(
     if rho.dim_in != a.dim or rho.dim_out != b.dim or rho.dim_coeff != q_alg.dim:
         raise InputError("dimension mismatch between the map and its spaces")
     q = {
-        (i, j): rho.q(i, j) for i in range(rho.dim_out) for j in range(rho.dim_in)
+        (i, j): _sparse(rho.q(i, j))
+        for i in range(rho.dim_out)
+        for j in range(rho.dim_in)
     }
     for name, big_i, big_j, terms in coordinate_identities(a, b):
-        if any(_evaluate(terms, q, q_alg)):
+        if any(_evaluate(terms, q, q_alg).values()):
             return False, (name, big_i, big_j)
     return True, None
 
@@ -694,9 +660,10 @@ def factor_through_universal(
                     f"frame mismatch: coefficient ({beta},{alpha}) must vanish"
                 )
     assignment = tuple(rho.q(i, j) for _, i, j in mp.gen_index)
+    values = [_sparse(q) for q in assignment]
     failures = []
     for idx, rel in enumerate(mp.algebra.relations):
-        value = _evaluate(((c, w) for w, c in rel.sorted_terms()), assignment, q_alg)
-        if any(value):
-            failures.append((idx, value))
+        value = _evaluate(((c, w) for w, c in rel.sorted_terms()), values, q_alg)
+        if any(value.values()):
+            failures.append((idx, _dense(value, q_alg.dim)))
     return FactorizationReport(not failures, assignment, tuple(failures))

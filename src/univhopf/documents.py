@@ -119,10 +119,13 @@ def _int_list(xs):
 
 
 def _label_index(labels):
-    """The map label -> position; a repeated label maps to its last position."""
+    """The map label -> position; a repeated label is a bad field."""
+    pos = {}
     for i, label in enumerate(labels):
         _expect(isinstance(label, str), "expected a string", i)
-    return {label: i for i, label in enumerate(labels)}
+        _expect(label not in pos, f"repeated label {label!r}", i)
+        pos[label] = i
+    return pos
 
 
 def _index_of(label, pos, what):

@@ -9,6 +9,7 @@ abelian invariants), since the group is then infinite.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import InputError
 
@@ -48,6 +49,19 @@ class GroupPresentation:
                     raise InputError(f"letter {x} out of range in relator {w}")
             if free_reduce_word(w) != tuple(w):
                 raise InputError(f"relator {w} is not freely reduced")
+
+    @cached_property
+    def _invariants(self) -> tuple[int, ...]:
+        # abelian_invariants, one Smith form per presentation
+        rows = []
+        for w in self.relators:
+            exps = [0] * self.num_gens
+            for x in w:
+                exps[abs(x) - 1] += 1 if x > 0 else -1
+            rows.append(exps)
+        diag = _smith_diagonal(rows, self.num_gens)
+        nonzero = [d for d in diag if d != 0]
+        return tuple(d for d in nonzero if d != 1) + (0,) * (self.num_gens - len(nonzero))
 
 
 def presentation(num_gens, relators, gen_labels=None) -> GroupPresentation:
@@ -116,17 +130,10 @@ def abelian_invariants(pres: GroupPresentation) -> list[int]:
     """Invariant factors of the abelianization; 0 marks a free factor.
 
     Finite factors come first in their divisibility chain, then one 0 per
-    infinite cyclic factor.
+    infinite cyclic factor.  The Smith form is computed once per
+    presentation object; each call returns a fresh list.
     """
-    rows = []
-    for w in pres.relators:
-        exps = [0] * pres.num_gens
-        for x in w:
-            exps[abs(x) - 1] += 1 if x > 0 else -1
-        rows.append(exps)
-    diag = _smith_diagonal(rows, pres.num_gens)
-    nonzero = [d for d in diag if d != 0]
-    return [d for d in nonzero if d != 1] + [0] * (pres.num_gens - len(nonzero))
+    return list(pres._invariants)
 
 
 # ---------------------------------------------------------------------------

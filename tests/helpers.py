@@ -6,7 +6,14 @@ from fractions import Fraction
 from pathlib import Path
 
 from univhopf import documents
-from univhopf.coact import TensorValuedMap, group_algebra, tensor_valued_map
+from univhopf._linalg import frac, vec
+from univhopf.coact import (
+    FDAlgebra,
+    FDCoalgebra,
+    TensorValuedMap,
+    group_algebra,
+    tensor_valued_map,
+)
 from univhopf.finmonoid import FinMonoid, grothendieck_group, monoid_from_rows
 from univhopf.grading import Grading, universal_group_of_grading
 from univhopf.grouppres import GroupPresentation
@@ -21,6 +28,41 @@ from univhopf.signature import (
 )
 
 F = Fraction
+
+
+def is_exact_coefficient(c) -> bool:
+    """An int, or a Fraction that is not integral: never a float, and never
+    an integral Fraction."""
+    return type(c) is int or (type(c) is Fraction and c.denominator > 1)
+
+
+def fd_algebra(mult_rows, unit) -> FDAlgebra:
+    m = tuple(tuple(vec(p) for p in row) for row in mult_rows)
+    return FDAlgebra(len(m), m, vec(unit))
+
+
+def fd_coalgebra(delta_entries, counit) -> FDCoalgebra:
+    """Build from per-basis lists of ((j, k), coefficient)."""
+    delta = tuple(
+        {tuple(jk): frac(c) for jk, c in row if frac(c) != 0} for row in delta_entries
+    )
+    return FDCoalgebra(len(delta), delta, vec(counit))
+
+
+def compose_with_matrix(rho: TensorValuedMap, tau) -> TensorValuedMap:
+    """(id_B (x) tau) . rho for a matrix tau from Q to another space."""
+    return TensorValuedMap(
+        rho.dim_in,
+        rho.dim_out,
+        len(tau),
+        tuple(
+            tuple(
+                tuple(sum((t * x for t, x in zip(r, q)), F(0)) for r in tau)
+                for q in row
+            )
+            for row in rho.entries
+        ),
+    )
 
 
 def cyclic_monoid(n: int) -> FinMonoid:
@@ -290,18 +332,14 @@ def full_subcategory_inclusion(cat, objects):
 
 def random_q_algebra(rng):
     """A random pick from a pool of small associative unital algebras."""
-    from univhopf.coact import fd_algebra as _fd_algebra
-    from univhopf.coact import group_algebra as _group_algebra
-    from univhopf.finmonoid import monoid_from_rows as _monoid_from_rows
-
     pool = [
-        _fd_algebra([[[1]]], [1]),
-        _group_algebra(_monoid_from_rows([[0, 1], [1, 0]], 0)),
-        _group_algebra(
-            _monoid_from_rows([[(i + j) % 3 for j in range(3)] for i in range(3)], 0)
+        fd_algebra([[[1]]], [1]),
+        group_algebra(monoid_from_rows([[0, 1], [1, 0]], 0)),
+        group_algebra(
+            monoid_from_rows([[(i + j) % 3 for j in range(3)] for i in range(3)], 0)
         ),
-        _fd_algebra([[[1, 0], [0, 0]], [[0, 0], [0, 1]]], [1, 1]),
-        _fd_algebra(  # truncated polynomials of length three
+        fd_algebra([[[1, 0], [0, 0]], [[0, 0], [0, 1]]], [1, 1]),
+        fd_algebra(  # truncated polynomials of length three
             [
                 [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
                 [[0, 1, 0], [0, 0, 1], [0, 0, 0]],

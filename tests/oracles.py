@@ -15,11 +15,14 @@ and the one axiom checker replaced, the tensor-square presentation whose
 from-scratch completion the assembled tensor-square system replaced, the
 staged Smith diagonal that the one-loop Smith form replaced, the monoid
 associativity triple loop that the row-per-step check replaced, the slice scan
-that interreduction's substring factor test replaced, and the rank modulo a
+that interreduction's substring factor test replaced, the dense i, j, k
+multiplication and comultiplication loops that the sparse structure tables
+of the finite-dimensional algebras and coalgebras replaced, and the rank modulo a
 prime of a truncated ideal, which bounds the normal-word counts of a
 completion without using it."""
 
 from fractions import Fraction
+from functools import partial
 from itertools import chain, permutations, product
 
 from univhopf._linalg import row_space_basis, solve, unit_vec, vec, zero_vec
@@ -44,6 +47,47 @@ from univhopf.ncalg import (
 from univhopf.signature import is_set_homomorphism
 
 F = Fraction
+
+
+def dense_multiply(a, x, y):
+    """x y by the structure constants a.mult, looping over every i, j, k."""
+    n = a.dim
+    out = [F(0)] * n
+    for i in range(n):
+        if x[i] == 0:
+            continue
+        for j in range(n):
+            if y[j] == 0:
+                continue
+            c = x[i] * y[j]
+            for k, m in enumerate(a.mult[i][j]):
+                if m != 0:
+                    out[k] += c * m
+    return tuple(out)
+
+
+def dense_product_of(a, vectors):
+    """The product of the vectors in order, a.unit for none."""
+    vectors = iter(vectors)
+    out = next(vectors, a.unit)
+    for v in vectors:
+        out = dense_multiply(a, out, v)
+    return out
+
+
+def dense_comultiply(c, x):
+    """Delta(x) as {(j, k): coefficient} by the dense loop over x."""
+    out = {}
+    for i, coeff in enumerate(x):
+        if coeff == 0:
+            continue
+        for key, d in c.delta[i].items():
+            out[key] = out.get(key, F(0)) + coeff * d
+    return {k: v for k, v in out.items() if v != 0}
+
+
+def dense_counit_of(c, x):
+    return sum((coeff * e for coeff, e in zip(x, c.counit)), F(0))
 
 
 def identity(n):
@@ -125,7 +169,7 @@ def dense_comodule_failures(rho, c):
     for alpha in range(n):
         for beta in range(n):
             want = F(1 if alpha == beta else 0)
-            if c.counit_of(rho.q(beta, alpha)) != want:
+            if dense_counit_of(c, rho.q(beta, alpha)) != want:
                 failures.append(("counit", beta, alpha))
     for alpha in range(n):
         for gamma in range(n):
@@ -140,7 +184,7 @@ def dense_comodule_failures(rho, c):
                         if qba[k] == 0:
                             continue
                         lhs[(j, k)] = lhs.get((j, k), F(0)) + qgb[j] * qba[k]
-            rhs = c.comultiply(rho.q(gamma, alpha))
+            rhs = dense_comultiply(c, rho.q(gamma, alpha))
             if {k: v for k, v in lhs.items() if v} != rhs:
                 failures.append(("coassociativity", gamma, alpha))
     return failures
@@ -160,7 +204,7 @@ def dense_support_of_comodule(rho, c):
     ]
     delta0 = []
     for b in basis:
-        image = c.comultiply(b)
+        image = dense_comultiply(c, b)
         flat = [F(0)] * (c.dim * c.dim)
         for (j, k), v in image.items():
             flat[j * c.dim + k] = v
@@ -178,7 +222,7 @@ def dense_support_of_comodule(rho, c):
                 if coords[i * m + k] != 0
             }
         )
-    eps0 = tuple(c.counit_of(b) for b in basis)
+    eps0 = tuple(dense_counit_of(c, b) for b in basis)
     support_coalg = FDCoalgebra(len(basis), tuple(delta0), eps0)
     if dense_comodule_failures(corestricted, support_coalg):
         raise RuntimeError("corestriction to the support is not a comodule")
@@ -271,15 +315,30 @@ def _scan_lhs_rhs(rho, q_alg, a, b, name, big_i, big_j):
     for (out, inp), c in b.tensors[name].items():
         if out != big_i:
             continue
-        prod = q_alg.product_of(rho.q(p, j) for p, j in zip(inp, big_j))
+        prod = dense_product_of(q_alg, (rho.q(p, j) for p, j in zip(inp, big_j)))
         lhs = tuple(x + c * y for x, y in zip(lhs, prod))
     rhs = zero_vec(q_alg.dim)
     for (out, inp), c in a.tensors[name].items():
         if inp != big_j:
             continue
-        prod = q_alg.product_of(rho.q(i, m) for i, m in zip(big_i, out))
+        prod = dense_product_of(q_alg, (rho.q(i, m) for i, m in zip(big_i, out)))
         rhs = tuple(x + c * y for x, y in zip(rhs, prod))
     return lhs, rhs
+
+
+def dense_factorization_failures(mp, rho, q_alg):
+    """(relation index, value) for every relation of mp whose value at
+    rho's coefficients is not zero, each monomial a dense product in Q."""
+    assignment = [rho.q(i, j) for _, i, j in mp.gen_index]
+    failures = []
+    for idx, rel in enumerate(mp.algebra.relations):
+        value = zero_vec(q_alg.dim)
+        for word, c in rel.terms.items():
+            prod = dense_product_of(q_alg, (assignment[g] for g in word))
+            value = tuple(x + c * y for x, y in zip(value, prod))
+        if any(value):
+            failures.append((idx, value))
+    return tuple(failures)
 
 
 def scan_is_comeasuring(rho, q_alg, a, b):
@@ -424,31 +483,9 @@ def dense_hopf_axioms(h):
     ):
         raise InputError("structure constant shapes do not match the dimension")
 
-    def multiply(x, y):
-        out = [F(0)] * n
-        for i in range(n):
-            if x[i] == 0:
-                continue
-            for j in range(n):
-                if y[j] == 0:
-                    continue
-                c = x[i] * y[j]
-                for k, m in enumerate(h.mult[i][j]):
-                    if m != 0:
-                        out[k] += c * m
-        return tuple(out)
-
-    def comultiply(x):
-        out = {}
-        for i, c in enumerate(x):
-            if c == 0:
-                continue
-            for key, d in h.delta[i].items():
-                out[key] = out.get(key, F(0)) + c * d
-        return {k: v for k, v in out.items() if v != 0}
-
-    def counit_of(x):
-        return sum((c * e for c, e in zip(x, h.counit)), F(0))
+    multiply = partial(dense_multiply, h)
+    comultiply = partial(dense_comultiply, h)
+    counit_of = partial(dense_counit_of, h)
 
     def apply_antipode(x):
         return tuple(

@@ -18,7 +18,6 @@ from univhopf import documents as docs
 from univhopf._linalg import rank
 from univhopf.cli import run
 from univhopf.coact import (
-    compose_with_matrix,
     cosupport_of_map,
     factor_through_universal,
     family_map,
@@ -63,6 +62,7 @@ from univhopf.setsuniversal import (
 from univhopf.signature import make_vect_magma, unital_signature
 
 from helpers import (
+    compose_with_matrix,
     chain_monoid_a3_eq_a,
     random_q_algebra,
     random_unital_magma,

@@ -432,6 +432,21 @@ def test_stdin_input(monkeypatch, tmp_path):
     assert json.loads(out)["summary"]["coset_enumeration_order"] == 3
 
 
+def test_repeated_labels_exit_2_at_the_second_position(tmp_path):
+    grading = write(tmp_path, "g.json", docs.serialize_grading(dual_numbers_grading()))
+    code, out, _ = invoke(["manin-end", grading])
+    assert code == 0
+    bialgebra = json.loads(out)
+    first = bialgebra["generators"][0]
+    bialgebra["generators"][1] = first
+    code, out, err = invoke(["hopf-envelope", write(tmp_path, "me.json", bialgebra)])
+    assert (code, out, err) == (2, "", f"error: $.generators[1]: repeated label {first!r}\n")
+    pauli = docs.serialize_grading(pauli_grading())
+    label = pauli["labels"][2] = pauli["labels"][0]
+    code, out, err = invoke(["universal-group", write(tmp_path, "p.json", pauli)])
+    assert (code, out, err) == (2, "", f"error: $.labels[2]: repeated label {label!r}\n")
+
+
 def test_hopf_envelope_rejects_hopf_input(tmp_path):
     from univhopf.coact import manin_end_presentation
     from univhopf.hopf import hopf_envelope_presentation, universal_bialgebra_structure

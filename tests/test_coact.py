@@ -9,12 +9,9 @@ from univhopf.coact import (
     FDAlgebra,
     FDCoalgebra,
     MatrixPresentation,
-    compose_with_matrix,
     cosupport_of_map,
     factor_through_universal,
     family_map,
-    fd_algebra,
-    fd_coalgebra,
     group_algebra,
     group_like_coalgebra,
     is_comeasuring,
@@ -34,8 +31,11 @@ from univhopf.signature import FinVectMagma, OmegaSignature, make_vect_magma, un
 from oracles import comeasuring_oracle, coords_in_span, mat_mul
 from helpers import random_q_algebra, random_unital_magma
 from helpers import (
+    compose_with_matrix,
     dual_numbers,
     dual_numbers_grading,
+    fd_algebra,
+    fd_coalgebra,
     grading_coaction,
     klein_four,
     pauli_algebra,

@@ -1,34 +1,46 @@
 """Differential tests: the one coordinate identity generator behind the
 Tambara/Manin relations, is_comeasuring and is_linear_omega_morphism against
 the per-(I, J) tensor scans in oracles.py, on random vect magmas of
-dimension 1-3 over (2,1), (0,1), (1,2) and (1,0) operations."""
+dimension 1-3 over (2,1), (0,1), (1,2) and (1,0) operations; and the sparse
+multiplication of the finite-dimensional algebras against the dense i, j, k
+loop, with every coefficient they put out an int when integral."""
 
+from fractions import Fraction
 from itertools import product
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from univhopf._linalg import vec
 from univhopf.coact import (
+    FDAlgebra,
+    FDCoalgebra,
     _coordinate_relations,
     factor_through_universal,
-    fd_algebra,
     group_algebra,
     is_comeasuring,
     tambara_presentation,
     tensor_valued_map,
 )
+from univhopf.finmonoid import inverses
+from univhopf.hopf import FinDimHopf, check_hopf_axioms_fd
 from univhopf.signature import (
     OmegaSignature,
     is_linear_omega_morphism,
     make_vect_magma,
 )
 
-from helpers import cyclic_monoid, dual_numbers
+from helpers import cyclic_monoid, dual_numbers, fd_algebra, is_exact_coefficient, klein_four
 from oracles import (
+    dense_factorization_failures,
+    dense_multiply,
+    dense_product_of,
     scan_coordinate_relations,
     scan_is_comeasuring,
     scan_is_linear_omega_morphism,
 )
+
+F = Fraction
 
 # (name, arity in, arity out)
 OPS = (("m", 2, 1), ("e", 0, 1), ("d", 1, 2), ("c", 1, 0))
@@ -45,7 +57,11 @@ Q_ALGEBRAS = (
         ],
         [1, 0, 1],
     ),
+    fd_algebra([[[1, 0], [0, 1]], [[0, 1], [F(1, 4), 0]]], [1, 0]),  # 1, x with x^2 = 1/4
 )
+
+# small rationals, integral and not
+COEFFS = st.integers(-2, 2) | st.fractions(-2, 2, max_denominator=3)
 
 
 @st.composite
@@ -81,8 +97,8 @@ def matrices(rows, cols, values=st.integers(-1, 1)):
 
 
 @st.composite
-def coefficient_maps(draw, a, b, q_alg):
-    vectors = st.lists(st.integers(-1, 1), min_size=q_alg.dim, max_size=q_alg.dim)
+def coefficient_maps(draw, a, b, q_alg, values=st.integers(-1, 1)):
+    vectors = st.lists(values, min_size=q_alg.dim, max_size=q_alg.dim)
     entries = draw(matrices(b.dim, a.dim, vectors))
     return tensor_valued_map(a.dim, b.dim, q_alg.dim, entries)
 
@@ -176,3 +192,102 @@ def test_coefficients_multiply_in_index_order():
     witness = (False, ("m", (0,), (0, 1)))
     assert is_comeasuring(rho, q_alg, split, split) == witness
     assert scan_is_comeasuring(rho, q_alg, split, split) == witness
+
+
+def q_vectors(q_alg):
+    return st.lists(COEFFS, min_size=q_alg.dim, max_size=q_alg.dim).map(vec)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), q_alg=st.sampled_from(Q_ALGEBRAS), count=st.integers(0, 4))
+def test_sparse_products_match_the_dense_loop(data, q_alg, count):
+    x, y = data.draw(q_vectors(q_alg)), data.draw(q_vectors(q_alg))
+    product_xy = q_alg.multiply(x, y)
+    assert product_xy == dense_multiply(q_alg, x, y)
+    vectors = [data.draw(q_vectors(q_alg)) for _ in range(count)]
+    product_all = q_alg.product_of(vectors)
+    assert product_all == dense_product_of(q_alg, vectors)
+    assert all(map(is_exact_coefficient, product_xy + product_all))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), pair=magma_pairs(), q_alg=st.sampled_from(Q_ALGEBRAS))
+def test_factorization_failures_match_the_dense_evaluation(data, pair, q_alg):
+    a, b = pair
+    rho = data.draw(coefficient_maps(a, b, q_alg, COEFFS))
+    mp = tambara_presentation(a, b)
+    report = factor_through_universal(mp, rho, q_alg)
+    assert report.failures == dense_factorization_failures(mp, rho, q_alg)
+    assert all(is_exact_coefficient(c) for _, value in report.failures for c in value)
+    assert is_comeasuring(rho, q_alg, a, b) == scan_is_comeasuring(rho, q_alg, a, b)
+
+
+def rescaled_group_hopf(g, scale):
+    """Q[G] on the basis f_x = scale[x] e_x: f_x f_y = scale[x] scale[y] /
+    scale[xy] f_xy, Delta f_x = f_x (x) f_x / scale[x], eps(f_x) = scale[x]
+    and S f_x = scale[x] / scale[x^-1] f_(x^-1)."""
+    n, inv = g.size, inverses(g)
+
+    def at(k, c):
+        return tuple(c if i == k else F(0) for i in range(n))
+
+    mult = tuple(
+        tuple(at(g.mul(x, y), scale[x] * scale[y] / scale[g.mul(x, y)]) for y in range(n))
+        for x in range(n)
+    )
+    delta = tuple({(x, x): 1 / scale[x]} for x in range(n))
+    columns = [at(inv[x], scale[x] / scale[inv[x]]) for x in range(n)]
+    antipode = tuple(zip(*columns))
+    return FinDimHopf(n, mult, at(g.unit, 1 / scale[g.unit]), delta, tuple(scale), antipode)
+
+
+def _table_coefficients(maps, n):
+    """Every coefficient in the sparse_maps tables on the basis 0..n-1."""
+    out = list(maps.get("unit", {}).values())
+    for i in range(n):
+        if "mul" in maps:
+            for j in range(n):
+                out += maps["mul"](i, j).values()
+        if "delta" in maps:
+            out += maps["delta"](i).values()
+        if "eps" in maps:
+            out.append(maps["eps"](i))
+        if "antipode" in maps:
+            out += maps["antipode"](i).values()
+    return out
+
+
+SCALES = st.sampled_from((1, -1, 2, 3, F(1, 2), F(-2, 3), F(3, 2))).map(F)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    data=st.data(),
+    g=st.sampled_from((cyclic_monoid(1), cyclic_monoid(2), cyclic_monoid(3), klein_four())),
+)
+def test_fd_tables_and_products_keep_integral_coefficients_int(data, g):
+    scale = data.draw(st.lists(SCALES, min_size=g.size, max_size=g.size))
+    h = rescaled_group_hopf(g, scale)
+    assert check_hopf_axioms_fd(h).all_pass
+    algebra = FDAlgebra(h.dim, h.mult, h.unit)
+    coalgebra = FDCoalgebra(h.dim, h.delta, h.counit)
+    coefficients = _table_coefficients(h.maps, h.dim)
+    coefficients += _table_coefficients(algebra._maps, h.dim)
+    coefficients += _table_coefficients(coalgebra._maps, h.dim)
+    x, y = data.draw(q_vectors(algebra)), data.draw(q_vectors(algebra))
+    coefficients += algebra.multiply(x, y) + algebra.product_of([x, y, x])
+    assert coefficients and all(map(is_exact_coefficient, coefficients))
+    assert algebra.multiply(x, y) == dense_multiply(algebra, x, y)
+
+
+def test_fractional_constants_multiply_to_ints():
+    # f = g / 2 in Q[Z/2]: f f = 1/4, Delta f = 2 f (x) f, eps(f) = 1/2, S f = f
+    h = rescaled_group_hopf(cyclic_monoid(2), [F(1), F(1, 2)])
+    assert check_hopf_axioms_fd(h).all_pass
+    assert h.maps["mul"](1, 1) == {0: F(1, 4)} and h.maps["delta"](1) == {(1, 1): 2}
+    algebra = FDAlgebra(h.dim, h.mult, h.unit)
+    four_f = vec([0, 4])
+    assert algebra.multiply(four_f, four_f) == (4, 0)
+    assert [type(c) for c in algebra.multiply(four_f, four_f)] == [int, int]
+    assert algebra.product_of([vec([0, 1])]) == (0, 1)
+    assert algebra.multiply(vec([0, 1]), vec([0, 1])) == (F(1, 4), 0)

@@ -16,13 +16,13 @@ from hypothesis import strategies as st
 from univhopf._linalg import rank, solve, unit_vec, zero_vec
 from univhopf.coact import (
     comodule_axiom_failures,
-    fd_coalgebra,
     group_like_coalgebra,
     support_of_comodule,
     support_of_map,
     tensor_valued_map,
 )
 
+from helpers import fd_coalgebra
 from oracles import (
     coords_in_span,
     dense_comodule_failures,

@@ -37,7 +37,7 @@ from oracles import (
     truncated_ideal_pivots,
     truncated_ideal_rank_mod_p,
 )
-from helpers import corpus_membership_answers
+from helpers import corpus_membership_answers, is_exact_coefficient
 
 F = Fraction
 ORACLE_STEPS = 3_000
@@ -257,10 +257,6 @@ def test_generators_from_256_on_are_distinct_letters():
     assert ours == [big, ((301,), NCPoly.zero()), ((300,), NCPoly.zero())]
 
 
-def _exact(c):
-    return type(c) is int or (type(c) is F and c.denominator > 1)
-
-
 @settings(max_examples=100, deadline=None)
 @given(data=st.data(), pres=presentations(min_gens=1), bound=st.integers(3, 5))
 def test_coefficients_are_int_when_integral(data, pres, bound):
@@ -271,7 +267,7 @@ def test_coefficients_are_int_when_integral(data, pres, bound):
     for _ in range(3):
         p = data.draw(polys(pres.num_gens, bound))
         outputs += [p, reduce_normal_form(p, system), reduce_normal_form(p, square)]
-    assert all(_exact(c) for poly in outputs for c in poly.terms.values())
+    assert all(is_exact_coefficient(c) for poly in outputs for c in poly.terms.values())
 
 
 def test_an_integral_rational_prints_as_its_int():

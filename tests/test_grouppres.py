@@ -222,3 +222,21 @@ def test_coset_enumeration_agrees_with_smith_form_on_abelian_groups():
         for d in invariants:
             expected *= d
         assert todd_coxeter_order(pres, coset_limit=20000) == expected
+
+
+def test_one_smith_form_per_presentation(monkeypatch):
+    from univhopf import grouppres
+
+    calls = []
+    smith = grouppres._smith_diagonal
+    monkeypatch.setattr(
+        grouppres, "_smith_diagonal", lambda rows, n: calls.append(n) or smith(rows, n)
+    )
+    z6 = presentation(2, [(1, 1), (2, 2, 2), (1, 2, -1, -2)])
+    invariants = abelian_invariants(z6)
+    assert invariants == [6] and todd_coxeter_order(z6) == 6
+    invariants.append(0)  # each call returns its own list
+    assert abelian_invariants(z6) == [6] and len(calls) == 1
+    # an equal presentation is another object with its own Smith form
+    again = presentation(2, [(1, 1), (2, 2, 2), (1, 2, -1, -2)])
+    assert again == z6 and todd_coxeter_order(again) == 6 and len(calls) == 2
