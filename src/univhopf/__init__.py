@@ -71,7 +71,6 @@ from .ncalg import (
     dim_normal_words,
     ideal_member_up_to,
     reduce_normal_form,
-    tensor_square_system,
 )
 from .setsuniversal import (
     SetComodFrame,

@@ -84,17 +84,3 @@ def solve(a: Mat, b: Vec) -> Vec | None:
             return None
         x[p] = row[-1]
     return tuple(x)
-
-
-def nullspace(a: Mat, ncols: int) -> Mat:
-    """Basis of {x : a·x = 0} for a matrix with ncols columns."""
-    reduced, pivots = rref(a)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        x = [Fraction(0)] * ncols
-        x[f] = Fraction(1)
-        for row, p in zip(reduced, pivots):
-            x[p] = -row[f]
-        basis.append(tuple(x))
-    return tuple(basis)

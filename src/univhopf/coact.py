@@ -259,12 +259,17 @@ def sparse_maps(n, mult=None, unit=None, delta=None, counit=None, antipode=None)
 
     Raises InputError unless the given constants fit dimension n: mult[i][j],
     unit and counit are n-vectors, delta[i] maps index pairs in range to
-    exact coefficients and antipode is n x n.  The maps hold the constants
-    with zeros dropped and integral ones as ints.
+    Fraction coefficients and antipode is n x n, every other constant an
+    int or a Fraction.  The maps hold the constants with zeros dropped and
+    integral ones as ints.
     """
 
     def square(rows):
         return len(rows) == n and all(len(row) == n for row in rows)
+
+    def check_exact(name, xs):
+        if not all(isinstance(x, (int, Fraction)) for x in xs):
+            raise InputError(f"non-exact {name} constant")
 
     maps = {}
     if mult is not None:
@@ -272,12 +277,14 @@ def sparse_maps(n, mult=None, unit=None, delta=None, counit=None, antipode=None)
             raise InputError("multiplication table shape mismatch")
         if any(len(p) != n for row in mult for p in row):
             raise InputError("product vector length mismatch")
+        check_exact("multiplication", (c for row in mult for p in row for c in p))
         table = [[_sparse(p) for p in row] for row in mult]
         maps["mul"] = lambda i, j: table[i][j]
     for name, v in (("unit", unit), ("counit", counit)):
         if v is not None and len(v) != n:
             raise InputError(f"{name} vector length mismatch")
     if unit is not None:
+        check_exact("unit", unit)
         maps["unit"] = _sparse(unit)
     if delta is not None:
         if len(delta) != n:
@@ -291,10 +298,12 @@ def sparse_maps(n, mult=None, unit=None, delta=None, counit=None, antipode=None)
         rows = [{jk: exact(c) for jk, c in row.items() if c} for row in delta]
         maps["delta"] = rows.__getitem__
     if counit is not None:
+        check_exact("counit", counit)
         maps["eps"] = tuple(map(exact, counit)).__getitem__
     if antipode is not None:
         if not square(antipode):
             raise InputError("antipode matrix shape mismatch")
+        check_exact("antipode", (c for row in antipode for c in row))
         maps["antipode"] = [_sparse(column) for column in zip(*antipode)].__getitem__
     return maps
 

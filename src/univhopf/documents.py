@@ -24,7 +24,7 @@ from .errors import InputError
 from .finmonoid import FinMonoid
 from .grading import Grading
 from .grouppres import GroupPresentation, free_reduce_word
-from .hopf import BialgebraPresentation, FinDimHopf, HopfPresentation
+from .hopf import BialgebraPresentation, FinDimHopf, HopfPresentation, _split_tensor_word
 from .lio import FiniteCategory, FunctorData
 from .ncalg import AlgebraPresentation, NCPoly
 from .setsuniversal import SetComodFrame
@@ -106,8 +106,10 @@ def parse_rational(s) -> Fraction:
 
 
 def format_rational(x: Fraction) -> str:
-    x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    if not isinstance(x, (int, Fraction)):
+        x = Fraction(x)
+    p, q = x.numerator, x.denominator
+    return str(p) if q == 1 else f"{p}/{q}"
 
 
 def _int_list(xs):
@@ -150,22 +152,29 @@ def _parse_vect_magma(doc) -> FinVectMagma:
     return FinVectMagma(sig, dim, tuple(basis), _by_name(doc, "tensors", _parse_tensor))
 
 
-def _parse_tensor(entries):
-    """{(out, in): coeff} without its zero coefficients; a repeated
-    (out, in) is rejected, whether its coefficients are zero or not."""
+def _keyed(entries, parse, what):
+    """{key: value} over the pairs parse(entry); a repeated key is a bad
+    field at its second entry."""
     _expect(isinstance(entries, list), "expected a list")
     table = {}
     for i, e in enumerate(entries):
-        out, inp, coeff = _at((i,), _parse_tensor_entry, e)
-        _expect((out, inp) not in table, "duplicate tensor entry", i)
-        table[(out, inp)] = coeff
+        key, value = _at((i,), parse, e)
+        _expect(key not in table, f"duplicate {what}", i)
+        table[key] = value
+    return table
+
+
+def _parse_tensor(entries):
+    """{(out, in): coeff} without its zero coefficients; a repeated
+    (out, in) is rejected, whether its coefficients are zero or not."""
+    table = _keyed(entries, _parse_tensor_entry, "tensor entry")
     return {key: c for key, c in table.items() if c != 0}
 
 
 def _parse_tensor_entry(e):
     out = _field(e, "out", _int_list)
     inp = _field(e, "in", _int_list)
-    return out, inp, _field(e, "coeff", parse_rational, types=None)
+    return (out, inp), _field(e, "coeff", parse_rational, types=None)
 
 
 def _parse_set_magma(doc) -> FinSetMagma:
@@ -175,13 +184,7 @@ def _parse_set_magma(doc) -> FinSetMagma:
 
 
 def _parse_table(entries):
-    _expect(isinstance(entries, list), "expected a list")
-    table = {}
-    for i, e in enumerate(entries):
-        inp, out = _at((i,), _parse_table_entry, e)
-        _expect(inp not in table, "duplicate table entry", i)
-        table[inp] = out
-    return table
+    return _keyed(entries, _parse_table_entry, "table entry")
 
 
 def _parse_table_entry(e):
@@ -206,8 +209,11 @@ def _parse_grading(doc) -> Grading:
 
 
 def _parse_delta_row(row):
-    """Terms {left, right, coeff} as {(left, right): coeff}, zeros dropped."""
-    return {jk: c for jk, c in _each(row, _parse_delta_term) if c != 0}
+    """Terms {left, right, coeff} as {(left, right): coeff}, zeros dropped;
+    a repeated (left, right) is rejected, whether its coefficients are zero
+    or not."""
+    terms = _keyed(row, _parse_delta_term, "delta term")
+    return {jk: c for jk, c in terms.items() if c != 0}
 
 
 def _parse_delta_term(e):
@@ -228,15 +234,14 @@ def fd_algebra_from_vect_magma(vm: FinVectMagma) -> FDAlgebra:
     mu, un = vm.signature.unital_ops()
     if mu is None or un is None:
         raise InputError("algebra data needs a binary product and a unit operation")
-    n = vm.dim
-    mult = tuple(
-        tuple(
-            tuple(vm.op_entry(mu, (k,), (i, j)) for k in range(n)) for j in range(n)
-        )
-        for i in range(n)
-    )
-    unit = tuple(vm.op_entry(un, (k,), ()) for k in range(n))
-    return FDAlgebra(n, mult, unit)
+    n, zero = vm.dim, Fraction(0)
+    mult = [[[zero] * n for _ in range(n)] for _ in range(n)]
+    for ((k,), (i, j)), c in vm.tensors[mu].items():
+        mult[i][j][k] = c
+    unit = [zero] * n
+    for ((k,), ()), c in vm.tensors[un].items():
+        unit[k] = c
+    return FDAlgebra(n, tuple(tuple(map(tuple, row)) for row in mult), tuple(unit))
 
 
 @dataclass(frozen=True, eq=False)
@@ -679,8 +684,8 @@ def serialize_algebra_presentation(p) -> dict:
 def _delta_terms(poly: NCPoly, labels, k: int) -> list:
     out = []
     for w, c in poly.sorted_terms():
-        left = [labels[g] for g in w if g < k]
-        right = [labels[g - k] for g in w if g >= k]
+        left, right = _split_tensor_word(w, k)
+        left, right = [labels[g] for g in left], [labels[g] for g in right]
         out.append({"left": left, "right": right, "coeff": format_rational(c)})
     return out
 

@@ -5,7 +5,7 @@ the one sparse axiom checker, ``coact.check_axioms``.
 
 Presentation-level data carries comultiplication images inside the
 tensor-square algebra of the presentation: the left copy is generators
-0..k-1, the right copy k..2k-1.
+0..k-1, the right copy k..2k-1, read back only by ``_split_tensor_word``.
 
 The Hopf envelope is computed as a truncated presentation: one copy of the
 input bialgebra per level 0..N, multiplication reversed on odd levels and
@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import prod
 
-from ._linalg import Vec, nullspace, solve, unit_vec
+from ._linalg import Vec, unit_vec
 from .errors import InputError, PreconditionError
 from .finmonoid import FinMonoid, inverses, unit_group
 from .coact import (
@@ -32,10 +32,10 @@ from .coact import (
 from .ncalg import (
     AlgebraPresentation,
     NCPoly,
+    RewriteSystem,
     complete_rules_up_to,
     nc_evaluate,
     reduce_normal_form,
-    tensor_square_system,
 )
 
 DEFAULT_ANTIPODE_LEVELS = 3
@@ -81,36 +81,6 @@ def check_hopf_axioms_fd(h: FinDimHopf) -> AxiomReport:
     results = check_axioms(range(h.dim), **h.maps)
     rows = ((name, not f, f[0] if f else None) for name, _, _, f in results)
     return AxiomReport(tuple(rows))
-
-
-def antipode_from_convolution(h: FinDimHopf):
-    """Solve both convolution identities for the antipode matrix.
-
-    Returns (matrix or None, degrees_of_freedom).  For honest Hopf data the
-    solution is unique: (S, 0).
-    """
-    n = h.dim
-    rows = []
-    rhs = []
-    for i in range(n):
-        for r in range(n):
-            # sum_{(j,k)} c * sum_a S[a][j] (e_a e_k)_r = eps_i unit_r
-            left_row = [Fraction(0)] * (n * n)
-            right_row = [Fraction(0)] * (n * n)
-            for (j, k), c in h.delta[i].items():
-                for a in range(n):
-                    left_row[a * n + j] += c * h.mult[a][k][r]
-                    right_row[a * n + k] += c * h.mult[j][a][r]
-            rows.append(tuple(left_row))
-            rhs.append(h.counit[i] * h.unit[r])
-            rows.append(tuple(right_row))
-            rhs.append(h.counit[i] * h.unit[r])
-    sol = solve(tuple(rows), tuple(rhs))
-    if sol is None:
-        return None, 0
-    dof = len(nullspace(tuple(rows), n * n))
-    s = tuple(tuple(sol[a * n + j] for j in range(n)) for a in range(n))
-    return s, dof
 
 
 def group_algebra_hopf(g: FinMonoid) -> FinDimHopf:
@@ -239,20 +209,57 @@ class WellDefinedVerdict:
     witness: tuple | None  # (relation index, offending normal form or scalar)
 
 
+def _split_tensor_word(word, total_gens: int):
+    """The left and right factors of a word of the tensor square, whose
+    letters below total_gens are the left copy and the rest the right copy
+    shifted by total_gens; the copies commute, so their order is lost."""
+    left = [g for g in word if g < total_gens]
+    right = [g - total_gens for g in word if g >= total_gens]
+    return tuple(left), tuple(right)
+
+
+def _regroup(terms) -> dict:
+    """{b: the sum of c * a} over the items ((a, b), c)."""
+    out = {}
+    for (a, b), c in terms:
+        row = out.setdefault(b, {})
+        row[a] = row.get(a, 0) + c
+    return {b: NCPoly(row) for b, row in out.items()}
+
+
+def _reduce_tensor_square(p: NCPoly, system: RewriteSystem) -> NCPoly:
+    """p in A (x) A reduced factor by factor with the system of A: the left
+    factors per right word, then the right factors per left normal word.
+    The normal words of A (x) A are the pairs of normal words of A
+    (Bergman's diamond lemma), each written left word then shifted right
+    word."""
+    k = system.num_gens
+    lefts = _regroup((_split_tensor_word(w, k), c) for w, c in p.terms.items())
+    rights = _regroup(
+        ((right, left), c)
+        for right, poly in lefts.items()
+        for left, c in reduce_normal_form(poly, system).terms.items()
+    )
+    out = {}
+    for left, poly in rights.items():
+        for right, c in reduce_normal_form(poly, system).terms.items():
+            out[left + tuple(g + k for g in right)] = c
+    return NCPoly._trusted(out)
+
+
 def check_comap_well_defined(
     b: BialgebraPresentation, degree_bound: int
 ) -> WellDefinedVerdict:
     """Push every relation through Delta and eps and reduce in the tensor square.
 
-    The tensor square's system is assembled from the algebra's bounded
-    completion by the diamond lemma (``ncalg.tensor_square_system``): its
-    skipped overlaps are counted on the assembled rules, and it is confluent
-    when the base is and either none was skipped or every relation is
-    homogeneous.  Every rule lies in the ideal, so normal form 0 passes; a
-    nonzero one refutes well-definedness only when the system is confluent
-    and the image stays within degree.
+    The images are reduced factor by factor with the algebra's own bounded
+    completion (``_reduce_tensor_square``).  Every rule lies in the ideal,
+    so normal form 0 passes.  A nonzero one refutes well-definedness only
+    when the completion is confluent up to the bound and the image stays
+    within it: then both factors of every word do, and the pairs of normal
+    words are independent in A (x) A.
     """
-    system = tensor_square_system(b.algebra, complete_rules_up_to(b.algebra, degree_bound))
+    system = complete_rules_up_to(b.algebra, degree_bound)
     inconclusive = None
     for idx, rel in enumerate(b.algebra.relations):
         eps_value = sum(c * prod(b.counit[g] for g in w) for w, c in rel.terms.items())
@@ -262,7 +269,7 @@ def check_comap_well_defined(
         if image.degree() > degree_bound:
             inconclusive = (idx, None)
             continue
-        nf = reduce_normal_form(image, system)
+        nf = _reduce_tensor_square(image, system)
         if not nf.is_zero():
             if system.confluent_up_to:
                 return WellDefinedVerdict("fail", (idx, nf))
@@ -315,12 +322,6 @@ class HopfPresentation:
     @property
     def base_gen_of(self) -> tuple:
         return tuple(g % self._k for g in range(self.algebra.num_gens))
-
-
-def _split_tensor_word(word, total_gens: int):
-    left = [g for g in word if g < total_gens]
-    right = [g - total_gens for g in word if g >= total_gens]
-    return tuple(left), tuple(right)
 
 
 def hopf_envelope_presentation(

@@ -400,31 +400,3 @@ def dim_normal_words(system: RewriteSystem, degree: int) -> int:
             if not ends_reducible(nxt):
                 stack.append(nxt)
     return count
-
-
-def tensor_square_system(pres: AlgebraPresentation, base: RewriteSystem) -> RewriteSystem:
-    """The bounded system of A (x) A (left copy on generators 0..k-1, right
-    copy on k..2k-1) assembled from base, the bounded system of A = pres.
-
-    By Bergman's diamond lemma the completed rules are the base rules, their
-    right copies and y_j x_i -> x_i y_j for generators that are not
-    single-letter leading words (a swap's overlaps resolve by moving y_j
-    across), sorted deglex; a base with 1 -> 0 is its own square.  Skipped
-    overlaps are counted on these rules: a swap overlapping a rule of length
-    d is skipped in the square only.  The square is confluent when the base
-    is and either none was skipped or every relation is homogeneous.
-    """
-    k, table = base.num_gens, base._index[0]
-    rules = list(base.rules)
-    if () not in table:
-        for lw, rhs in base.rules:
-            terms = {tuple(g + k for g in w): c for w, c in rhs.terms.items()}
-            rules.append((tuple(g + k for g in lw), NCPoly._trusted(terms)))
-        free = [g for g in range(k) if (g,) not in table]
-        rules += [((k + j, i), NCPoly.monomial((i, k + j))) for i in free for j in free]
-        rules.sort(key=lambda r: deglex_key(r[0]))
-    d = base.degree_bound
-    skipped = sum(len(lw1) + len(lw2) - n > d for lw1, _, lw2, _, n in _overlaps(rules))
-    homogeneous = all(map(_is_homogeneous, pres.relations))
-    confluent = base.confluent_up_to and (skipped == 0 or homogeneous)
-    return RewriteSystem(2 * k, tuple(rules), d, confluent, skipped)

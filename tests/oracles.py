@@ -11,9 +11,9 @@ rotation scan that the factor index of Tietze shortening replaced, the
 full coset enumeration that the abelianization shortcut of Todd-Coxeter
 skips for groups with a free abelian factor, and the linear solves and
 dense comodule axiom loops that the RREF pivot read of support coordinates
-and the one axiom checker replaced, the tensor-square presentation whose
-from-scratch completion the assembled tensor-square system replaced, the
-staged Smith diagonal that the one-loop Smith form replaced, the monoid
+and the one axiom checker replaced, the tensor-square presentation, whose
+completion and truncated ideal check the factor-by-factor reduction of
+coproduct images, the staged Smith diagonal that the one-loop Smith form replaced, the monoid
 associativity triple loop that the row-per-step check replaced, the slice scan
 that interreduction's substring factor test replaced, the dense i, j, k
 multiplication and comultiplication loops that the sparse structure tables

@@ -447,6 +447,13 @@ def test_repeated_labels_exit_2_at_the_second_position(tmp_path):
     assert (code, out, err) == (2, "", f"error: $.labels[2]: repeated label {label!r}\n")
 
 
+def test_a_repeated_delta_term_exits_2_at_its_second_position(tmp_path):
+    hopf = docs.serialize_hopf_fd(group_algebra_hopf(cyclic_monoid(2)))
+    hopf["delta"][1] *= 2
+    code, out, err = invoke(["check-hopf", write(tmp_path, "h.json", hopf)])
+    assert (code, out, err) == (2, "", "error: $.delta[1][1]: duplicate delta term\n")
+
+
 def test_hopf_envelope_rejects_hopf_input(tmp_path):
     from univhopf.coact import manin_end_presentation
     from univhopf.hopf import hopf_envelope_presentation, universal_bialgebra_structure

@@ -457,10 +457,16 @@ def test_structure_shapes_are_validated():
         lambda: FDCoalgebra(1, ({(0, 0): F(1)},), (F(1), F(0))),
         lambda: FDAlgebra(1, (((F(1), F(0)),),), one),
         lambda: FDAlgebra(1, ((one,),), (F(1), F(0))),
+        lambda: FDAlgebra(1, (((1.0,),),), (1.0,)),  # float constants
+        lambda: FDAlgebra(1, ((one,),), (1.0,)),
+        lambda: FDCoalgebra(1, ({(0, 0): F(1)},), (1.0,)),
     )
     for build in bad:
         with pytest.raises(InputError):
             build()
+    # int constants stay accepted
+    FDAlgebra(1, (((1,),),), (1,))
+    FDCoalgebra(1, ({(0, 0): F(1)},), (1,))
 
 
 def test_matrix_frame_keeps_one_generator_per_position():

@@ -1,26 +1,43 @@
 """Differential tests: the sparse axiom checker against the dense per-axiom
 Hopf checker in oracles.py, on single-entry perturbations of small Hopf
-algebras, and on a differential graded structure with a wrong antipode."""
+algebras, and on a differential graded structure with a wrong antipode;
+and the verdicts and normal forms of check_comap_well_defined against the
+tensor-square presentation in oracles.py, its truncated ideal and its
+completion, on small presentations whose generators are primitive or
+group-like."""
 
 from fractions import Fraction
+from math import prod
 
-from hypothesis import given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from univhopf.coact import FDAlgebra, FDCoalgebra, check_axioms
 from univhopf.errors import PreconditionError
 from univhopf.hopf import (
+    BialgebraPresentation,
     FinDimHopf,
     _dg_antipode,
     _dg_delta,
     _dg_mul,
+    _reduce_tensor_square,
+    check_comap_well_defined,
     check_hopf_axioms_fd,
     group_algebra_hopf,
     skew_primitive_hopf,
 )
+from univhopf.ncalg import AlgebraPresentation, NCPoly, complete_rules_up_to, nc_evaluate
 
 from helpers import cyclic_monoid, klein_four
-from oracles import dense_hopf_axioms
+from oracles import (
+    BudgetExceeded,
+    dense_hopf_axioms,
+    reduce_mod_pivots,
+    scan_completion,
+    scan_reduce,
+    tensor_square_presentation,
+    truncated_ideal_pivots,
+)
 
 F = Fraction
 
@@ -173,3 +190,115 @@ def test_dg_structure_with_flipped_antipode_fails_inside_the_window():
             assert verified + skipped == len(basis)
         else:
             assert not failures, name
+
+
+# ---------------------------------------------------------------------------
+# coproducts on relations, against the tensor-square presentation
+
+ORACLE_STEPS = 3_000
+COEFFS = st.sampled_from([F(1), F(-1), F(2), F(-3), F(1, 2)])
+
+
+def words(num_gens, min_len, max_len):
+    return st.lists(st.integers(0, num_gens - 1), min_size=min_len, max_size=max_len).map(
+        tuple
+    )
+
+
+@st.composite
+def bialgebras(draw):
+    """One or two generators, each primitive or group-like, and one or two
+    relations of degree at most 3 with their counit subtracted: random
+    polynomials, or uv - c vu for words u and v, which is well defined for
+    some c."""
+    k = draw(st.integers(1, 2))
+    group_like = draw(st.lists(st.booleans(), min_size=k, max_size=k))
+    delta = tuple(
+        NCPoly.monomial((g, k + g)) if gl else NCPoly.gen(g) + NCPoly.gen(k + g)
+        for g, gl in enumerate(group_like)
+    )
+    counit = tuple(F(gl) for gl in group_like)
+    relations = []
+    for _ in range(draw(st.integers(1, 2))):
+        if draw(st.booleans()):
+            terms = st.dictionaries(words(k, 0, 3), COEFFS, min_size=1, max_size=3)
+            rel = NCPoly(draw(terms))
+        else:
+            u = draw(words(k, 1, 2))
+            v = draw(words(k, 1, 3 - len(u)))
+            rel = NCPoly.monomial(u + v) - NCPoly.monomial(v + u, draw(COEFFS))
+        eps = sum(c * prod(counit[g] for g in w) for w, c in rel.terms.items())
+        rel = rel - NCPoly.one().scale(eps)
+        if not rel.is_zero():
+            relations.append(rel)
+    assume(relations)
+    algebra = AlgebraPresentation(k, ("a", "b")[:k], tuple(relations))
+    return BialgebraPresentation(algebra, delta, counit)
+
+
+def _verdict(bial, bound):
+    """The verdict at bound, on inputs whose completion the linear-scan
+    oracle finishes."""
+    try:
+        scan_completion(bial.algebra, bound, ORACLE_STEPS)
+    except BudgetExceeded:
+        assume(False)
+    verdict = check_comap_well_defined(bial, bound)
+    event(verdict.status)
+    return verdict
+
+
+def _homogeneous(pres):
+    return all(len({len(w) for w in r.terms}) == 1 for r in pres.relations)
+
+
+def _square_pivots(pres, bound):
+    return truncated_ideal_pivots(tensor_square_presentation(pres), bound)
+
+
+@settings(max_examples=150, deadline=None)
+@given(bial=bialgebras(), bound=st.integers(3, 4))
+def test_a_pass_lies_in_the_truncated_square_ideal(bial, bound):
+    # the ideal of a homogeneous presentation is spanned up to degree D by
+    # its products u r v of degree at most D; that of another may not be:
+    # a^2 and a^3 + a put a, and so a (x) a, in it, but a (x) a is a sum of
+    # such products only from degree 4 on.  There the products are taken
+    # over the oracle's completed rules, which hold every reduction step of
+    # degree at most D.
+    if _verdict(bial, bound).status != "pass":
+        return
+    pres = bial.algebra
+    if not _homogeneous(pres):
+        rules, _, _ = scan_completion(pres, bound, ORACLE_STEPS)
+        rules = tuple(NCPoly.monomial(lw) - rhs for lw, rhs in rules)
+        pres = AlgebraPresentation(pres.num_gens, pres.gen_labels, rules)
+    pivots = _square_pivots(pres, bound)
+    for rel in bial.algebra.relations:
+        assert not reduce_mod_pivots(nc_evaluate(rel, bial.delta).terms, pivots), rel
+
+
+@settings(max_examples=150, deadline=None)
+@given(bial=bialgebras(), bound=st.integers(3, 4))
+def test_a_fail_witness_lies_outside_the_truncated_square_ideal(bial, bound):
+    verdict = _verdict(bial, bound)
+    if verdict.status != "fail":
+        return
+    _, witness = verdict.witness
+    assert reduce_mod_pivots(witness.terms, _square_pivots(bial.algebra, bound)), witness
+
+
+@settings(max_examples=150, deadline=None)
+@given(bial=bialgebras(), bound=st.integers(3, 4))
+def test_a_confluent_square_completion_gives_the_factor_normal_form(bial, bound):
+    _verdict(bial, bound)
+    square = tensor_square_presentation(bial.algebra)
+    try:
+        rules, closed, skipped = scan_completion(square, bound, ORACLE_STEPS)
+    except BudgetExceeded:
+        assume(False)
+    assume(closed and (skipped == 0 or _homogeneous(square)))
+    system = complete_rules_up_to(bial.algebra, bound)
+    for rel in bial.algebra.relations:
+        image = nc_evaluate(rel, bial.delta)
+        if image.degree() <= bound:
+            assert _reduce_tensor_square(image, system) == scan_reduce(image, rules), rel

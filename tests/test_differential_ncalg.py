@@ -1,8 +1,6 @@
 """Differential tests: the indexed, heap-ordered reducer and the completion
 built on it against the linear-scan reducer and completion in oracles.py,
-on random rule lists and small presentations over 2-3 generators; and the
-tensor-square system assembled from a base completion against the
-completion of the tensor-square presentation, over 1-3 generators.
+on random rule lists and small presentations over 2-3 generators.
 Interreduction's substring factor test against the slice scan it replaced;
 the coefficient types that come out; and the normal-word counts of a
 confluent completion against the rank modulo a prime of the products
@@ -24,7 +22,6 @@ from univhopf.ncalg import (
     deglex_key,
     dim_normal_words,
     reduce_normal_form,
-    tensor_square_system,
 )
 
 from oracles import (
@@ -33,7 +30,6 @@ from oracles import (
     scan_reduce,
     slice_scan_add_and_interreduce,
     reduce_mod_pivots,
-    tensor_square_presentation,
     truncated_ideal_pivots,
     truncated_ideal_rank_mod_p,
 )
@@ -136,70 +132,6 @@ def test_certified_system_reduces_like_a_higher_bound(data, pres):
         assert reduce_normal_form(p, system) == reduce_normal_form(p, higher)
 
 
-def _square_and_oracle(pres, bound):
-    """The assembled tensor-square system and the completion of the
-    tensor-square presentation, whose rules, skipped count and flag it must
-    reproduce."""
-    square = tensor_square_system(pres, complete_rules_up_to(pres, bound))
-    return square, complete_rules_up_to(tensor_square_presentation(pres), bound)
-
-
-@settings(max_examples=150, deadline=None)
-@given(pres=presentations(min_gens=1), bound=st.integers(3, 5))
-def test_tensor_square_system_matches_completed_square(pres, bound):
-    _oracle_completion(pres, bound)
-    _oracle_completion(tensor_square_presentation(pres), bound)
-    square, oracle = _square_and_oracle(pres, bound)
-    assert square.num_gens == oracle.num_gens
-    assert square.rules == oracle.rules
-    assert square.overlaps_skipped == oracle.overlaps_skipped
-    assert square.confluent_up_to == oracle.confluent_up_to
-
-
-def _rel(*terms):
-    """One relation in generators a, b: the sum of c * word over (word, c)."""
-    poly = NCPoly({tuple("ab".index(x) for x in w): c for w, c in terms})
-    return AlgebraPresentation(2, ("a", "b"), (poly,))
-
-
-def test_swaps_overlapping_a_rule_of_bound_length_are_skipped_in_the_square_only():
-    # b - aab: the base has no overlap; in the square the swaps a'a and b'a
-    # overlap aab, and a'a'b' overlaps the swaps b'a and b'b, in words of
-    # length 4
-    pres = _rel(("b", 1), ("aab", -1))
-    base = complete_rules_up_to(pres, 3)
-    assert base.confluent_up_to and base.overlaps_skipped == 0
-    square, oracle = _square_and_oracle(pres, 3)
-    assert square.overlaps_skipped == oracle.overlaps_skipped == 4
-    assert not square.confluent_up_to and not oracle.confluent_up_to
-    assert square.rules == oracle.rules
-
-
-def test_homogeneous_square_is_certified_despite_skipped_overlaps():
-    pres = _rel(("aab", 1), ("bba", -1))
-    assert complete_rules_up_to(pres, 3).confluent_up_to
-    square, oracle = _square_and_oracle(pres, 3)
-    assert square.overlaps_skipped == oracle.overlaps_skipped == 4
-    assert square.confluent_up_to and oracle.confluent_up_to
-    assert square.rules == oracle.rules
-
-
-def test_square_of_a_collapsed_base_is_the_single_rule_one_to_zero():
-    a = NCPoly.gen(0)
-    pres = AlgebraPresentation(1, ("a",), (a - NCPoly.one(), a - NCPoly.one().scale(2)))
-    square, oracle = _square_and_oracle(pres, 3)
-    assert square.rules == oracle.rules == (((), NCPoly.zero()),)
-    assert square.num_gens == 2 and square.confluent_up_to
-
-
-def test_no_swap_for_a_single_letter_leading_word():
-    # a -> 1 rewrites a and a', so the only swap is b'b -> bb'
-    pres = _rel(("a", 1), ("", -1))
-    square, oracle = _square_and_oracle(pres, 3)
-    assert square.rules == oracle.rules
-    assert [lw for lw, _ in square.rules] == [(0,), (2,), (3, 1)]
-
-
 @st.composite
 def pending_lists(draw):
     """Two batches of polynomials over 2-3 generators whose indices start at
@@ -262,11 +194,10 @@ def test_generators_from_256_on_are_distinct_letters():
 def test_coefficients_are_int_when_integral(data, pres, bound):
     _oracle_completion(pres, bound)
     system = complete_rules_up_to(pres, bound)
-    square = tensor_square_system(pres, system)
-    outputs = [rhs for _, rhs in system.rules + square.rules]
+    outputs = [rhs for _, rhs in system.rules]
     for _ in range(3):
         p = data.draw(polys(pres.num_gens, bound))
-        outputs += [p, reduce_normal_form(p, system), reduce_normal_form(p, square)]
+        outputs += [p, reduce_normal_form(p, system)]
     assert all(is_exact_coefficient(c) for poly in outputs for c in poly.terms.values())
 
 
@@ -320,6 +251,12 @@ def test_normal_word_count_equals_the_truncated_ideal_bound_when_homogeneous(pre
     degree = 5 if pres.num_gens == 2 else 4
     count, bound = _count_and_bound(pres, _confluent_completion(pres, degree))
     assert count == bound
+
+
+def _rel(*terms):
+    """One relation in generators a, b: the sum of c * word over (word, c)."""
+    poly = NCPoly({tuple("ab".index(x) for x in w): c for w, c in terms})
+    return AlgebraPresentation(2, ("a", "b"), (poly,))
 
 
 def test_quantum_plane_normal_words_fill_the_truncated_ideal_bound():

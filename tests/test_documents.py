@@ -32,6 +32,7 @@ from helpers import (
     cyclic_monoid,
     klein_four,
     cyclic_set_magma,
+    pauli_algebra,
     dual_numbers,
     dual_numbers_grading,
     fd_coalgebra,
@@ -60,6 +61,20 @@ def test_rational_parsing():
 def test_format_rational():
     assert docs.format_rational(F(3)) == "3"
     assert docs.format_rational(F(-7, 2)) == "-7/2"
+    # ints are written as they are, other numbers through Fraction
+    assert [docs.format_rational(x) for x in (0, -4, True, 0.5)] == ["0", "-4", "1", "1/2"]
+
+
+def test_fd_algebra_from_a_vect_magma_equals_its_dense_table():
+    for vm in (dual_numbers(), split_quadratic(), pauli_algebra()):
+        mu, un = vm.signature.unital_ops()
+        n, fd = vm.dim, docs.fd_algebra_from_vect_magma(vm)
+        rng = range(n)
+        assert fd.mult == tuple(
+            tuple(tuple(vm.op_entry(mu, (k,), (i, j)) for k in rng) for j in rng) for i in rng
+        )
+        assert fd.unit == tuple(vm.op_entry(un, (k,), ()) for k in rng)
+        assert {type(x) for row in fd.mult for v in row for x in v} == {F}
 
 
 def _roundtrip(doc: dict):
@@ -457,6 +472,21 @@ def test_a_repeated_tensor_entry_is_rejected_whatever_its_coefficients(coeffs):
     with pytest.raises(InputError) as err:
         docs.parse_document(doc)
     assert str(err.value) == "$.tensors.mu[1]: duplicate tensor entry"
+
+
+_COALGEBRA = docs.serialize_coalgebra(fd_coalgebra([[((0, 0), 1)], [((1, 1), 1)]], [1, 1]))
+
+
+@pytest.mark.parametrize("doc", [_COALGEBRA, _HOPF_FD], ids=["coalgebra", "hopf_fd"])
+@pytest.mark.parametrize(
+    "coeffs", [("0", "1"), ("1", "0"), ("1", "1")], ids=["zero_first", "zero_last", "equal"]
+)
+def test_a_repeated_delta_term_is_rejected_whatever_its_coefficients(doc, coeffs):
+    term = doc["delta"][1][0]
+    repeated = [{**term, "coeff": c} for c in coeffs]
+    with pytest.raises(InputError) as err:
+        docs.parse_document(_replaced(doc, ("delta", 1), repeated))
+    assert str(err.value) == "$.delta[1][1]: duplicate delta term"
 
 
 # ---------------------------------------------------------------------------

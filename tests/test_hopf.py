@@ -15,7 +15,8 @@ from univhopf.hopf import (
     BialgebraPresentation,
     FinDimHopf,
     HopfPresentation,
-    antipode_from_convolution,
+    WellDefinedVerdict,
+    _reduce_tensor_square,
     check_comap_well_defined,
     check_hopf_axioms_fd,
     dg_hopf_fixture,
@@ -79,19 +80,28 @@ def test_negated_antipode_entry_fails_with_witness():
     assert all(w is not None for w in witnesses)
 
 
-def test_convolution_inverse_is_unique():
-    for h in (group_algebra_hopf(z2()), group_algebra_hopf(klein_four()), skew_primitive_hopf(2)):
-        solution, degrees_of_freedom = antipode_from_convolution(h)
-        assert degrees_of_freedom == 0
-        assert solution == h.antipode
-
-
-def test_convolution_rejects_misshapen_data():
+def test_fin_dim_hopf_rejects_a_negative_delta_index():
     # C2 with Delta e_1 = e_{-1} (x) e_{-1}: the index -1 must not wrap
     h = group_algebra_hopf(z2())
     delta = (h.delta[0], {(-1, -1): F(1)})
     with pytest.raises(InputError, match="comultiplication index out of range"):
-        antipode_from_convolution(FinDimHopf(h.dim, h.mult, h.unit, delta, h.counit, h.antipode))
+        FinDimHopf(h.dim, h.mult, h.unit, delta, h.counit, h.antipode)
+
+
+@pytest.mark.parametrize("name", ["multiplication", "unit", "counit", "antipode"])
+def test_a_float_hopf_constant_is_rejected(name):
+    h = group_algebra_hopf(z2())
+    mult, unit, counit, antipode = h.mult, h.unit, h.counit, h.antipode
+    if name == "multiplication":
+        mult = ((mult[0][0], (0.0, 1.0)), mult[1])
+    elif name == "unit":
+        unit = (1.0, F(0))
+    elif name == "counit":
+        counit = (F(1), 1.0)
+    else:
+        antipode = (antipode[0], (F(0), 1.0))
+    with pytest.raises(InputError, match=f"non-exact {name} constant"):
+        FinDimHopf(h.dim, mult, unit, h.delta, counit, antipode)
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +225,70 @@ def test_well_definedness_completes_only_the_base_algebra(monkeypatch):
     bial = universal_bialgebra_structure(tambara_presentation(dual_numbers(), dual_numbers()))
     assert check_comap_well_defined(bial, 4).status == "pass"
     assert completed == [bial.algebra.num_gens]
+
+
+def _primitive(*relations):
+    """The presentation of the relations in a, b, both primitive."""
+    pres = AlgebraPresentation(2, ("a", "b"), relations)
+    delta = (NCPoly.gen(0) + NCPoly.gen(2), NCPoly.gen(1) + NCPoly.gen(3))
+    return BialgebraPresentation(pres, delta, (F(0), F(0)))
+
+
+def test_b_minus_aab_with_primitive_generators_fails_at_bound_3():
+    # the base has no overlap, so it is confluent at 3 and decides the
+    # image of degree 3
+    bial = _primitive(NCPoly.gen(1) - NCPoly.monomial((0, 0, 1)))
+    system = complete_rules_up_to(bial.algebra, 3)
+    assert system.confluent_up_to and system.overlaps_skipped == 0
+    # -(a^2 (x) b + 2 ab (x) a + 2 a (x) ab + b (x) a^2), with a' = 2, b' = 3
+    witness = NCPoly({(0, 0, 3): -1, (0, 1, 2): -2, (0, 2, 3): -2, (1, 2, 2): -1})
+    assert check_comap_well_defined(bial, 3) == WellDefinedVerdict("fail", (0, witness))
+
+
+def test_homogeneous_base_decides_despite_skipped_overlaps():
+    # bb -> ab skips 3 overlaps at bound 3 and is confluent up to it
+    bial = _primitive(NCPoly.monomial((0, 1)) - NCPoly.monomial((1, 1)))
+    system = complete_rules_up_to(bial.algebra, 3)
+    assert system.confluent_up_to and system.overlaps_skipped == 3
+    # a (x) b + b (x) a - 2 b (x) b
+    witness = NCPoly({(0, 3): 1, (1, 2): 1, (1, 3): -2})
+    assert check_comap_well_defined(bial, 3) == WellDefinedVerdict("fail", (0, witness))
+
+
+def test_a_base_not_confluent_at_the_bound_stays_inconclusive():
+    # a^3 and a - baa: at bound 3 the completion skips the overlaps that
+    # derive a -> 0, and the image of a - baa keeps a nonzero normal form
+    # though it lies in the ideal, as bound 4 shows
+    a, b = NCPoly.gen(0), NCPoly.gen(1)
+    bial = _primitive(a * a * a, a - b * a * a)
+    assert not complete_rules_up_to(bial.algebra, 3).confluent_up_to
+    verdict = check_comap_well_defined(bial, 3)
+    assert verdict.status == "inconclusive" and not verdict.witness[1].is_zero()
+    assert check_comap_well_defined(bial, 4).status == "pass"
+
+
+def test_a_collapsed_base_reduces_every_image_to_zero():
+    # a - 1 and a - 2 put 1 in the ideal: the base is the single rule 1 -> 0
+    a, one = NCPoly.gen(0), NCPoly.one()
+    system = complete_rules_up_to(AlgebraPresentation(1, ("a",), (a - one, a - one.scale(2))), 3)
+    assert system.rules == (((), NCPoly.zero()),)
+    image = NCPoly({(): 1, (0, 1): 2, (1, 0, 1): -1})
+    assert _reduce_tensor_square(image, system).is_zero()
+
+
+def test_a_single_letter_leading_word_rewrites_both_factors():
+    # a -> 1 in a, b, with a' = 2, b' = 3: a b' a' b is ab (x) ba and
+    # b a b' is ba (x) b, each b (x) b in normal form
+    system = complete_rules_up_to(_primitive(NCPoly.gen(0) - NCPoly.one()).algebra, 3)
+    image = NCPoly({(0, 3, 2, 1): 1, (1, 0, 3): 2})
+    assert _reduce_tensor_square(image, system) == NCPoly({(1, 3): 3})
+
+
+def test_interleavings_of_one_pair_of_factors_add_up():
+    # in the free algebra a b' and b' a are both a (x) b
+    system = complete_rules_up_to(AlgebraPresentation(2, ("a", "b"), ()), 3)
+    image = NCPoly({(0, 3): 1, (3, 0): -1, (3, 1, 0): 2})
+    assert _reduce_tensor_square(image, system) == NCPoly({(1, 0, 3): 2})
 
 
 # ---------------------------------------------------------------------------

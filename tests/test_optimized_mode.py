@@ -17,7 +17,7 @@ from fractions import Fraction
 from univhopf import lio
 from univhopf.errors import InputError
 from univhopf.finmonoid import monoid_from_rows
-from univhopf.hopf import FinDimHopf, antipode_from_convolution, group_algebra_hopf
+from univhopf.hopf import FinDimHopf, group_algebra_hopf
 from univhopf.ncalg import AlgebraPresentation, NCPoly, complete_rules_up_to, ideal_member_up_to
 from helpers import thin_chain_category
 
@@ -32,7 +32,7 @@ print("certain", system.confluent_up_to, verdict.certain)
 h = group_algebra_hopf(monoid_from_rows([[0, 1], [1, 0]], 0))
 delta = (h.delta[0], {(-1, -1): Fraction(1)})
 try:
-    antipode_from_convolution(FinDimHopf(h.dim, h.mult, h.unit, delta, h.counit, h.antipode))
+    FinDimHopf(h.dim, h.mult, h.unit, delta, h.counit, h.antipode)
 except InputError as exc:
     print("InputError", exc)
 
