@@ -43,15 +43,6 @@ class TensorValuedMap:
         return self.entries[beta][alpha]
 
 
-def tensor_valued_map(dim_in, dim_out, dim_coeff, entries) -> TensorValuedMap:
-    return TensorValuedMap(
-        dim_in,
-        dim_out,
-        dim_coeff,
-        tuple(tuple(vec(q) for q in row) for row in entries),
-    )
-
-
 def _all_coefficients(rho: TensorValuedMap):
     return [
         rho.entries[beta][alpha]
@@ -253,6 +244,11 @@ def _sparse(x) -> dict:
     return {i: exact(c) for i, c in enumerate(x) if c}
 
 
+def _check_exact(what, xs):
+    if not all(isinstance(x, (int, Fraction)) for x in xs):
+        raise InputError(f"non-exact {what}")
+
+
 def sparse_maps(n, mult=None, unit=None, delta=None, counit=None, antipode=None):
     """check_axioms keyword arguments for dense structure constants on the
     basis 0..n-1; S(e_j) is column j of the antipode matrix.
@@ -267,24 +263,20 @@ def sparse_maps(n, mult=None, unit=None, delta=None, counit=None, antipode=None)
     def square(rows):
         return len(rows) == n and all(len(row) == n for row in rows)
 
-    def check_exact(name, xs):
-        if not all(isinstance(x, (int, Fraction)) for x in xs):
-            raise InputError(f"non-exact {name} constant")
-
     maps = {}
     if mult is not None:
         if not square(mult):
             raise InputError("multiplication table shape mismatch")
         if any(len(p) != n for row in mult for p in row):
             raise InputError("product vector length mismatch")
-        check_exact("multiplication", (c for row in mult for p in row for c in p))
+        _check_exact("multiplication constant", (c for row in mult for p in row for c in p))
         table = [[_sparse(p) for p in row] for row in mult]
         maps["mul"] = lambda i, j: table[i][j]
     for name, v in (("unit", unit), ("counit", counit)):
         if v is not None and len(v) != n:
             raise InputError(f"{name} vector length mismatch")
     if unit is not None:
-        check_exact("unit", unit)
+        _check_exact("unit constant", unit)
         maps["unit"] = _sparse(unit)
     if delta is not None:
         if len(delta) != n:
@@ -298,12 +290,12 @@ def sparse_maps(n, mult=None, unit=None, delta=None, counit=None, antipode=None)
         rows = [{jk: exact(c) for jk, c in row.items() if c} for row in delta]
         maps["delta"] = rows.__getitem__
     if counit is not None:
-        check_exact("counit", counit)
+        _check_exact("counit constant", counit)
         maps["eps"] = tuple(map(exact, counit)).__getitem__
     if antipode is not None:
         if not square(antipode):
             raise InputError("antipode matrix shape mismatch")
-        check_exact("antipode", (c for row in antipode for c in row))
+        _check_exact("antipode constant", (c for row in antipode for c in row))
         maps["antipode"] = [_sparse(column) for column in zip(*antipode)].__getitem__
     return maps
 
@@ -339,8 +331,15 @@ class FDAlgebra:
 
     def product_of(self, vectors) -> Vec:
         """The product of the vectors in order (the unit for none), its
-        integral coefficients as ints."""
-        return _dense(self._product(map(_sparse, vectors)), self.dim)
+        integral coefficients as ints.  Raises InputError unless every vector
+        has dim entries, each an int or a Fraction."""
+        factors = []
+        for x in vectors:
+            if len(x) != self.dim:
+                raise InputError("vector length mismatch")
+            _check_exact("vector entry", x)
+            factors.append(_sparse(x))
+        return _dense(self._product(factors), self.dim)
 
     def _product(self, factors) -> dict:
         """The product of sparse vectors in order, zeros dropped."""

@@ -18,9 +18,30 @@ every ambiguity resolves, and the rules are a complete system by
 Bergman's diamond lemma) or every relation is homogeneous (then rules
 above the bound never reduce a polynomial within it).  The overlaps that
 pass skipped are reported as ``RewriteSystem.overlaps_skipped``.
+
+Each overlap is reduced once.  From the second pass on, a pass reduces only
+the overlaps in which some rule, compared by leading word and right side,
+was not in the previous pass's list; the overlaps skipped for the bound are
+still counted over all pairs.  An overlap of two rules that were both in the
+previous list was reduced there, and its remainder went to interreduction.
+Every rule that interreduction removed was re-queued and reduced by the
+rules that replaced it.  So the overlap's S-polynomial is still a sum of
+terms c u r v with u lw(r) v below the overlap word: the ambiguity stays
+resolvable relative to deglex, which is all that Bergman's diamond lemma
+asks of it.  When the new overlaps all reduce to 0, every ambiguity within
+the bound is resolvable, and the old ones would reduce to 0 as well.  This
+is Buchberger's criterion as organised by Gebauer and Möller (1988).
+Interreduction keeps its rule index in place across a drain.
+
+A presentation keeps the system it was completed to, per degree bound, in a
+private field: completing the same instance again returns that system, so
+``hopf.check_comap_well_defined`` reuses a completion its caller made.  An
+equal presentation built separately completes on its own.
 """
 
 import heapq
+from bisect import insort
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
@@ -153,6 +174,8 @@ class AlgebraPresentation:
     num_gens: int
     gen_labels: tuple[str, ...]
     relations: tuple[NCPoly, ...]
+    # degree bound -> the RewriteSystem complete_rules_up_to returned
+    _completions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.gen_labels) != self.num_gens:
@@ -262,8 +285,10 @@ def reduce_normal_form(p: NCPoly, system: RewriteSystem) -> NCPoly:
 def _orient(p: NCPoly) -> tuple[Word, NCPoly]:
     lw = p.leading_word()
     lc = p.terms[lw]
+    if lc == 1:
+        return lw, NCPoly._trusted({w: -c for w, c in p.terms.items() if w != lw})
     rest = NCPoly._trusted({w: c for w, c in p.terms.items() if w != lw})
-    return lw, rest.scale(Fraction(-1) / lc)
+    return lw, rest if lc == -1 else rest.scale(Fraction(-1) / lc)
 
 
 def _text(words) -> str:
@@ -273,12 +298,18 @@ def _text(words) -> str:
 
 def _add_and_interreduce(rules: list, pending: list) -> None:
     """Drain pending polynomials into the rule list, keeping it inter-reduced.
+    The rules must have distinct leading words.
 
     A rule goes back to pending when the new leading word is a factor of one
     of its words: a substring of its _text, since NUL is in no word's text, so
     no factor straddles two words.  The empty word is a factor of every rule.
+    The index is updated in place: each new rule takes the next serial
+    number, so the lowest-listed rule still wins a tie, and the rule and text
+    lists are rebuilt only when some rule goes back to pending.
     """
-    index = _rule_index(rules)
+    index = table, lengths = _rule_index(rules)
+    per_length = Counter(map(len, table))
+    serial = len(rules)
     texts = [_text(chain((lw,), rhs.terms)) for lw, rhs in rules]
     while pending:
         p = _reduce(pending.pop(0), index)
@@ -286,17 +317,25 @@ def _add_and_interreduce(rules: list, pending: list) -> None:
             continue
         lw, rhs = _orient(p)
         factor = _text((lw,))
-        keep, keep_texts = [], []
-        for rule, text in zip(rules, texts):
-            if factor in text:
-                pending.append(NCPoly.monomial(rule[0]) - rule[1])
-            else:
-                keep.append(rule)
-                keep_texts.append(text)
-        keep.append((lw, rhs))
-        keep_texts.append(_text(chain((lw,), rhs.terms)))
-        rules[:], texts = keep, keep_texts
-        index = _rule_index(rules)
+        requeued = [i for i, text in enumerate(texts) if factor in text]
+        if requeued:
+            for i in requeued:
+                old_lw, old_rhs = rules[i]
+                pending.append(NCPoly.monomial(old_lw) - old_rhs)
+                del table[old_lw]
+                per_length[len(old_lw)] -= 1
+                if not per_length[len(old_lw)]:
+                    lengths.remove(len(old_lw))
+            gone = set(requeued)
+            rules[:] = [r for i, r in enumerate(rules) if i not in gone]
+            texts = [t for i, t in enumerate(texts) if i not in gone]
+        table[lw] = (serial, rhs)
+        serial += 1
+        if not per_length[len(lw)]:
+            insort(lengths, len(lw))
+        per_length[len(lw)] += 1
+        rules.append((lw, rhs))
+        texts.append(_text(chain((lw,), rhs.terms)))
 
 
 def _overlaps(rules):
@@ -326,8 +365,12 @@ def complete_rules_up_to(
     Deterministic for a fixed generator order.  The result is flagged
     confluent when a full overlap pass produced no new rule and either that
     pass skipped no overlap for the bound, or every relation is homogeneous
-    (then the rules of degree at most the bound are exact).
+    (then the rules of degree at most the bound are exact).  A second call
+    on the same presentation and bound returns the same system.
     """
+    kept = pres._completions.get(degree_bound)
+    if kept is not None:
+        return kept
     max_rel_deg = max((r.degree() for r in pres.relations), default=0)
     if degree_bound < max_rel_deg:
         raise InputError(
@@ -338,15 +381,20 @@ def complete_rules_up_to(
     _add_and_interreduce(rules, pending)
     confluent = False
     skipped = 0
+    previous = {}
     for _ in range(_COMPLETION_PASS_CAP):
         rules.sort(key=lambda r: deglex_key(r[0]))
         index = _rule_index(rules)
+        fresh = {lw for lw, rhs in rules if rhs != previous.get(lw)}
+        previous = dict(rules)
         new_polys = []
         skipped = 0
         for lw1, rhs1, lw2, rhs2, k in _overlaps(rules):
             if len(lw1) + len(lw2) - k > degree_bound:
                 skipped += 1
                 continue
+            if lw1 not in fresh and lw2 not in fresh:
+                continue  # reduced in the previous pass
             # superposition lw1 . lw2[k:] = lw1[:-k] . lw2
             tail, head = lw2[k:], lw1[: len(lw1) - k]
             s = {v + tail: c for v, c in rhs1.terms.items()}
@@ -360,7 +408,9 @@ def complete_rules_up_to(
             break
         _add_and_interreduce(rules, new_polys)
     rules.sort(key=lambda r: deglex_key(r[0]))
-    return RewriteSystem(pres.num_gens, tuple(rules), degree_bound, confluent, skipped)
+    system = RewriteSystem(pres.num_gens, tuple(rules), degree_bound, confluent, skipped)
+    pres._completions[degree_bound] = system
+    return system
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from ._linalg import frac
 from .errors import InputError, ResourceLimitError
 
 DEFAULT_ENUM_CAP = 10_000_000
@@ -270,26 +269,6 @@ class FinVectMagma:
 
     def op_entry(self, name, out, inp) -> Fraction:
         return self.tensors[name].get((tuple(out), tuple(inp)), Fraction(0))
-
-
-def make_vect_magma(signature, dim, basis_labels, entries) -> FinVectMagma:
-    """Build a FinVectMagma from per-op lists of (out, in, coefficient).
-
-    Duplicate (out, in) pairs within one operation are rejected; zero
-    coefficients are dropped.
-    """
-    tensors = {}
-    for name, triples in entries.items():
-        table = {}
-        for out, inp, c in triples:
-            key = (tuple(out), tuple(inp))
-            if key in table:
-                raise InputError(f"duplicate tensor entry {key} for {name!r}")
-            c = frac(c)
-            if c != 0:
-                table[key] = c
-        tensors[name] = table
-    return FinVectMagma(signature, dim, tuple(basis_labels), tensors)
 
 
 def coordinate_identities(a: FinVectMagma, b: FinVectMagma):

@@ -12,8 +12,8 @@ from univhopf.coact import (
     FDCoalgebra,
     TensorValuedMap,
     group_algebra,
-    tensor_valued_map,
 )
+from univhopf.errors import InputError
 from univhopf.finmonoid import FinMonoid, grothendieck_group, monoid_from_rows
 from univhopf.grading import Grading, universal_group_of_grading
 from univhopf.grouppres import GroupPresentation
@@ -22,7 +22,6 @@ from univhopf.signature import (
     FinSetMagma,
     FinVectMagma,
     OmegaSignature,
-    make_vect_magma,
     set_magma_from_monoid_table,
     unital_signature,
 )
@@ -34,6 +33,35 @@ def is_exact_coefficient(c) -> bool:
     """An int, or a Fraction that is not integral: never a float, and never
     an integral Fraction."""
     return type(c) is int or (type(c) is Fraction and c.denominator > 1)
+
+
+def make_vect_magma(signature, dim, basis_labels, entries) -> FinVectMagma:
+    """Build a FinVectMagma from per-op lists of (out, in, coefficient).
+
+    Duplicate (out, in) pairs within one operation are rejected; zero
+    coefficients are dropped.
+    """
+    tensors = {}
+    for name, triples in entries.items():
+        table = {}
+        for out, inp, c in triples:
+            key = (tuple(out), tuple(inp))
+            if key in table:
+                raise InputError(f"duplicate tensor entry {key} for {name!r}")
+            c = frac(c)
+            if c != 0:
+                table[key] = c
+        tensors[name] = table
+    return FinVectMagma(signature, dim, tuple(basis_labels), tensors)
+
+
+def tensor_valued_map(dim_in, dim_out, dim_coeff, entries) -> TensorValuedMap:
+    return TensorValuedMap(
+        dim_in,
+        dim_out,
+        dim_coeff,
+        tuple(tuple(vec(q) for q in row) for row in entries),
+    )
 
 
 def fd_algebra(mult_rows, unit) -> FDAlgebra:

@@ -29,7 +29,6 @@ from univhopf.coact import (
     support_of_comodule,
     support_of_map,
     tambara_presentation,
-    tensor_valued_map,
 )
 from univhopf.finmonoid import (
     full_transformation_monoid,
@@ -59,7 +58,7 @@ from univhopf.setsuniversal import (
     universal_acting_group_sets,
     universal_coacting_sets,
 )
-from univhopf.signature import make_vect_magma, unital_signature
+from univhopf.signature import unital_signature
 
 from helpers import (
     compose_with_matrix,
@@ -73,12 +72,14 @@ from helpers import (
     grading_coaction,
     klein_four,
     klein_set_magma,
+    make_vect_magma,
     pauli_algebra,
     pauli_coaction,
     pauli_grading,
     rational_line,
     serialize_again,
     split_quadratic,
+    tensor_valued_map,
     thin_chain_category,
     trivial_grading,
     two_incomparable_lio_category,

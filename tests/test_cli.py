@@ -5,7 +5,6 @@ import pytest
 
 from univhopf import documents as docs
 from univhopf.cli import build_parser, run
-from univhopf.coact import tensor_valued_map
 from univhopf.finmonoid import full_transformation_monoid
 from univhopf.grouppres import DEFAULT_COSET_LIMIT
 from univhopf.hopf import DEFAULT_ANTIPODE_LEVELS, group_algebra_hopf
@@ -23,6 +22,7 @@ from helpers import (
     klein_set_magma,
     pauli_grading,
     split_quadratic,
+    tensor_valued_map,
     thin_chain_category,
     two_incomparable_lio_category,
     two_product_grading,

@@ -20,13 +20,12 @@ from univhopf.coact import (
     support_of_comodule,
     support_of_map,
     tambara_presentation,
-    tensor_valued_map,
 )
 from univhopf.errors import InputError, PreconditionError
 from univhopf.finmonoid import monoid_from_rows
 from univhopf.grading import Grading
 from univhopf.ncalg import NCPoly, complete_rules_up_to, dim_normal_words, reduce_normal_form
-from univhopf.signature import FinVectMagma, OmegaSignature, make_vect_magma, unital_signature
+from univhopf.signature import FinVectMagma, OmegaSignature, unital_signature
 
 from oracles import comeasuring_oracle, coords_in_span, mat_mul
 from helpers import random_q_algebra, random_unital_magma
@@ -38,9 +37,11 @@ from helpers import (
     fd_coalgebra,
     grading_coaction,
     klein_four,
+    make_vect_magma,
     pauli_algebra,
     pauli_coaction,
     rational_line,
+    tensor_valued_map,
     trivial_grading,
 )
 
@@ -467,6 +468,23 @@ def test_structure_shapes_are_validated():
     # int constants stay accepted
     FDAlgebra(1, (((1,),),), (1,))
     FDCoalgebra(1, ({(0, 0): F(1)},), (1,))
+
+
+@pytest.mark.parametrize(
+    "x, y, message",
+    [
+        ((0.1,), (F(1),), "non-exact vector entry"),
+        ((F(1),), ("1",), "non-exact vector entry"),
+        ((F(1), F(0)), (F(1),), "vector length mismatch"),
+        ((1,), (), "vector length mismatch"),  # once multiplied to (0,)
+    ],
+)
+def test_products_reject_a_bad_vector(x, y, message):
+    algebra = FDAlgebra(1, (((F(1),),),), (F(1),))
+    with pytest.raises(InputError, match=message):
+        algebra.multiply(x, y)
+    with pytest.raises(InputError, match=message):
+        algebra.product_of([y, x, y])
 
 
 def test_matrix_frame_keeps_one_generator_per_position():

@@ -20,17 +20,23 @@ from univhopf.coact import (
     group_algebra,
     is_comeasuring,
     tambara_presentation,
-    tensor_valued_map,
 )
 from univhopf.finmonoid import inverses
 from univhopf.hopf import FinDimHopf, check_hopf_axioms_fd
 from univhopf.signature import (
     OmegaSignature,
     is_linear_omega_morphism,
-    make_vect_magma,
 )
 
-from helpers import cyclic_monoid, dual_numbers, fd_algebra, is_exact_coefficient, klein_four
+from helpers import (
+    cyclic_monoid,
+    dual_numbers,
+    fd_algebra,
+    is_exact_coefficient,
+    klein_four,
+    make_vect_magma,
+    tensor_valued_map,
+)
 from oracles import (
     dense_factorization_failures,
     dense_multiply,

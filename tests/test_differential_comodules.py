@@ -19,10 +19,9 @@ from univhopf.coact import (
     group_like_coalgebra,
     support_of_comodule,
     support_of_map,
-    tensor_valued_map,
 )
 
-from helpers import fd_coalgebra
+from helpers import fd_coalgebra, tensor_valued_map
 from oracles import (
     coords_in_span,
     dense_comodule_failures,

@@ -14,7 +14,6 @@ from univhopf.coact import (
     family_map,
     manin_end_presentation,
     tambara_presentation,
-    tensor_valued_map,
 )
 from univhopf.errors import InputError, PreconditionError
 from univhopf.grouppres import presentation
@@ -39,6 +38,7 @@ from helpers import (
     pauli_grading,
     serialize_again,
     split_quadratic,
+    tensor_valued_map,
     thin_chain_category,
 )
 

@@ -227,6 +227,21 @@ def test_well_definedness_completes_only_the_base_algebra(monkeypatch):
     assert completed == [bial.algebra.num_gens]
 
 
+def test_well_definedness_reuses_a_kept_base_completion(monkeypatch):
+    import univhopf.ncalg as ncalg
+
+    def no_completion(rules):
+        raise AssertionError("completed again")
+
+    bial = universal_bialgebra_structure(tambara_presentation(dual_numbers(), dual_numbers()))
+    complete_rules_up_to(bial.algebra, 4)
+    monkeypatch.setattr(ncalg, "_overlaps", no_completion)
+    assert check_comap_well_defined(bial, 4).status == "pass"
+    fresh = universal_bialgebra_structure(tambara_presentation(dual_numbers(), dual_numbers()))
+    with pytest.raises(AssertionError, match="completed again"):
+        check_comap_well_defined(fresh, 4)
+
+
 def _primitive(*relations):
     """The presentation of the relations in a, b, both primitive."""
     pres = AlgebraPresentation(2, ("a", "b"), relations)

@@ -179,6 +179,24 @@ def test_homogeneous_relations_are_certified_despite_skipped_overlaps():
     assert [dim_normal_words(system, d) for d in range(4)] == [1, 1, 1, 0]
 
 
+def test_a_second_completion_returns_the_kept_system():
+    pres = _pres(2, ("x", "y"), x * y - one, y * x - one)
+    system = complete_rules_up_to(pres, 4)
+    assert complete_rules_up_to(pres, 4) is system
+
+
+def test_each_bound_and_each_instance_keeps_its_own_system():
+    pres = _pres(2, ("x", "y"), x * y - one, y * x - one)
+    low, high = complete_rules_up_to(pres, 3), complete_rules_up_to(pres, 5)
+    assert (low.degree_bound, high.degree_bound) == (3, 5)
+    assert complete_rules_up_to(pres, 3) is low
+    # an equal presentation, built separately, completes on its own
+    twin = _pres(2, ("x", "y"), x * y - one, y * x - one)
+    assert twin == pres and hash(twin) == hash(pres) and repr(twin) == repr(pres)
+    again = complete_rules_up_to(twin, 3)
+    assert again is not low and again.rules == low.rules
+
+
 def test_overlaps_skipped_defaults_to_zero():
     system = RewriteSystem(1, (((0, 0), x),), 4, True)
     assert system.overlaps_skipped == 0

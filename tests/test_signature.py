@@ -8,7 +8,6 @@ from univhopf.signature import (
     enumerate_set_homs,
     is_linear_omega_morphism,
     is_set_homomorphism,
-    make_vect_magma,
     omega_automorphisms,
     set_magma_from_monoid_table,
     unital_signature,
@@ -18,6 +17,7 @@ from helpers import (
     cyclic_set_magma,
     dual_numbers,
     klein_set_magma,
+    make_vect_magma,
     rational_line,
 )
 
