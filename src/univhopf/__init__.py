@@ -30,7 +30,6 @@ from .finmonoid import (
 )
 from .grading import (
     Grading,
-    coarsen_by_map,
     grading_support,
     universal_group_of_grading,
     validate_grading,

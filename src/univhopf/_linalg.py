@@ -24,10 +24,6 @@ def vec(xs) -> Vec:
     return tuple(frac(x) for x in xs)
 
 
-def zero_vec(n: int) -> Vec:
-    return (Fraction(0),) * n
-
-
 def unit_vec(n: int, i: int) -> Vec:
     return tuple(Fraction(1 if j == i else 0) for j in range(n))
 
@@ -67,20 +63,3 @@ def row_space_basis(vectors) -> Mat:
 def rank(vectors) -> int:
     return len(row_space_basis(vectors))
 
-
-def solve(a: Mat, b: Vec) -> Vec | None:
-    """One exact solution x of a·x = b, or None if inconsistent."""
-    if not a:
-        return () if all(x == 0 for x in b) else None
-    ncols = len(a[0])
-    aug = [list(row) + [bi] for row, bi in zip(a, b)]
-    reduced, pivots = rref(aug)
-    for row in reduced:
-        if all(x == 0 for x in row[:-1]) and row[-1] != 0:
-            return None
-    x = [Fraction(0)] * ncols
-    for row, p in zip(reduced, pivots):
-        if p == ncols:
-            return None
-        x[p] = row[-1]
-    return tuple(x)

@@ -3,9 +3,10 @@
 Words are tuples of nonzero ints: letter ``+(g+1)`` is generator ``g``,
 ``-(g+1)`` its inverse.  All group-level questions here are bounded
 semi-decisions; ``todd_coxeter_order`` answers ``None`` (Unknown) when the
-coset enumeration does not close within its limit, and at once, without
-enumerating, when the abelianization has a free factor (a 0 among the
-abelian invariants), since the group is then infinite.
+coset enumeration (Felsch's strategy: a new coset only where no relator
+scan deduces the entry) does not close within its limit, and at once,
+without enumerating, when the abelianization has a free factor (a 0 among
+the abelian invariants), since the group is then infinite.
 """
 
 from dataclasses import dataclass
@@ -137,7 +138,15 @@ def abelian_invariants(pres: GroupPresentation) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Todd-Coxeter coset enumeration over the trivial subgroup (HLT strategy)
+# Todd-Coxeter coset enumeration over the trivial subgroup (Felsch strategy)
+
+
+def _cyclic_reduce(w: Word) -> Word:
+    """The cyclically reduced core of a freely reduced word: a conjugate."""
+    i = 0
+    while 2 * i + 1 < len(w) and w[i] == -w[-1 - i]:
+        i += 1
+    return w[i : len(w) - i]
 
 
 def todd_coxeter_order(
@@ -147,10 +156,15 @@ def todd_coxeter_order(
 
     None comes at once, without enumerating, when the abelianization has a
     free factor: the group is then infinite, so no coset table over the
-    trivial subgroup closes within any limit.  Deterministic: cosets are
-    processed in creation order, relators in presentation order, and every
-    generator column of a processed coset is filled so that other infinite
-    groups run into the limit instead of closing.
+    trivial subgroup closes within any limit.  Otherwise Felsch's strategy
+    (Holt, Eick and O'Brien, Handbook of Computational Group Theory, 5.2):
+    the relators are scanned at coset 0, and then each new coset fills the
+    first undefined entry, in coset order and then column order.  Scans
+    never define cosets; every entry they deduce or a coincidence moves is
+    a deduction, whose cyclic relator conjugates through it are scanned
+    before the next definition.  The order is deterministic, so infinite
+    groups run into the limit instead of closing.  ``coset_limit`` caps
+    the cosets defined, coset 0 included.
     """
     if coset_limit < 1:
         raise InputError("coset limit must be at least 1")
@@ -159,84 +173,124 @@ def todd_coxeter_order(
     if 0 in abelian_invariants(pres):
         return None
     ncols = 2 * pres.num_gens
+    # letter g+1 is column 2g and its inverse column 2g+1, so d ^ 1 inverts d
+    rels = [
+        tuple(2 * x - 2 if x > 0 else -2 * x - 1 for x in _cyclic_reduce(w))
+        for w in pres.relators
+    ]
+    # the cyclic conjugates of the relators and their inverses, by first column
+    starts: list[list[tuple[int, ...]]] = [[] for _ in range(ncols)]
+    for w in dict.fromkeys(
+        v[t:] + v[:t]
+        for r in rels
+        for v in (r, tuple(d ^ 1 for d in reversed(r)))
+        for t in range(len(v))
+    ):
+        starts[w[0]].append(w)
+    table = [[None] * ncols]
+    parent = [0]  # union-find over cosets; a coset is live when it is its own root
+    deductions: list[tuple[int, int]] = []
 
-    def col(letter: int) -> int:
-        g = abs(letter) - 1
-        return 2 * g if letter > 0 else 2 * g + 1
+    def rep(c: int) -> int:
+        r = c
+        while parent[r] != r:
+            r = parent[r]
+        while parent[c] != r:
+            parent[c], c = r, parent[c]
+        return r
 
-    labels = [0]
-    neighbors = [[None] * ncols]
+    def coincidence(a: int, b: int) -> None:
+        # Holt's COINCIDENCE: the larger coset dies, and the entries of each
+        # dead coset move onto the live one, each move a deduction
+        queue: list[int] = []
 
-    def find(c: int) -> int:
-        while labels[c] != c:
-            labels[c] = labels[labels[c]]
-            c = labels[c]
-        return c
+        def merge(k: int, l: int) -> None:
+            k, l = rep(k), rep(l)
+            if k != l:
+                if l < k:
+                    k, l = l, k
+                parent[l] = k
+                queue.append(l)
 
-    def unify(c1: int, c2: int) -> None:
-        stack = [(c1, c2)]
-        while stack:
-            a, b = stack.pop()
-            a, b = find(a), find(b)
-            if a == b:
-                continue
-            if b < a:
-                a, b = b, a
-            labels[b] = a
-            for d in range(ncols):
-                n2 = neighbors[b][d]
-                if n2 is None:
+        merge(a, b)
+        for g in queue:
+            for x, d in enumerate(table[g]):
+                if d is None:
                     continue
-                n1 = neighbors[a][d]
-                if n1 is None:
-                    neighbors[a][d] = n2
+                table[d][x ^ 1] = None
+                m, n = rep(g), rep(d)
+                if table[m][x] is not None:
+                    merge(n, table[m][x])
+                elif table[n][x ^ 1] is not None:
+                    merge(m, table[n][x ^ 1])
                 else:
-                    stack.append((n1, n2))
+                    table[m][x], table[n][x ^ 1] = n, m
+                    deductions.append((m, x))
 
-    class _Overflow(Exception):
-        pass
-
-    def follow(c: int, d: int) -> int:
-        c = find(c)
-        if neighbors[c][d] is None:
-            if len(neighbors) >= coset_limit:
-                raise _Overflow
-            new = len(neighbors)
-            neighbors.append([None] * ncols)
-            labels.append(new)
-            neighbors[c][d] = new
-            neighbors[new][d ^ 1] = c
-        return find(neighbors[c][d])
-
-    try:
-        v = 0
-        while v < len(neighbors):
-            if find(v) != v:
-                v += 1
-                continue
-            for w in pres.relators:
-                c = v
-                for letter in w:
-                    c = follow(c, col(letter))
-                unify(c, v)
-                if find(v) != v:
+    def scan(a: int, words: list[tuple[int, ...]]) -> None:
+        # each word read forward from a to its first gap, then backward from
+        # a to that gap: a single gap is filled as a deduction, and a walk
+        # that ends at another coset, or whose ends meet across a defined
+        # entry, is a coincidence; stop once a dies
+        for w in words:
+            f = a
+            for i, x in enumerate(w):
+                n = table[f][x]
+                if n is None:
                     break
-            if find(v) == v:
-                for d in range(ncols):
-                    follow(v, d)
-            v += 1
-    except _Overflow:
-        return None
+                f = n
+            else:
+                if f != a:
+                    coincidence(f, a)
+                    if parent[a] != a:
+                        return
+                continue
+            b = a
+            for j in range(len(w) - 1, i, -1):
+                b = table[b][w[j] ^ 1]
+                if b is None:
+                    break  # a second gap
+            else:
+                n = table[b][x ^ 1]
+                if n is None:
+                    table[f][x], table[b][x ^ 1] = b, f
+                    deductions.append((f, x))
+                else:
+                    coincidence(f, n)
+                    if parent[a] != a:
+                        return
 
-    live = [c for c in range(len(neighbors)) if find(c) == c]
+    # every cycle through the entry (c, x) is a conjugate starting with x
+    # read at c, since the conjugates are closed under inversion
+    scan(0, rels)
+    c = 0  # no live coset before c has an undefined entry
+    while True:
+        while deductions:
+            a, x = deductions.pop()
+            if parent[a] == a:
+                scan(a, starts[x])
+        while c < len(table) and (parent[c] != c or None not in table[c]):
+            c += 1
+        if c == len(table):
+            break
+        if len(table) >= coset_limit:
+            return None
+        x = table[c].index(None)
+        table[c][x] = len(table)
+        table.append([None] * ncols)
+        table[-1][x ^ 1] = c
+        parent.append(len(parent))
+        deductions.append((c, x))
+
+    live = [c for c in range(len(table)) if parent[c] == c]
     # closed-table sanity sweep
     for c in live:
-        if any(n is None for n in neighbors[c]):
+        if any(n is None or parent[n] != n for n in table[c]):
             raise RuntimeError(f"coset table not closed at coset {c}")
-        for w in pres.relators:
+        for w in rels:
             x = c
-            for letter in w:
-                x = find(neighbors[x][col(letter)])
+            for d in w:
+                x = table[x][d]
             if x != c:
                 raise RuntimeError(f"relator does not close at coset {c}")
     return len(live)

@@ -13,7 +13,7 @@ from univhopf.coact import (
     TensorValuedMap,
     group_algebra,
 )
-from univhopf.errors import InputError
+from univhopf.errors import InputError, PreconditionError
 from univhopf.finmonoid import FinMonoid, grothendieck_group, monoid_from_rows
 from univhopf.grading import Grading, universal_group_of_grading
 from univhopf.grouppres import GroupPresentation
@@ -205,6 +205,61 @@ def two_product_grading() -> Grading:
 
 def trivial_grading(algebra: FinVectMagma) -> Grading:
     return Grading(algebra, ("t",), (0,) * algebra.dim)
+
+
+def coarsen_by_map(
+    grading: Grading,
+    label_map: dict,
+    target_labels=None,
+    target_group: FinMonoid | None = None,
+    target_label_elems=None,
+) -> Grading:
+    """Relabel a grading along a label map; the relabelled Grading checks
+    its own closure.
+
+    When both sides carry groups the map is checked to be a group
+    homomorphism, which requires the source labels to enumerate the whole
+    source group.
+    """
+    for l in grading.labels:
+        if l not in label_map:
+            raise InputError(f"label map does not cover label {l!r}")
+    if target_labels is None:  # the images, in order of first appearance
+        target_labels = dict.fromkeys(label_map[l] for l in grading.labels)
+    target_labels = tuple(target_labels)
+    new_pos = {l: i for i, l in enumerate(target_labels)}
+    assignment = tuple(
+        new_pos[label_map[grading.labels[a]]] for a in grading.assignment
+    )
+    out = Grading(
+        grading.algebra,
+        target_labels,
+        assignment,
+        target_group,
+        tuple(target_label_elems) if target_label_elems is not None else None,
+    )
+    if grading.group is not None and target_group is not None:
+        src = grading.group
+        if sorted(grading.label_elems) != list(range(src.size)):
+            raise PreconditionError(
+                "homomorphism check requires source labels enumerating the group"
+            )
+        label_of_elem = {e: pos for pos, e in enumerate(grading.label_elems)}
+        elem2 = {
+            pos: out.label_elems[new_pos[label_map[l]]]
+            for pos, l in enumerate(grading.labels)
+        }
+        for a in range(len(grading.labels)):
+            for b in range(len(grading.labels)):
+                prod = src.mul(grading.label_elems[a], grading.label_elems[b])
+                lhs = elem2[label_of_elem[prod]]
+                rhs = target_group.mul(elem2[a], elem2[b])
+                if lhs != rhs:
+                    raise PreconditionError(
+                        f"label map is not a group homomorphism at "
+                        f"({grading.labels[a]!r}, {grading.labels[b]!r})"
+                    )
+    return out
 
 
 def grading_coaction(grading: Grading, elems) -> TensorValuedMap:

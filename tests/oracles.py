@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import partial
 from itertools import chain, permutations, product
 
-from univhopf._linalg import row_space_basis, solve, unit_vec, vec, zero_vec
+from univhopf._linalg import rref, row_space_basis, unit_vec, vec
 from univhopf.coact import FDCoalgebra, TensorValuedMap
 from univhopf.errors import InputError, PreconditionError
 from univhopf.grouppres import (
@@ -47,6 +47,28 @@ from univhopf.ncalg import (
 from univhopf.signature import is_set_homomorphism
 
 F = Fraction
+
+
+def zero_vec(n):
+    return (Fraction(0),) * n
+
+
+def solve(a, b):
+    """One exact solution x of a·x = b, or None if inconsistent."""
+    if not a:
+        return () if all(x == 0 for x in b) else None
+    ncols = len(a[0])
+    aug = [list(row) + [bi] for row, bi in zip(a, b)]
+    reduced, pivots = rref(aug)
+    for row in reduced:
+        if all(x == 0 for x in row[:-1]) and row[-1] != 0:
+            return None
+    x = [Fraction(0)] * ncols
+    for row, p in zip(reduced, pivots):
+        if p == ncols:
+            return None
+        x[p] = row[-1]
+    return tuple(x)
 
 
 def dense_multiply(a, x, y):

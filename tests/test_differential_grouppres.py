@@ -1,10 +1,11 @@
 """Differential tests: tietze_simplify, which finds each rewrite through an
 index of relator factors, against the pairwise rotation scan in oracles.py,
 on random presentations, on the benchmark's group presentations and on
-hand-made ties of the rewrite order; todd_coxeter_order, which answers at
-once when the abelianization has a free factor, against the full coset
-enumeration in oracles.py; the one-loop Smith diagonal against the staged
-one it replaced."""
+hand-made ties of the rewrite order; todd_coxeter_order, Felsch's strategy
+answering at once when the abelianization has a free factor, against the
+HLT enumeration in oracles.py, from which it may only move from "unknown"
+to the order; the one-loop Smith diagonal against the staged one it
+replaced."""
 
 import os
 import subprocess
@@ -93,12 +94,37 @@ def coset_presentations(draw):
 @settings(max_examples=400, deadline=None)
 @given(coset_presentations(), st.integers(1, 200))
 def test_coset_order_matches_the_full_enumeration(pres, coset_limit):
+    # Felsch defines fewer cosets than HLT, so within one limit an answer may
+    # only move from "unknown" to the order HLT finds with room to spare
     order = todd_coxeter_order(pres, coset_limit)
+    reference = enumerate_todd_coxeter(pres, coset_limit)
     if 0 in abelian_invariants(pres):
         event("free abelian factor")
-    else:
-        event("unknown" if order is None else "closed")
-    assert order == enumerate_todd_coxeter(pres, coset_limit)
+        assert order is None
+        return
+    event("unknown" if order is None else "closed")
+    if reference is not None:
+        assert order == reference
+    elif order is not None:
+        event("closed where the full enumeration is unknown")
+        assert order == enumerate_todd_coxeter(pres, 10_000)
+
+
+def test_relator_scan_at_coset_0_closes_within_one_coset():
+    # HLT defines the coset 0·x before it scans x at coset 0
+    pres = presentation(1, [(1,)])
+    assert todd_coxeter_order(pres, coset_limit=1) == 1
+    assert enumerate_todd_coxeter(pres, coset_limit=1) is None
+
+
+@pytest.mark.parametrize(
+    "family, order",
+    [("coxeter_S4", 24), ("coxeter_S5", 120), ("coxeter_S6", 720), ("grading_Z16", 16)],
+)
+def test_enumeration_defines_only_the_cosets_the_group_needs(family, order):
+    pres = corpus_group_presentations()[family]
+    assert todd_coxeter_order(pres, coset_limit=order) == order
+    assert todd_coxeter_order(pres, coset_limit=order - 1) is None
 
 
 @st.composite
@@ -139,6 +165,27 @@ def test_free_group_answers_without_enumerating():
         capture_output=True,
         text=True,
         timeout=1,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "None\n"
+
+
+TRIANGLE_GROUP_SCRIPT = """
+from univhopf.grouppres import presentation, todd_coxeter_order
+print(todd_coxeter_order(presentation(2, [(1, 1), (2, 2, 2), (1, 2) * 7])))
+"""
+
+
+def test_infinite_triangle_group_runs_into_the_default_limit():
+    # <a, b | a^2, b^3, (ab)^7> is infinite and perfect, so no shortcut
+    # applies; the timeout keeps a deduction storm from going unnoticed
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", TRIANGLE_GROUP_SCRIPT],
+        capture_output=True,
+        text=True,
+        timeout=20,
         env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert proc.returncode == 0, proc.stderr

@@ -2,11 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from univhopf._linalg import solve
 from univhopf.errors import PreconditionError
 from univhopf.grading import (
     Grading,
-    coarsen_by_map,
     equivalent,
     grading_support,
     universal_group_of_grading,
@@ -21,6 +19,7 @@ from univhopf.grouppres import (
 from univhopf.finmonoid import monoid_from_rows
 
 from helpers import (
+    coarsen_by_map,
     corpus_gradings,
     dual_numbers,
     dual_numbers_grading,
@@ -30,6 +29,7 @@ from helpers import (
     trivial_grading,
     two_product_grading,
 )
+from oracles import solve
 
 F = Fraction
 
