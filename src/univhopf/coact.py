@@ -14,9 +14,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 
-from ._linalg import Vec, exact, rank, row_space_basis, rref, unit_vec, vec
+from ._linalg import Vec, exact, rank, row_space_basis, rref, vec
 from .errors import InputError, PreconditionError
-from .finmonoid import FinMonoid
 from .grading import Grading, grading_support
 from .ncalg import AlgebraPresentation, NCPoly
 from .signature import FinVectMagma, coordinate_identities
@@ -359,15 +358,6 @@ def _dense(x: dict, n: int) -> tuple:
     return tuple(exact(x.get(k, 0)) for k in range(n))
 
 
-def group_algebra(g: FinMonoid) -> FDAlgebra:
-    """The monoid algebra of a finite monoid: e_x e_y = e_{xy}."""
-    n = g.size
-    mult = tuple(
-        tuple(unit_vec(n, g.mul(x, y)) for y in range(n)) for x in range(n)
-    )
-    return FDAlgebra(n, mult, unit_vec(n, g.unit))
-
-
 @dataclass(frozen=True, eq=False)
 class FDCoalgebra:
     """Structure constants on the basis 0..dim-1, checked coassociative and
@@ -388,15 +378,6 @@ class FDCoalgebra:
             raise PreconditionError(f"comultiplication is not coassociative at {i}")
         if i is not None:
             raise PreconditionError(f"counit laws fail at basis vector {i}")
-
-
-def group_like_coalgebra(n: int) -> FDCoalgebra:
-    """Every basis vector group-like: Delta e_i = e_i (x) e_i, eps = 1."""
-    return FDCoalgebra(
-        n,
-        tuple({(i, i): Fraction(1)} for i in range(n)),
-        tuple(Fraction(1) for _ in range(n)),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -574,21 +574,6 @@ def serialize_monoid_table(m: FinMonoid) -> dict:
     }
 
 
-def serialize_grading(g: Grading) -> dict:
-    doc = {
-        "kind": "grading",
-        "algebra": serialize_vect_magma(g.algebra),
-        "labels": list(g.labels),
-        "assignment": [g.labels[a] for a in g.assignment],
-    }
-    if g.group is not None:
-        doc["group"] = {
-            "monoid": serialize_monoid_table(g.group),
-            "label_elements": list(g.label_elems),
-        }
-    return doc
-
-
 def _serialize_delta(delta) -> list:
     return [
         [
@@ -746,15 +731,6 @@ def serialize_functor(f: FunctorData) -> dict:
         "target": serialize_category(f.target),
         "object_map": list(f.object_map),
         "morphism_map": list(f.morphism_map),
-    }
-
-
-def serialize_frame_sets(f: SetComodFrame) -> dict:
-    return {
-        "kind": "frame_sets",
-        "magma": serialize_set_magma(f.magma),
-        "psi": list(f.psi),
-        "num_labels": f.num_labels,
     }
 
 

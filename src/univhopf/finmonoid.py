@@ -8,7 +8,6 @@ from operator import itemgetter
 from .errors import InputError, PreconditionError
 from .signature import (
     FinSetMagma,
-    composition_table,
     omega_congruence_closure,
     quotient_magma,
     set_magma_from_monoid_table,
@@ -166,9 +165,3 @@ def grothendieck_group(m: FinMonoid):
     return GroupPresentation(n, tuple(relators))
 
 
-def full_transformation_monoid(k: int) -> FinMonoid:
-    """All maps {0..k-1} -> {0..k-1} under composition (f.g)(x) = f(g(x))."""
-    from itertools import product as iproduct
-
-    maps = sorted(iproduct(range(k), repeat=k))
-    return monoid_from_rows(composition_table(maps), maps.index(tuple(range(k))))

@@ -7,6 +7,10 @@ coset enumeration (Felsch's strategy: a new coset only where no relator
 scan deduces the entry) does not close within its limit, and at once,
 without enumerating, when the abelianization has a free factor (a 0 among
 the abelian invariants), since the group is then infinite.
+``tietze_simplify`` eliminates generators that occur once in a relator,
+shortest relator first, while the presentation stays no longer than its
+input, and shortens relators by pieces of others when it cannot; at most
+``effort`` passes.
 """
 
 from dataclasses import dataclass
@@ -300,27 +304,6 @@ def todd_coxeter_order(
 # Tietze simplification
 
 
-def _shift_letter(x: int, removed: int) -> int:
-    g = abs(x) - 1
-    if g == removed:
-        raise RuntimeError(f"removed generator {removed} still occurs")
-    shifted = g - 1 if g > removed else g
-    return (shifted + 1) if x > 0 else -(shifted + 1)
-
-
-def _substitute(word: Word, gen: int, image: Word) -> Word:
-    """Replace generator ``gen`` by ``image`` (given in the old indexing, not
-    mentioning ``gen``) and renumber the generators above ``gen`` down."""
-    shifted_image = tuple(_shift_letter(x, gen) for x in image)
-    out: list[int] = []
-    for x in word:
-        if abs(x) - 1 == gen:
-            out.extend(shifted_image if x > 0 else invert_word(shifted_image))
-        else:
-            out.append(_shift_letter(x, gen))
-    return free_reduce_word(out)
-
-
 def _first_shortening(relators: list[Word]) -> tuple[int, Word] | None:
     """The first rewrite of relator j by a majority piece of relator i != j,
     in the order (i by length then index, j, rotation of relator i then of
@@ -354,50 +337,128 @@ def _first_shortening(relators: list[Word]) -> tuple[int, Word] | None:
     return None
 
 
+def _relator_form(w: Word) -> tuple[Word, Word]:
+    """A freely reduced relator as Tietze keeps it: its cyclically reduced
+    core, inverted when most letters are inverses, and a key shared by the
+    cyclic conjugates of it and of its inverse (their least rotation)."""
+    w = _cyclic_reduce(w)
+    if not w:
+        return w, w
+    inverse = invert_word(w)
+    if 2 * sum(x < 0 for x in w) > len(w):
+        w, inverse = inverse, w
+    least = min(min(w), -max(w))  # the least rotation starts with it
+    return w, min(b[t:] + b[:t] for b in (w, inverse) for t, x in enumerate(b) if x == least)
+
+
 def tietze_simplify(
     pres: GroupPresentation, effort: int = DEFAULT_TIETZE_EFFORT
 ) -> tuple[GroupPresentation, tuple[Word, ...]]:
     """Best-effort simplification to a presentation of an isomorphic group.
 
-    Each of at most ``effort`` passes makes one change: it removes trivial
-    and repeated relators, then eliminates a generator defined by a length-1
-    or length-2 relator, or else shortens one relator by the majority piece
-    of a cyclic conjugate of another (or of its inverse), found through an
-    index of relator factors by piece length.  Returns the new presentation
-    together with the image of each original generator as a word in the new
-    generators.
+    Generator elimination after Havas, Kenne, Richardson and Robertson, "A
+    Tietze transformation program" (1984).  Relators are kept in
+    ``_relator_form``, and of those with one key only the first.  Each of at
+    most ``effort`` passes eliminates generators one by one: a generator
+    that occurs once in a relator is replaced, in the relators that contain
+    it, by the rest of that relator, taking the shortest such relator first
+    (then the earliest) and the highest-numbered such generator in it.  The
+    pass eliminates no further once there is none, or once that elimination
+    would make the total relator length exceed the input's, so no output is
+    longer than its input.  A pass that eliminates nothing shortens one
+    relator by the majority piece of a cyclic conjugate of another (or of
+    its inverse) instead, and the run stops at a pass that can do neither.
+    Generators are renumbered once, at the end.  Returns the new
+    presentation together with the image of each original generator as a
+    word in the new generators.
     """
-    num = pres.num_gens
-    relators = [free_reduce_word(w) for w in pres.relators]
-    images: list[Word] = [((g + 1),) for g in range(num)]
+    if effort < 1:
+        raise InputError("Tietze effort must be at least 1")
+    budget = sum(map(len, pres.relators))
+    rels: list[tuple[Word, Word] | None] = []  # (form, key) by position
+    where: dict[Word, int] = {}  # key -> position
+    touching: list[set[int]] = [set() for _ in range(pres.num_gens)]
+    eliminated: list[tuple[int, Word]] = []  # (generator, image) in order
 
-    def apply_subst(gen: int, image: Word) -> None:
-        nonlocal num, relators, images
-        relators = [_substitute(w, gen, image) for w in relators]
-        images = [_substitute(w, gen, image) for w in images]
-        num -= 1
+    def drop(q: int) -> None:
+        w, k = rels[q]
+        rels[q] = None
+        del where[k]
+        for x in w:
+            touching[abs(x) - 1].discard(q)
 
-    for _ in range(max(effort, 1)):
-        relators = [w for w in dict.fromkeys(relators) if w]
-        # length-1 relators kill a generator outright
-        unit = next((w for w in relators if len(w) == 1), None)
-        if unit is not None:
-            apply_subst(abs(unit[0]) - 1, ())
-            continue
-        # length-2 relators on distinct generators express one by the other
-        pair = next(
-            (w for w in relators if len(w) == 2 and abs(w[0]) != abs(w[1])), None
-        )
-        if pair is not None:
-            x, y = pair
-            g = abs(y) - 1
-            # x * y = 1: if y = g then g = x^-1, if y = g^-1 then g = x
-            apply_subst(g, (-x,) if y > 0 else (x,))
+    def put(q: int, form: tuple[Word, Word]) -> None:
+        # position q is empty; the earlier of two relators with one key stays
+        p = where.get(form[1], q)
+        if form[0] and p >= q:
+            if p > q:
+                drop(p)
+            rels[q], where[form[1]] = form, q
+            for x in form[0]:
+                touching[abs(x) - 1].add(q)
+
+    def eliminate() -> bool:
+        # the first candidate, if its elimination keeps the total length
+        # within the budget
+        order = sorted((len(r[0]), q) for q, r in enumerate(rels) if r)
+        for _, q in order:
+            w = rels[q][0]
+            gens = [abs(x) - 1 for x in w]
+            once = [g for g in gens if gens.count(g) == 1]
+            if once:
+                break
+        else:
+            return False
+        gen = max(once)
+        i = gens.index(gen)
+        rest = w[i + 1 :] + w[:i]  # w[i] rest = 1 is a conjugate of w
+        image = rest if w[i] < 0 else invert_word(rest)
+        inverse = invert_word(image)
+        others = sorted(touching[gen] - {q})
+        new = [
+            _relator_form(free_reduce_word([
+                y for x in rels[p][0]
+                for y in ((x,) if abs(x) - 1 != gen else image if x > 0 else inverse)
+            ]))
+            for p in others
+        ]
+        gone = {q, *others}
+        kept = {k: len(v) for v, k in new if v and where.get(k, q) in gone}
+        total = sum(n for n, _ in order)
+        if total - sum(len(rels[p][0]) for p in gone) + sum(kept.values()) > budget:
+            return False
+        for p in gone:
+            drop(p)
+        for p, form in zip(others, new):
+            put(p, form)
+        eliminated.append((gen, image))
+        return True
+
+    for w in pres.relators:
+        rels.append(None)
+        put(len(rels) - 1, _relator_form(w))
+    for _ in range(effort):
+        if eliminate():
+            while eliminate():
+                pass
             continue
         # bounded rewriting: shorten one relator by a piece of another
-        hit = _first_shortening(relators)
+        live = [q for q, r in enumerate(rels) if r]
+        hit = _first_shortening([rels[q][0] for q in live])
         if hit is None:
             break
-        relators[hit[0]] = hit[1]
-    relators = [w for w in dict.fromkeys(relators) if w]
-    return GroupPresentation(num, tuple(relators)), tuple(images)
+        drop(live[hit[0]])
+        put(live[hit[0]], _relator_form(hit[1]))
+
+    gone = {g for g, _ in eliminated}
+    number = {g: i + 1 for i, g in enumerate(g for g in range(pres.num_gens) if g not in gone)}
+    images = {g: (n,) for g, n in number.items()}
+    # an image mentions only generators kept or eliminated after it
+    for g, image in reversed(eliminated):
+        images[g] = free_reduce_word(
+            [y for x in image for y in (images[x - 1] if x > 0 else invert_word(images[-x - 1]))]
+        )
+    relators = tuple(
+        tuple(number[x - 1] if x > 0 else -number[-x - 1] for x in r[0]) for r in rels if r
+    )
+    return GroupPresentation(len(number), relators), tuple(images[g] for g in range(pres.num_gens))

@@ -19,14 +19,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import prod
 
-from ._linalg import Vec, unit_vec
+from ._linalg import Vec
 from .errors import InputError, PreconditionError
-from .finmonoid import FinMonoid, inverses, unit_group
+from .finmonoid import FinMonoid, unit_group
 from .coact import (
     MatrixPresentation,
     check_axioms,
-    group_algebra,
-    group_like_coalgebra,
     sparse_maps,
 )
 from .ncalg import (
@@ -81,18 +79,6 @@ def check_hopf_axioms_fd(h: FinDimHopf) -> AxiomReport:
     results = check_axioms(range(h.dim), **h.maps)
     rows = ((name, not f, f[0] if f else None) for name, _, _, f in results)
     return AxiomReport(tuple(rows))
-
-
-def group_algebra_hopf(g: FinMonoid) -> FinDimHopf:
-    """Group algebra with group-like basis and inversion antipode."""
-    n = g.size
-    inv = inverses(g)
-    if len(inv) != n:
-        raise PreconditionError("group algebra Hopf structure needs a group")
-    a, c = group_algebra(g), group_like_coalgebra(n)
-    # S e_x = e_{x^-1}: row i of the matrix is e_{i^-1}, inversion being an involution
-    antipode = tuple(unit_vec(n, y) for y in inv.values())
-    return FinDimHopf(n, a.mult, a.unit, c.delta, c.counit, antipode)
 
 
 # The skew-primitive structure on keys (k, l) for c^k v^l, k any integer and

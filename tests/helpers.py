@@ -3,25 +3,33 @@
 import importlib
 import sys
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 from univhopf import documents
-from univhopf._linalg import frac, vec
+from univhopf._linalg import frac, unit_vec, vec
 from univhopf.coact import (
     FDAlgebra,
     FDCoalgebra,
     TensorValuedMap,
-    group_algebra,
 )
 from univhopf.errors import InputError, PreconditionError
-from univhopf.finmonoid import FinMonoid, grothendieck_group, monoid_from_rows
+from univhopf.finmonoid import (
+    FinMonoid,
+    grothendieck_group,
+    inverses,
+    monoid_from_rows,
+)
 from univhopf.grading import Grading, universal_group_of_grading
 from univhopf.grouppres import GroupPresentation
+from univhopf.hopf import FinDimHopf
 from univhopf.lio import FiniteCategory, FunctorData
+from univhopf.setsuniversal import SetComodFrame
 from univhopf.signature import (
     FinSetMagma,
     FinVectMagma,
     OmegaSignature,
+    composition_table,
     set_magma_from_monoid_table,
     unital_signature,
 )
@@ -106,6 +114,42 @@ def klein_four() -> FinMonoid:
 def chain_monoid_a3_eq_a() -> FinMonoid:
     # {1, a, a^2} with a^3 = a
     return monoid_from_rows([[0, 1, 2], [1, 2, 1], [2, 1, 2]], 0)
+
+
+def group_algebra(g: FinMonoid) -> FDAlgebra:
+    """The monoid algebra of a finite monoid: e_x e_y = e_{xy}."""
+    n = g.size
+    mult = tuple(
+        tuple(unit_vec(n, g.mul(x, y)) for y in range(n)) for x in range(n)
+    )
+    return FDAlgebra(n, mult, unit_vec(n, g.unit))
+
+
+def group_like_coalgebra(n: int) -> FDCoalgebra:
+    """Every basis vector group-like: Delta e_i = e_i (x) e_i, eps = 1."""
+    return FDCoalgebra(
+        n,
+        tuple({(i, i): Fraction(1)} for i in range(n)),
+        tuple(Fraction(1) for _ in range(n)),
+    )
+
+
+def full_transformation_monoid(k: int) -> FinMonoid:
+    """All maps {0..k-1} -> {0..k-1} under composition (f.g)(x) = f(g(x))."""
+    maps = sorted(product(range(k), repeat=k))
+    return monoid_from_rows(composition_table(maps), maps.index(tuple(range(k))))
+
+
+def group_algebra_hopf(g: FinMonoid) -> FinDimHopf:
+    """Group algebra with group-like basis and inversion antipode."""
+    n = g.size
+    inv = inverses(g)
+    if len(inv) != n:
+        raise PreconditionError("group algebra Hopf structure needs a group")
+    a, c = group_algebra(g), group_like_coalgebra(n)
+    # S e_x = e_{x^-1}: row i of the matrix is e_{i^-1}, inversion being an involution
+    antipode = tuple(unit_vec(n, y) for y in inv.values())
+    return FinDimHopf(n, a.mult, a.unit, c.delta, c.counit, antipode)
 
 
 def cyclic_set_magma(n: int) -> FinSetMagma:
@@ -503,6 +547,30 @@ def corpus_membership_answers(seed):
     return out
 
 
+def serialize_grading(g: Grading) -> dict:
+    doc = {
+        "kind": "grading",
+        "algebra": documents.serialize_vect_magma(g.algebra),
+        "labels": list(g.labels),
+        "assignment": [g.labels[a] for a in g.assignment],
+    }
+    if g.group is not None:
+        doc["group"] = {
+            "monoid": documents.serialize_monoid_table(g.group),
+            "label_elements": list(g.label_elems),
+        }
+    return doc
+
+
+def serialize_frame_sets(f: SetComodFrame) -> dict:
+    return {
+        "kind": "frame_sets",
+        "magma": documents.serialize_set_magma(f.magma),
+        "psi": list(f.psi),
+        "num_labels": f.num_labels,
+    }
+
+
 def serialize_again(kind, value):
     """The parsed value of a document of this kind, serialized again."""
     if kind == "signature":
@@ -514,7 +582,7 @@ def serialize_again(kind, value):
     if kind == "monoid_table":
         return documents.serialize_monoid_table(value)
     if kind == "grading":
-        return documents.serialize_grading(value)
+        return serialize_grading(value)
     if kind == "coalgebra":
         return documents.serialize_coalgebra(value)
     if kind == "tensor_map":
@@ -534,7 +602,7 @@ def serialize_again(kind, value):
     if kind == "functor":
         return documents.serialize_functor(value)
     if kind == "frame_sets":
-        return documents.serialize_frame_sets(value)
+        return serialize_frame_sets(value)
     if kind == "map_set":
         return documents.serialize_map_set(value)
     raise AssertionError(kind)

@@ -6,8 +6,9 @@ congruence closure are checked against, the dense per-axiom Hopf
 checker that the sparse axiom checker replaced, the linear-scan
 reducer and completion that the indexed rewriting engine replaced, the
 scanning hom sets, locally initial objects, absolute values and m^2
-validation that the indexed finite categories replaced, the pairwise
-rotation scan that the factor index of Tietze shortening replaced, the
+validation that the indexed finite categories replaced, the naive Tietze
+loop (renumbering after every elimination, the pairwise rotation scan for
+shortenings) that the indexed elimination and factor index replaced, the
 full coset enumeration that the abelianization shortcut of Todd-Coxeter
 skips for groups with a free abelian factor, and the linear solves and
 dense comodule axiom loops that the RREF pivot read of support coordinates
@@ -31,7 +32,6 @@ from univhopf.errors import InputError, PreconditionError
 from univhopf.grouppres import (
     DEFAULT_TIETZE_EFFORT,
     GroupPresentation,
-    _substitute,
     free_reduce_word,
     invert_word,
 )
@@ -817,12 +817,20 @@ def truncated_ideal_pivots(pres, degree):
     their deglex-largest word, as dicts, without univhopf's linear algebra."""
     pivots = {}
     for prod_row in truncated_ideal_products(pres, degree):
-        row = reduce_mod_pivots(prod_row, pivots)
-        if row:
-            top = max(row, key=deglex_key)
-            inv = pow(row[top], -1, PRIME)
-            pivots[top] = {w: c * inv % PRIME for w, c in row.items()}
+        add_to_pivots(prod_row, pivots)
     return pivots
+
+
+def add_to_pivots(terms, pivots):
+    """Reduce {word: coefficient} modulo PRIME and the pivots, and add the
+    remainder, if any, as a pivot on its deglex-largest word.  Returns the
+    remainder: empty exactly when terms lies in the span of the pivots."""
+    row = reduce_mod_pivots(terms, pivots)
+    if row:
+        top = max(row, key=deglex_key)
+        inv = pow(row[top], -1, PRIME)
+        pivots[top] = {w: c * inv % PRIME for w, c in row.items()}
+    return row
 
 
 def reduce_mod_pivots(terms, pivots):
@@ -1017,52 +1025,93 @@ def _shorten_with(rel, other):
     return None
 
 
+def _shift_letter(x, removed):
+    g = abs(x) - 1
+    if g == removed:
+        raise RuntimeError(f"removed generator {removed} still occurs")
+    shifted = g - 1 if g > removed else g
+    return (shifted + 1) if x > 0 else -(shifted + 1)
+
+
+def _substitute(word, gen, image):
+    """Replace generator ``gen`` by ``image`` (given in the old indexing, not
+    mentioning ``gen``) and renumber the generators above ``gen`` down."""
+    shifted_image = tuple(_shift_letter(x, gen) for x in image)
+    out = []
+    for x in word:
+        if abs(x) - 1 == gen:
+            out.extend(shifted_image if x > 0 else invert_word(shifted_image))
+        else:
+            out.append(_shift_letter(x, gen))
+    return free_reduce_word(out)
+
+
+def _normalized(relators):
+    """Cyclically reduce every relator, invert those with more inverse
+    letters than others, drop the trivial ones and keep the
+    first of each class of cyclic conjugates and their inverses."""
+    out, seen = [], set()
+    for w in relators:
+        while len(w) > 1 and w[0] == -w[-1]:
+            w = w[1:-1]
+        if len([x for x in w if x < 0]) > len(w) / 2:
+            w = invert_word(w)
+        if w and w not in seen:
+            out.append(w)
+            seen.update(_rotations(w), _rotations(invert_word(w)))
+    return out
+
+
 def scan_tietze(pres, effort=DEFAULT_TIETZE_EFFORT):
-    """tietze_simplify with every ordered pair of relators scanned through all
-    rotations for each rewrite."""
+    """tietze_simplify renumbering every relator and image after each
+    elimination, normalizing every relator after every change, trying the
+    candidate elimination on the whole presentation, and scanning every
+    ordered pair of relators through all rotations for each shortening."""
+    if effort < 1:
+        raise InputError("Tietze effort must be at least 1")
+    budget = sum(len(w) for w in pres.relators)
     num = pres.num_gens
-    relators = [free_reduce_word(w) for w in pres.relators]
+    relators = _normalized(pres.relators)
     images = [((g + 1),) for g in range(num)]
 
-    def apply_subst(gen, image):
-        nonlocal num, relators, images
-        relators = [_substitute(w, gen, image) for w in relators]
-        images = [_substitute(w, gen, image) for w in images]
-        num -= 1
+    def first_elimination():
+        for w in sorted(relators, key=len):
+            once = [g for g in range(num) if [abs(x) - 1 for x in w].count(g) == 1]
+            if once:
+                gen = once[-1]
+                i = [abs(x) - 1 for x in w].index(gen)
+                rest = w[i + 1 :] + w[:i]
+                image = rest if w[i] < 0 else invert_word(rest)
+                new = _normalized([_substitute(v, gen, image) for v in relators])
+                if sum(len(v) for v in new) <= budget:
+                    return gen, image, new
+                return None
+        return None
 
-    for _ in range(max(effort, 1)):
-        changed = False
-        relators = [w for w in dict.fromkeys(relators) if w]
-        unit = next((w for w in relators if len(w) == 1), None)
-        if unit is not None:
-            apply_subst(abs(unit[0]) - 1, ())
-            changed = True
-            continue
-        pair = next(
-            (w for w in relators if len(w) == 2 and abs(w[0]) != abs(w[1])), None
-        )
-        if pair is not None:
-            x, y = pair
-            apply_subst(abs(y) - 1, (-x,) if y > 0 else (x,))
-            changed = True
+    for _ in range(effort):
+        eliminated = False
+        while (found := first_elimination()) is not None:
+            gen, image, relators = found
+            images = [_substitute(v, gen, image) for v in images]
+            num -= 1
+            eliminated = True
+        if eliminated:
             continue
         by_len = sorted(range(len(relators)), key=lambda i: (len(relators[i]), i))
-        done = False
-        for i in by_len:
-            for j in range(len(relators)):
-                if i == j:
-                    continue
-                cand = _shorten_with(relators[i], relators[j])
-                if cand is not None:
-                    relators[j] = cand
-                    changed = True
-                    done = True
-                    break
-            if done:
-                break
-        if not changed:
+        hit = next(
+            (
+                (j, cand)
+                for i in by_len
+                for j in range(len(relators))
+                if i != j
+                and (cand := _shorten_with(relators[i], relators[j])) is not None
+            ),
+            None,
+        )
+        if hit is None:
             break
-    relators = [w for w in dict.fromkeys(relators) if w]
+        relators[hit[0]] = hit[1]
+        relators = _normalized(relators)
     return GroupPresentation(num, tuple(relators)), tuple(images)
 
 

@@ -21,8 +21,6 @@ from univhopf.coact import (
     cosupport_of_map,
     factor_through_universal,
     family_map,
-    group_algebra,
-    group_like_coalgebra,
     is_comeasuring,
     is_tensor_epimorphism,
     manin_end_presentation,
@@ -31,7 +29,6 @@ from univhopf.coact import (
     tambara_presentation,
 )
 from univhopf.finmonoid import (
-    full_transformation_monoid,
     grothendieck_group,
     unit_group,
 )
@@ -40,7 +37,6 @@ from univhopf.grouppres import abelian_invariants, tietze_simplify, todd_coxeter
 from univhopf.hopf import (
     check_comap_well_defined,
     dg_hopf_fixture,
-    group_algebra_hopf,
     hopf_envelope_presentation,
     universal_bialgebra_structure,
 )
@@ -63,21 +59,27 @@ from univhopf.signature import unital_signature
 from helpers import (
     compose_with_matrix,
     chain_monoid_a3_eq_a,
+    dual_numbers_grading,
+    full_transformation_monoid,
+    group_algebra,
+    group_algebra_hopf,
+    group_like_coalgebra,
+    make_vect_magma,
     random_q_algebra,
     random_unital_magma,
     cyclic_monoid,
     cyclic_set_magma,
     dual_numbers,
-    dual_numbers_grading,
     grading_coaction,
     klein_four,
     klein_set_magma,
-    make_vect_magma,
     pauli_algebra,
     pauli_coaction,
     pauli_grading,
     rational_line,
     serialize_again,
+    serialize_frame_sets,
+    serialize_grading,
     split_quadratic,
     tensor_valued_map,
     thin_chain_category,
@@ -389,8 +391,8 @@ def _acceptance_cli_invocations(tmp_path):
         path.write_text(docs.document_to_json(doc), encoding="utf-8")
         return str(path)
 
-    pauli = write("pauli.json", docs.serialize_grading(pauli_grading()))
-    grad = write("grad.json", docs.serialize_grading(dual_numbers_grading()))
+    pauli = write("pauli.json", serialize_grading(pauli_grading()))
+    grad = write("grad.json", serialize_grading(dual_numbers_grading()))
     dual = write("dual.json", docs.serialize_vect_magma(dual_numbers()))
     m3 = write("m3.json", docs.serialize_monoid_table(chain_monoid_a3_eq_a()))
     t2 = write("t2.json", docs.serialize_monoid_table(full_transformation_monoid(2)))
@@ -398,7 +400,7 @@ def _acceptance_cli_invocations(tmp_path):
     k4 = write("k4.json", docs.serialize_set_magma(klein_set_magma()))
     frame = write(
         "frame.json",
-        docs.serialize_frame_sets(SetComodFrame(cyclic_set_magma(4), (0, 1, 2, 3), 4)),
+        serialize_frame_sets(SetComodFrame(cyclic_set_magma(4), (0, 1, 2, 3), 4)),
     )
     hopf = write("hopf.json", docs.serialize_hopf_fd(group_algebra_hopf(cyclic_monoid(2))))
     cat = write("cat.json", docs.serialize_category(two_incomparable_lio_category()))

@@ -5,9 +5,8 @@ import pytest
 
 from univhopf import documents as docs
 from univhopf.cli import build_parser, run
-from univhopf.finmonoid import full_transformation_monoid
 from univhopf.grouppres import DEFAULT_COSET_LIMIT
-from univhopf.hopf import DEFAULT_ANTIPODE_LEVELS, group_algebra_hopf
+from univhopf.hopf import DEFAULT_ANTIPODE_LEVELS
 from univhopf.lio import identity_functor
 from univhopf.ncalg import DEFAULT_DEGREE_BOUND
 from univhopf.setsuniversal import SetComodFrame
@@ -19,8 +18,12 @@ from helpers import (
     cyclic_set_magma,
     dual_numbers,
     dual_numbers_grading,
+    full_transformation_monoid,
+    group_algebra_hopf,
     klein_set_magma,
     pauli_grading,
+    serialize_frame_sets,
+    serialize_grading,
     split_quadratic,
     tensor_valued_map,
     thin_chain_category,
@@ -43,7 +46,7 @@ def write(tmp_path, name, doc):
 
 
 def test_universal_group_pauli(tmp_path):
-    path = write(tmp_path, "pauli.json", docs.serialize_grading(pauli_grading()))
+    path = write(tmp_path, "pauli.json", serialize_grading(pauli_grading()))
     code, out, err = invoke(["universal-group", path])
     assert code == 0, err
     doc = json.loads(out)
@@ -53,7 +56,7 @@ def test_universal_group_pauli(tmp_path):
 
 
 def test_universal_group_infinite_group_hits_bound(tmp_path):
-    path = write(tmp_path, "dual.json", docs.serialize_grading(dual_numbers_grading()))
+    path = write(tmp_path, "dual.json", serialize_grading(dual_numbers_grading()))
     code, out, err = invoke(["universal-group", path])
     assert code == 4
     doc = json.loads(out)
@@ -62,7 +65,7 @@ def test_universal_group_infinite_group_hits_bound(tmp_path):
 
 
 def test_universal_group_names_why_enumeration_did_not_close(tmp_path):
-    path = write(tmp_path, "dual.json", docs.serialize_grading(dual_numbers_grading()))
+    path = write(tmp_path, "dual.json", serialize_grading(dual_numbers_grading()))
     code, out, err = invoke(["universal-group", path])
     assert code == 4
     assert json.loads(out)["summary"]["abelian_invariants"] == [0]
@@ -71,7 +74,7 @@ def test_universal_group_names_why_enumeration_did_not_close(tmp_path):
         "contain 0, so the group is infinite\n"
     )
     # a finite group over the limit names the limit instead
-    path = write(tmp_path, "pauli.json", docs.serialize_grading(pauli_grading()))
+    path = write(tmp_path, "pauli.json", serialize_grading(pauli_grading()))
     code, out, err = invoke(["universal-group", path, "--coset-limit", "3"])
     assert code == 4
     assert json.loads(out)["summary"]["coset_enumeration_order"] == "unknown"
@@ -106,7 +109,7 @@ def test_tambara_and_manin_pipeline(tmp_path):
     assert len(doc["generators"]) == 4
     assert "matrix_index" in doc
 
-    grad = write(tmp_path, "grad.json", docs.serialize_grading(dual_numbers_grading()))
+    grad = write(tmp_path, "grad.json", serialize_grading(dual_numbers_grading()))
     code, out, _ = invoke(["manin-end", grad])
     assert code == 0
     me = json.loads(out)
@@ -186,7 +189,7 @@ def test_check_comeasuring_command(tmp_path):
 
 
 def test_universal_group_takes_relators_from_every_binary_operation(tmp_path):
-    path = write(tmp_path, "two.json", docs.serialize_grading(two_product_grading()))
+    path = write(tmp_path, "two.json", serialize_grading(two_product_grading()))
     code, out, err = invoke(["universal-group", path])
     # b = c = a^2 leaves Z, which the abelian invariants prove infinite
     assert code == 4
@@ -235,7 +238,7 @@ def test_check_hopf_rejects_misshapen_structure_constants(tmp_path):
 
 def test_coact_sets_command(tmp_path):
     frame = SetComodFrame(cyclic_set_magma(4), (0, 1, 0, 1), 2)
-    path = write(tmp_path, "frame.json", docs.serialize_frame_sets(frame))
+    path = write(tmp_path, "frame.json", serialize_frame_sets(frame))
     code, out, _ = invoke(["coact-sets", path])
     assert code == 0
     doc = json.loads(out)
@@ -390,7 +393,7 @@ def test_malformed_json_exit_code(tmp_path):
 
 
 def test_outputs_reparse(tmp_path):
-    path = write(tmp_path, "pauli.json", docs.serialize_grading(pauli_grading()))
+    path = write(tmp_path, "pauli.json", serialize_grading(pauli_grading()))
     _, out, _ = invoke(["universal-group", path])
     kind, value = docs.parse_input_document(out)
     assert kind == "presentation" and value.num_gens == 4
@@ -398,10 +401,10 @@ def test_outputs_reparse(tmp_path):
 
 def test_determinism_byte_identical(tmp_path):
     fixtures = [
-        (["universal-group", write(tmp_path, "p.json", docs.serialize_grading(pauli_grading()))], 0),
+        (["universal-group", write(tmp_path, "p.json", serialize_grading(pauli_grading()))], 0),
         (["grothendieck", write(tmp_path, "m.json", docs.serialize_monoid_table(chain_monoid_a3_eq_a()))], 0),
         (["unit-group", write(tmp_path, "t.json", docs.serialize_monoid_table(full_transformation_monoid(2)))], 0),
-        (["manin-end", write(tmp_path, "g.json", docs.serialize_grading(dual_numbers_grading()))], 0),
+        (["manin-end", write(tmp_path, "g.json", serialize_grading(dual_numbers_grading()))], 0),
     ]
     for argv, want in fixtures:
         code1, out1, _ = invoke(argv)
@@ -433,7 +436,7 @@ def test_stdin_input(monkeypatch, tmp_path):
 
 
 def test_repeated_labels_exit_2_at_the_second_position(tmp_path):
-    grading = write(tmp_path, "g.json", docs.serialize_grading(dual_numbers_grading()))
+    grading = write(tmp_path, "g.json", serialize_grading(dual_numbers_grading()))
     code, out, _ = invoke(["manin-end", grading])
     assert code == 0
     bialgebra = json.loads(out)
@@ -441,7 +444,7 @@ def test_repeated_labels_exit_2_at_the_second_position(tmp_path):
     bialgebra["generators"][1] = first
     code, out, err = invoke(["hopf-envelope", write(tmp_path, "me.json", bialgebra)])
     assert (code, out, err) == (2, "", f"error: $.generators[1]: repeated label {first!r}\n")
-    pauli = docs.serialize_grading(pauli_grading())
+    pauli = serialize_grading(pauli_grading())
     label = pauli["labels"][2] = pauli["labels"][0]
     code, out, err = invoke(["universal-group", write(tmp_path, "p.json", pauli)])
     assert (code, out, err) == (2, "", f"error: $.labels[2]: repeated label {label!r}\n")
@@ -530,7 +533,7 @@ def test_negative_degree_bound_is_rejected(tmp_path, command):
         bial = universal_bialgebra_structure(manin_end_presentation(grading))
         doc = docs.serialize_bialgebra_presentation(bial)
     else:
-        doc = docs.serialize_grading(grading)
+        doc = serialize_grading(grading)
     path = write(tmp_path, "in.json", doc)
     argv = [command, path, "--antipode-levels", "1", "--degree-bound", "-3"]
     code, out, err = invoke(argv)

@@ -12,8 +12,6 @@ from univhopf.coact import (
     cosupport_of_map,
     factor_through_universal,
     family_map,
-    group_algebra,
-    group_like_coalgebra,
     is_comeasuring,
     is_tensor_epimorphism,
     manin_end_presentation,
@@ -36,6 +34,8 @@ from helpers import (
     fd_algebra,
     fd_coalgebra,
     grading_coaction,
+    group_algebra,
+    group_like_coalgebra,
     klein_four,
     make_vect_magma,
     pauli_algebra,

@@ -17,7 +17,6 @@ from univhopf.coact import (
     FDCoalgebra,
     _coordinate_relations,
     factor_through_universal,
-    group_algebra,
     is_comeasuring,
     tambara_presentation,
 )
@@ -32,6 +31,7 @@ from helpers import (
     cyclic_monoid,
     dual_numbers,
     fd_algebra,
+    group_algebra,
     is_exact_coefficient,
     klein_four,
     make_vect_magma,

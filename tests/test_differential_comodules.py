@@ -16,12 +16,15 @@ from hypothesis import strategies as st
 from univhopf._linalg import rank, unit_vec
 from univhopf.coact import (
     comodule_axiom_failures,
-    group_like_coalgebra,
     support_of_comodule,
     support_of_map,
 )
 
-from helpers import fd_coalgebra, tensor_valued_map
+from helpers import (
+    fd_coalgebra,
+    group_like_coalgebra,
+    tensor_valued_map,
+)
 from oracles import (
     coords_in_span,
     dense_comodule_failures,

@@ -23,12 +23,11 @@ from univhopf.hopf import (
     _reduce_tensor_square,
     check_comap_well_defined,
     check_hopf_axioms_fd,
-    group_algebra_hopf,
     skew_primitive_hopf,
 )
 from univhopf.ncalg import AlgebraPresentation, NCPoly, complete_rules_up_to, nc_evaluate
 
-from helpers import cyclic_monoid, klein_four
+from helpers import cyclic_monoid, group_algebra_hopf, klein_four
 from oracles import (
     BudgetExceeded,
     dense_hopf_axioms,

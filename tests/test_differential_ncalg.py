@@ -2,11 +2,14 @@
 built on it against the linear-scan reducer and completion in oracles.py,
 on random rule lists and small presentations over 2-3 generators.
 Interreduction's substring factor test against the slice scan it replaced;
-the coefficient types that come out; and the normal-word counts of a
+the coefficient types that come out; the normal-word counts of a
 confluent completion against the rank modulo a prime of the products
-u r v, which does not use the completion."""
+u r v, which does not use the completion; and the normal words of a
+system flagged confluent, two degrees beyond its bound, checked
+independent modulo those products."""
 
 from fractions import Fraction
+from itertools import product
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -26,6 +29,8 @@ from univhopf.ncalg import (
 
 from oracles import (
     BudgetExceeded,
+    add_to_pivots,
+    has_factor,
     scan_completion,
     scan_reduce,
     slice_scan_add_and_interreduce,
@@ -251,6 +256,31 @@ def test_normal_word_count_equals_the_truncated_ideal_bound_when_homogeneous(pre
     degree = 5 if pres.num_gens == 2 else 4
     count, bound = _count_and_bound(pres, _confluent_completion(pres, degree))
     assert count == bound
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), pres=presentations())
+def test_confluent_flag_holds_beyond_the_bound(data, pres):
+    # a system flagged confluent with no overlap skipped, or flagged for a
+    # presentation that is not homogeneous, is a complete rewriting system:
+    # its normal words of every degree are independent modulo the ideal, so
+    # those of degree at most D = d + 2 stay independent modulo the products
+    # u r v of degree at most D, on instances of at most 400 words in degree D
+    low = max(r.degree() for r in pres.relations)
+    d = data.draw(st.integers(max(low, 1), 6 if pres.num_gens == 2 else 3))
+    top = d + 2
+    assume(pres.num_gens**top <= 400)
+    system = complete_rules_up_to(pres, d)
+    assume(system.confluent_up_to)
+    assume(system.overlaps_skipped == 0 or not _homogeneous(pres))
+    leading = [lw for lw, _ in system.rules]
+    pivots = truncated_ideal_pivots(pres, top)
+    for k in range(top + 1):
+        for w in product(range(pres.num_gens), repeat=k):
+            if any(has_factor((w,), lw) for lw in leading):
+                continue
+            independent = add_to_pivots({w: 1}, pivots)
+            assert independent, f"normal word {w} depends on the ideal and earlier normal words"
 
 
 def _rel(*terms):

@@ -12,7 +12,6 @@ from univhopf.errors import InputError, PreconditionError
 from univhopf.finmonoid import (
     FinMonoid,
     congruence_closure,
-    full_transformation_monoid,
     is_congruence,
 )
 from univhopf.setsuniversal import (
@@ -28,7 +27,7 @@ from univhopf.signature import (
     set_magma_from_monoid_table,
 )
 
-from helpers import cyclic_monoid, klein_four
+from helpers import cyclic_monoid, full_transformation_monoid, klein_four
 from oracles import (
     fixed_point_closure,
     permutation_scan_automorphisms,

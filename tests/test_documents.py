@@ -18,7 +18,6 @@ from univhopf.coact import (
 from univhopf.errors import InputError, PreconditionError
 from univhopf.grouppres import presentation
 from univhopf.hopf import (
-    group_algebra_hopf,
     hopf_envelope_presentation,
     universal_bialgebra_structure,
 )
@@ -29,14 +28,17 @@ from univhopf.grading import Grading
 
 from helpers import (
     cyclic_monoid,
+    dual_numbers_grading,
+    group_algebra_hopf,
     klein_four,
     cyclic_set_magma,
     pauli_algebra,
     dual_numbers,
-    dual_numbers_grading,
     fd_coalgebra,
     pauli_grading,
     serialize_again,
+    serialize_frame_sets,
+    serialize_grading,
     split_quadratic,
     tensor_valued_map,
     thin_chain_category,
@@ -88,8 +90,8 @@ SERIALIZED_FIXTURES = [
     docs.serialize_vect_magma(dual_numbers()),
     docs.serialize_set_magma(cyclic_set_magma(3)),
     docs.serialize_monoid_table(cyclic_monoid(4)),
-    docs.serialize_grading(pauli_grading()),
-    docs.serialize_grading(
+    serialize_grading(pauli_grading()),
+    serialize_grading(
         Grading(
             pauli_grading().algebra,
             ("e", "x", "y", "z"),
@@ -129,7 +131,7 @@ SERIALIZED_FIXTURES = [
     docs.serialize_hopf_fd(group_algebra_hopf(cyclic_monoid(2))),
     docs.serialize_category(thin_chain_category(3)),
     docs.serialize_functor(identity_functor(thin_chain_category(2))),
-    docs.serialize_frame_sets(SetComodFrame(cyclic_set_magma(3), (0, 1, 1), 2)),
+    serialize_frame_sets(SetComodFrame(cyclic_set_magma(3), (0, 1, 1), 2)),
     docs.serialize_map_set("all"),
     docs.serialize_map_set([(0, 1), (1, 0)]),
 ]
@@ -256,7 +258,7 @@ def _with_second_label_repeated(doc, key):
         (docs.serialize_algebra_presentation(tambara_presentation(
             dual_numbers(), dual_numbers())), "generators"),
         (_MANIN_END_BIALGEBRA, "generators"),
-        (docs.serialize_grading(pauli_grading()), "labels"),
+        (serialize_grading(pauli_grading()), "labels"),
     ],
     ids=["group", "algebra", "bialgebra", "grading"],
 )
@@ -293,7 +295,7 @@ def test_minimal_monoid_document():
 
 
 def test_grading_document_unknown_label_rejected():
-    doc = docs.serialize_grading(dual_numbers_grading())
+    doc = serialize_grading(dual_numbers_grading())
     doc["assignment"][1] = "ghost"
     with pytest.raises(InputError) as err:
         docs.parse_document(doc)

@@ -7,7 +7,6 @@ from univhopf.finmonoid import (
     Congruence,
     FinMonoid,
     congruence_closure,
-    full_transformation_monoid,
     grothendieck_group,
     is_congruence,
     is_group,
@@ -17,7 +16,12 @@ from univhopf.finmonoid import (
 )
 from univhopf.grouppres import todd_coxeter_order
 
-from helpers import chain_monoid_a3_eq_a, cyclic_monoid, klein_four
+from helpers import (
+    chain_monoid_a3_eq_a,
+    cyclic_monoid,
+    full_transformation_monoid,
+    klein_four,
+)
 
 
 def test_non_associative_table_rejected():

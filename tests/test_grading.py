@@ -17,12 +17,14 @@ from univhopf.grouppres import (
     todd_coxeter_order,
 )
 from univhopf.finmonoid import monoid_from_rows
+from univhopf.signature import unital_signature
 
 from helpers import (
     coarsen_by_map,
     corpus_gradings,
     dual_numbers,
     dual_numbers_grading,
+    make_vect_magma,
     pauli_algebra,
     pauli_grading,
     split_quadratic,
@@ -240,7 +242,7 @@ EQUIVALENCE_TABLE = [
     ("grading_Z2xZ2", "grading_D4", "no"),  # invariants [2, 2]; orders 4 and 8
     ("split", "grading_D5", "no"),  # invariants [2]; orders 2 and 10
     ("grading_D5", "grading_S3", "no"),  # invariants [2]; orders 10 and 6
-    ("dual", "degree_grading_Z", "unknown"),  # both Z: no enumeration closes
+    ("dual", "degree_grading_Z", "yes"),  # both simplify to Z = <x | >
 ]
 
 
@@ -254,6 +256,29 @@ def test_equivalence_verdicts_on_fixture_pairs(first, second, verdict):
     }
     assert equivalent(gradings[first], gradings[second]) == verdict
     assert equivalent(gradings[second], gradings[first]) == verdict
+
+
+def square_zero_grading() -> Grading:
+    """Q[x, y]/(x, y)^2 graded by its basis 1, x, y: the universal group is
+    free on g_x and g_y."""
+    mu = [((0,), (0, 0), 1), ((1,), (0, 1), 1), ((1,), (1, 0), 1)]
+    mu += [((2,), (0, 2), 1), ((2,), (2, 0), 1)]
+    algebra = make_vect_magma(
+        unital_signature(), 3, ("1", "x", "y"), {"mu": mu, "unit": [((0,), (), 1)]}
+    )
+    return Grading(algebra, ("1", "x", "y"), (0, 1, 2))
+
+
+def exterior_pair_grading() -> Grading:
+    """Q[x, y]/(x^2, y^2) graded by its basis 1, x, y, xy: the universal
+    group is Z^2, since g_x g_y = g_xy = g_y g_x."""
+    mu = [((0,), (0, 0), 1)]
+    mu += [((i,), (0, i), 1) for i in (1, 2, 3)] + [((i,), (i, 0), 1) for i in (1, 2, 3)]
+    mu += [((3,), (1, 2), 1), ((3,), (2, 1), 1)]
+    algebra = make_vect_magma(
+        unital_signature(), 4, ("1", "x", "y", "xy"), {"mu": mu, "unit": [((0,), (), 1)]}
+    )
+    return Grading(algebra, ("1", "x", "y", "xy"), (0, 1, 2, 3))
 
 
 def test_equivalence_of_infinite_groups_runs_one_smith_form_each(monkeypatch):
@@ -270,7 +295,8 @@ def test_equivalence_of_infinite_groups_runs_one_smith_form_each(monkeypatch):
 
     monkeypatch.setattr(grading, "abelian_invariants", counted)
     monkeypatch.setattr(grading, "todd_coxeter_order", refuse)
-    pair = (dual_numbers_grading(), corpus_gradings()["degree_grading_Z"])
+    # F2 and Z^2: invariants [0, 0] each, and the presentations differ
+    pair = (square_zero_grading(), exterior_pair_grading())
     assert equivalent(*pair) == "unknown"
     assert len(calls) == 2
 

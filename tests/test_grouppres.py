@@ -1,7 +1,10 @@
+import re
+
 import pytest
 
 from univhopf.errors import InputError
-from univhopf.finmonoid import full_transformation_monoid, grothendieck_group
+from univhopf.finmonoid import grothendieck_group
+from univhopf.grading import equivalent
 from univhopf.grouppres import (
     GroupPresentation,
     abelian_invariants,
@@ -16,6 +19,8 @@ from helpers import (
     chain_monoid_a3_eq_a,
     corpus_group_presentations,
     cyclic_monoid,
+    dual_numbers_grading,
+    full_transformation_monoid,
     klein_four,
 )
 
@@ -146,13 +151,49 @@ def test_tietze_rewrite_branch_shortens_relators():
 
 @pytest.mark.parametrize(
     "family, shape",
-    [("grading_Z16", (8, 172)), ("grading_D5", (7, 34)), ("grading_Z3xZ3", (4, 12))],
+    [
+        ("grading_Z16", (1, 1, 16)),
+        ("grading_D5", (2, 4, 18)),
+        ("grading_Z3xZ3", (2, 5, 22)),
+        ("grothendieck_product", (2, 3, 9)),
+        ("coxeter_S6", (5, 15, 58)),
+    ],
 )
 def test_tietze_output_shape_on_grading_groups(family, shape):
-    # pinned from the rewriting strategy as it stands: a new strategy must
-    # change these numbers on purpose
+    # (generators, relators, letters), pinned from the elimination strategy
+    # as it stands: a new strategy must change these numbers on purpose
     simplified, _ = tietze_simplify(corpus_group_presentations()[family])
-    assert (simplified.num_gens, len(simplified.relators)) == shape
+    letters = sum(map(len, simplified.relators))
+    assert (simplified.num_gens, len(simplified.relators), letters) == shape
+
+
+def test_tietze_simplifies_every_cyclic_grading_to_one_power():
+    families = corpus_group_presentations()
+    cyclic = [f for f in families if re.fullmatch(r"grading_Z\d+", f)]
+    assert len(cyclic) == 10
+    for family in cyclic:
+        n = int(family.removeprefix("grading_Z"))
+        simplified, _ = tietze_simplify(families[family])
+        assert (simplified.num_gens, simplified.relators) == (1, ((1,) * n,)), family
+
+
+def test_tietze_output_is_never_longer_than_its_input():
+    for family, pres in corpus_group_presentations().items():
+        simplified, _ = tietze_simplify(pres)
+        assert sum(map(len, simplified.relators)) <= sum(map(len, pres.relators)), family
+
+
+def test_tietze_makes_no_elimination_that_lengthens_the_presentation():
+    # b = a^3 from a b^-1 a a turns b^3 into a^9: 9 letters against 7
+    pres = presentation(2, [(2, 2, 2), (1, -2, 1, 1)])
+    assert tietze_simplify(pres) == (pres, ((1,), (2,)))
+
+
+def test_tietze_rejects_bad_effort():
+    with pytest.raises(InputError):
+        tietze_simplify(presentation(1, [(1, 1)]), effort=0)
+    with pytest.raises(InputError):
+        equivalent(dual_numbers_grading(), dual_numbers_grading(), effort=0)
 
 
 def test_todd_coxeter_rejects_bad_limit():

@@ -6,7 +6,6 @@ import pytest
 from univhopf.coact import manin_end_presentation, tambara_presentation
 from univhopf.errors import InputError, PreconditionError
 from univhopf.finmonoid import (
-    full_transformation_monoid,
     grothendieck_group,
     monoid_from_rows,
 )
@@ -20,7 +19,6 @@ from univhopf.hopf import (
     check_comap_well_defined,
     check_hopf_axioms_fd,
     dg_hopf_fixture,
-    group_algebra_hopf,
     hopf_envelope_presentation,
     sets_cofree_hopf,
     skew_primitive_hopf,
@@ -34,7 +32,14 @@ from univhopf.ncalg import (
     reduce_normal_form,
 )
 
-from helpers import chain_monoid_a3_eq_a, dual_numbers, dual_numbers_grading, klein_four
+from helpers import (
+    chain_monoid_a3_eq_a,
+    dual_numbers,
+    dual_numbers_grading,
+    full_transformation_monoid,
+    group_algebra_hopf,
+    klein_four,
+)
 
 F = Fraction
 

@@ -14,12 +14,16 @@ from itertools import product
 
 import pytest
 
-from univhopf.finmonoid import full_transformation_monoid, monoid_from_rows
+from univhopf.finmonoid import monoid_from_rows
 from univhopf.lio import FiniteCategory, lift_initial_object
 from univhopf.setsuniversal import SetComodFrame, universal_coacting_sets
 from univhopf.signature import set_magma_from_monoid_table
 
-from helpers import cyclic_monoid, full_subcategory_inclusion
+from helpers import (
+    cyclic_monoid,
+    full_subcategory_inclusion,
+    full_transformation_monoid,
+)
 
 
 def monogenic_monoid(index: int, period: int):

@@ -17,9 +17,9 @@ from fractions import Fraction
 from univhopf import lio
 from univhopf.errors import InputError
 from univhopf.finmonoid import monoid_from_rows
-from univhopf.hopf import FinDimHopf, group_algebra_hopf
+from univhopf.hopf import FinDimHopf
 from univhopf.ncalg import AlgebraPresentation, NCPoly, complete_rules_up_to, ideal_member_up_to
-from helpers import thin_chain_category
+from helpers import group_algebra_hopf, thin_chain_category
 
 assert False, "asserts are stripped"
 
