@@ -500,11 +500,12 @@ def cosupport_of_map(psi: FamilyMap):
 
 def _evaluate(terms, values, q_alg: FDAlgebra) -> dict:
     """The sum of c * values[k1] ... values[kn] in Q over the terms
-    (c, (k1, ..., kn)), the values sparse (``_sparse``) and so the sum,
-    which may keep zero coefficients; an empty product is the unit of Q."""
+    (c, (k1, ..., kn)), c an int when integral, the values sparse
+    (``_sparse``) and so the sum, which may keep zero coefficients; an empty
+    product is the unit of Q."""
     total = {}
     for c, keys in terms:
-        _add_scaled(total, q_alg._product(values[k] for k in keys), exact(c))
+        _add_scaled(total, q_alg._product(values[k] for k in keys), c)
     return total
 
 
@@ -513,17 +514,21 @@ def is_comeasuring(
 ):
     """Whether every coordinate identity (signature.coordinate_identities)
     holds in Q at rho's coefficients; returns (ok, witness or None), the
-    witness being the first failing (name, I, J)."""
+    witness being the first failing (name, I, J).  The identities are framed
+    by the (i, j) whose coefficient vector is nonzero: a term with a zero
+    coefficient adds nothing, so a skipped identity holds and the first
+    failing one is the same as over the full matrix."""
     if a.signature != b.signature:
         raise InputError("magmas do not share a signature")
     if rho.dim_in != a.dim or rho.dim_out != b.dim or rho.dim_coeff != q_alg.dim:
         raise InputError("dimension mismatch between the map and its spaces")
     q = {
-        (i, j): _sparse(rho.q(i, j))
+        (i, j): x
         for i in range(rho.dim_out)
         for j in range(rho.dim_in)
+        if (x := _sparse(rho.q(i, j)))
     }
-    for name, big_i, big_j, terms in coordinate_identities(a, b):
+    for name, big_i, big_j, terms in coordinate_identities(a, b, q):
         if any(_evaluate(terms, q, q_alg).values()):
             return False, (name, big_i, big_j)
     return True, None
@@ -565,21 +570,19 @@ class MatrixPresentation:
         object.__setattr__(self, "pos", pos)
 
 
-def _coordinate_relations(a, b, gen_of):
+def _coordinate_relations(a, b, pos):
     """Relation polynomials of the universal comeasuring presentation: the
-    coordinate identities with the generator gen_of(i, j) for q_ij, zero
-    ones dropped and repeats removed, first occurrences kept in order.
-
-    gen_of(i, j) is None when that coefficient is forced to zero (off-block
-    pairs); terms containing a forced zero vanish.
+    coordinate identities framed by pos, which maps each (i, j) whose q_ij
+    may be nonzero to its generator; every other q_ij is forced to zero
+    (off-block pairs).  Zero polynomials are dropped and repeats removed,
+    first occurrences kept in order.
     """
     relations = {}
-    for _, _, _, terms in coordinate_identities(a, b):
+    for _, _, _, terms in coordinate_identities(a, b, pos):
         words = {}
         for c, pairs in terms:
-            word = tuple(gen_of(i, j) for i, j in pairs)
-            if None not in word:
-                words[word] = words.get(word, 0) + c
+            word = tuple(pos[ij] for ij in pairs)
+            words[word] = words.get(word, 0) + c
         poly = NCPoly(words)
         if not poly.is_zero():
             relations.setdefault(poly)
@@ -594,7 +597,8 @@ def tambara_presentation(a: FinVectMagma, b: FinVectMagma) -> MatrixPresentation
         raise PreconditionError("zero-dimensional inputs are rejected")
     gen_index = tuple(("", i, j) for i in range(b.dim) for j in range(a.dim))
     labels = tuple(f"u[{i},{j}]" for _, i, j in gen_index)
-    relations = _coordinate_relations(a, b, lambda i, j: i * a.dim + j)
+    pos = {(i, j): g for g, (_, i, j) in enumerate(gen_index)}
+    relations = _coordinate_relations(a, b, pos)
     algebra = AlgebraPresentation(len(gen_index), labels, tuple(relations))
     # matrix comultiplication needs a square frame; leave blocks empty otherwise
     blocks = (("", tuple(range(a.dim))),) if a.dim == b.dim else ()
@@ -616,7 +620,7 @@ def manin_end_presentation(grading: Grading) -> MatrixPresentation:
     gen_index = tuple((l, i, j) for l in supp for i in members[l] for j in members[l])
     labels = tuple(f"u({k})[{i},{j}]" for k, i, j in gen_index)
     pos = {(i, j): g for g, (_, i, j) in enumerate(gen_index)}
-    relations = _coordinate_relations(a, a, lambda i, j: pos.get((i, j)))
+    relations = _coordinate_relations(a, a, pos)
     algebra = AlgebraPresentation(len(gen_index), labels, tuple(relations))
     blocks = tuple((label, members[label]) for label in supp)
     return MatrixPresentation(algebra, gen_index, blocks)

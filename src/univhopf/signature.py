@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
+from ._linalg import exact
 from .errors import InputError, ResourceLimitError
 
 DEFAULT_ENUM_CAP = 10_000_000
@@ -271,7 +272,7 @@ class FinVectMagma:
         return self.tensors[name].get((tuple(out), tuple(inp)), Fraction(0))
 
 
-def coordinate_identities(a: FinVectMagma, b: FinVectMagma):
+def coordinate_identities(a: FinVectMagma, b: FinVectMagma, frame):
     """The identities that make rho: a -> b (x) Q, with coefficients q_ij (i
     over b's basis, j over a's), a comeasuring.  One per operation and pair of
     output/input multi-indices (I, J):
@@ -279,26 +280,36 @@ def coordinate_identities(a: FinVectMagma, b: FinVectMagma):
         sum_P omega_b[I,P] q_{p1 j1} ... q_{ps js}
             - sum_M omega_a[M,J] q_{i1 m1} ... q_{it mt} = 0
 
+    frame holds the (i, j) whose q_ij may be nonzero (a set, or a dict keyed
+    by them); every other q_ij is zero, so each term is built only from
+    coordinates in frame: for b's entry (I, P), J runs over the frame
+    columns of p1, ..., ps, and for a's entry (M, J), I runs over the frame
+    rows of m1, ..., mt.  An identity left with no term reads 0 = 0 and is
+    omitted.
+
     Yields (name, I, J, terms), operations in signature order and I, J in
     lexicographic order; terms lists the signed products as (coefficient,
-    ((i, j), ...)), b's tensor entries first, each side in sorted entry
-    order.  An empty product is the unit of Q.  With Q the scalars, they
-    say that the matrix (q_ij) is a linear omega-morphism.  The magmas must
-    share a signature.
+    ((i, j), ...)), the coefficient an int when integral, b's tensor entries
+    first, each side in sorted entry order.  An empty product is the unit of
+    Q.  With Q the scalars, they say that the matrix (q_ij) is a linear
+    omega-morphism.  The magmas must share a signature.
     """
-    for name, s, t in a.signature.ops:
-        by_out, by_in = {}, {}
+    cols, rows = {}, {}
+    for i, j in frame:
+        cols.setdefault(i, []).append(j)
+        rows.setdefault(j, []).append(i)
+    for name, _, _ in a.signature.ops:
+        found = {}  # (I, J) -> terms
         for (out, inp), c in sorted(b.tensors[name].items()):
-            by_out.setdefault(out, []).append((c, inp))
+            c = exact(c)
+            for big_j in product(*(cols.get(p, ()) for p in inp)):
+                found.setdefault((out, big_j), []).append((c, tuple(zip(inp, big_j))))
         for (out, inp), c in sorted(a.tensors[name].items()):
-            by_in.setdefault(inp, []).append((-c, out))
-        for big_i in product(range(b.dim), repeat=t):
-            left = by_out.get(big_i, ())
-            for big_j in product(range(a.dim), repeat=s):
-                terms = [(c, tuple(zip(inp, big_j))) for c, inp in left]
-                right = by_in.get(big_j, ())
-                terms += [(c, tuple(zip(big_i, out))) for c, out in right]
-                yield name, big_i, big_j, terms
+            c = -exact(c)
+            for big_i in product(*(rows.get(m, ()) for m in out)):
+                found.setdefault((big_i, inp), []).append((c, tuple(zip(big_i, out))))
+        for big_i, big_j in sorted(found):
+            yield name, big_i, big_j, found[big_i, big_j]
 
 
 def is_linear_omega_morphism(m, a: FinVectMagma, b: FinVectMagma) -> bool:
@@ -306,13 +317,15 @@ def is_linear_omega_morphism(m, a: FinVectMagma, b: FinVectMagma) -> bool:
 
     Checked entrywise as the exact identity omega_b . m^{tensor s} =
     m^{tensor t} . omega_a for each operation: the coordinate identities at
-    q_ij = m[i][j].
+    q_ij = m[i][j], framed by m's nonzero entries, since a term with a zero
+    entry adds nothing.
     """
     if a.signature != b.signature:
         raise InputError("magmas do not share a signature")
     if len(m) != b.dim or any(len(row) != a.dim for row in m):
         raise InputError("matrix shape does not match the dimensions")
-    for _, _, _, terms in coordinate_identities(a, b):
+    frame = {(i, j) for i, row in enumerate(m) for j, x in enumerate(row) if x}
+    for _, _, _, terms in coordinate_identities(a, b, frame):
         if sum(c * math.prod(m[i][j] for i, j in pairs) for c, pairs in terms) != 0:
             return False
     return True

@@ -1,13 +1,16 @@
 """Differential tests: the one coordinate identity generator behind the
 Tambara/Manin relations, is_comeasuring and is_linear_omega_morphism against
 the per-(I, J) tensor scans in oracles.py, on random vect magmas of
-dimension 1-3 over (2,1), (0,1), (1,2) and (1,0) operations; and the sparse
+dimension 1-3 over (2,1), (0,1), (1,2) and (1,0) operations, on sparse
+coefficient maps and matrices whose zero entries leave identities out of the
+frame, and on the Manin ends of the benchmark corpus gradings; and the sparse
 multiplication of the finite-dimensional algebras against the dense i, j, k
 loop, with every coefficient they put out an int when integral."""
 
 from fractions import Fraction
 from itertools import product
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,6 +21,7 @@ from univhopf.coact import (
     _coordinate_relations,
     factor_through_universal,
     is_comeasuring,
+    manin_end_presentation,
     tambara_presentation,
 )
 from univhopf.finmonoid import inverses
@@ -28,14 +32,18 @@ from univhopf.signature import (
 )
 
 from helpers import (
+    corpus_gradings,
     cyclic_monoid,
     dual_numbers,
+    dual_numbers_grading,
     fd_algebra,
     group_algebra,
     is_exact_coefficient,
     klein_four,
     make_vect_magma,
+    pauli_grading,
     tensor_valued_map,
+    two_product_grading,
 )
 from oracles import (
     dense_factorization_failures,
@@ -102,10 +110,23 @@ def matrices(rows, cols, values=st.integers(-1, 1)):
     )
 
 
+def sparse_matrices(rows, cols):
+    """Matrices with most entries zero, so that the frame of nonzero entries
+    leaves identities out."""
+    return matrices(rows, cols, st.sampled_from((0, 0, 0, 1, -1)))
+
+
 @st.composite
 def coefficient_maps(draw, a, b, q_alg, values=st.integers(-1, 1)):
+    # a zero mask over the drawn vectors: a zero q_ij is otherwise as rare
+    # as (1/3)^dim Q, and the comeasuring frame skips only those
     vectors = st.lists(values, min_size=q_alg.dim, max_size=q_alg.dim)
     entries = draw(matrices(b.dim, a.dim, vectors))
+    mask = draw(matrices(b.dim, a.dim, st.booleans()))
+    entries = [
+        [[0] * q_alg.dim if zero else v for v, zero in zip(row, zeros)]
+        for row, zeros in zip(entries, mask)
+    ]
     return tensor_valued_map(a.dim, b.dim, q_alg.dim, entries)
 
 
@@ -131,13 +152,34 @@ def test_relations_with_forced_zeros_match_scan(data, pair):
     pairs = list(product(range(b.dim), range(a.dim)))
     kept = data.draw(st.lists(st.sampled_from(pairs), unique=True))
     pos = {ij: g for g, ij in enumerate(kept)}
-
-    def gen_of(i, j):
-        return pos.get((i, j))
-
-    assert _coordinate_relations(a, b, gen_of) == scan_coordinate_relations(
-        a, b, gen_of
+    assert _coordinate_relations(a, b, pos) == scan_coordinate_relations(
+        a, b, lambda i, j: pos.get((i, j))
     )
+
+
+def assert_manin_end_matches_scan(grading):
+    """The Manin end's relations are the scan's over its block frame, the
+    pairs (i, j) in one grading component, in order and term for term."""
+    a = grading.algebra
+    label = [grading.label_of_basis(i) for i in range(a.dim)]
+    mp = manin_end_presentation(grading)
+    block = {(i, j) for i in range(a.dim) for j in range(a.dim) if label[i] == label[j]}
+    assert set(mp.pos) == block
+    expected = scan_coordinate_relations(a, a, lambda i, j: mp.pos.get((i, j)))
+    assert list(mp.algebra.relations) == expected
+
+
+@pytest.mark.parametrize("seed", (42, 7, 1201))
+def test_manin_end_relations_match_scan_on_corpus_gradings(seed):
+    for grading in corpus_gradings(seed).values():
+        assert_manin_end_matches_scan(grading)
+
+
+@pytest.mark.parametrize(
+    "grading", (pauli_grading, dual_numbers_grading, two_product_grading)
+)
+def test_manin_end_relations_match_scan_on_fixture_gradings(grading):
+    assert_manin_end_matches_scan(grading())
 
 
 @settings(max_examples=200, deadline=None)
@@ -168,7 +210,7 @@ def test_identity_tensor_unit_is_a_comeasuring(pair, q_alg):
 def test_morphism_matches_scan_and_scalar_comeasuring(data, pair, q_alg):
     # m (x) 1_Q is a comeasuring exactly when m is a linear omega-morphism
     a, b = pair
-    m = data.draw(matrices(b.dim, a.dim))
+    m = data.draw(matrices(b.dim, a.dim) | sparse_matrices(b.dim, a.dim))
     verdict = is_linear_omega_morphism(m, a, b)
     assert verdict == scan_is_linear_omega_morphism(m, a, b)
     assert is_comeasuring(scalar_map(m, a, b, q_alg), q_alg, a, b)[0] == verdict
