@@ -24,10 +24,6 @@ def vec(xs) -> Vec:
     return tuple(frac(x) for x in xs)
 
 
-def unit_vec(n: int, i: int) -> Vec:
-    return tuple(Fraction(1 if j == i else 0) for j in range(n))
-
-
 def rref(rows) -> tuple[Mat, tuple[int, ...]]:
     """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
     m = [list(vec(r)) for r in rows]

@@ -37,6 +37,7 @@ class TensorValuedMap:
             for q in row:
                 if len(q) != self.dim_coeff:
                     raise InputError("coefficient vector length does not match Q")
+                check_exact("coefficient", q)
 
     def q(self, beta: int, alpha: int) -> Vec:
         return self.entries[beta][alpha]
@@ -243,7 +244,7 @@ def _sparse(x) -> dict:
     return {i: exact(c) for i, c in enumerate(x) if c}
 
 
-def _check_exact(what, xs):
+def check_exact(what, xs):
     if not all(isinstance(x, (int, Fraction)) for x in xs):
         raise InputError(f"non-exact {what}")
 
@@ -268,14 +269,14 @@ def sparse_maps(n, mult=None, unit=None, delta=None, counit=None, antipode=None)
             raise InputError("multiplication table shape mismatch")
         if any(len(p) != n for row in mult for p in row):
             raise InputError("product vector length mismatch")
-        _check_exact("multiplication constant", (c for row in mult for p in row for c in p))
+        check_exact("multiplication constant", (c for row in mult for p in row for c in p))
         table = [[_sparse(p) for p in row] for row in mult]
         maps["mul"] = lambda i, j: table[i][j]
     for name, v in (("unit", unit), ("counit", counit)):
         if v is not None and len(v) != n:
             raise InputError(f"{name} vector length mismatch")
     if unit is not None:
-        _check_exact("unit constant", unit)
+        check_exact("unit constant", unit)
         maps["unit"] = _sparse(unit)
     if delta is not None:
         if len(delta) != n:
@@ -289,12 +290,12 @@ def sparse_maps(n, mult=None, unit=None, delta=None, counit=None, antipode=None)
         rows = [{jk: exact(c) for jk, c in row.items() if c} for row in delta]
         maps["delta"] = rows.__getitem__
     if counit is not None:
-        _check_exact("counit constant", counit)
+        check_exact("counit constant", counit)
         maps["eps"] = tuple(map(exact, counit)).__getitem__
     if antipode is not None:
         if not square(antipode):
             raise InputError("antipode matrix shape mismatch")
-        _check_exact("antipode constant", (c for row in antipode for c in row))
+        check_exact("antipode constant", (c for row in antipode for c in row))
         maps["antipode"] = [_sparse(column) for column in zip(*antipode)].__getitem__
     return maps
 
@@ -336,7 +337,7 @@ class FDAlgebra:
         for x in vectors:
             if len(x) != self.dim:
                 raise InputError("vector length mismatch")
-            _check_exact("vector entry", x)
+            check_exact("vector entry", x)
             factors.append(_sparse(x))
         return _dense(self._product(factors), self.dim)
 

@@ -24,7 +24,7 @@ from .errors import InputError
 from .finmonoid import FinMonoid
 from .grading import Grading
 from .grouppres import GroupPresentation, free_reduce_word
-from .hopf import BialgebraPresentation, FinDimHopf, HopfPresentation, _split_tensor_word
+from .hopf import BialgebraPresentation, FinDimHopf, HopfPresentation
 from .lio import FiniteCategory, FunctorData
 from .ncalg import AlgebraPresentation, NCPoly
 from .setsuniversal import SetComodFrame
@@ -377,7 +377,7 @@ def _parse_bialgebra_presentation(doc):
     k = algebra.num_gens
     delta = _get(doc, "delta", list)
     _expect(len(delta) == k, "one coproduct image per generator", "delta")
-    delta = _at(("delta",), _each, delta, _parse_coproduct, pos, k)
+    delta = _at(("delta",), _each, delta, _parse_coproduct, pos)
     counit = _field(doc, "counit", _each, parse_rational)
     bial = BialgebraPresentation(algebra, delta, counit, matrix)
     if doc.get("truncation") is None:
@@ -398,17 +398,19 @@ def _parse_bialgebra_presentation(doc):
     return hopf
 
 
-def _parse_coproduct(terms, pos, k):
-    return sum(_each(terms, _parse_coproduct_term, pos, k), NCPoly.zero())
+def _parse_coproduct(terms, pos):
+    image = {}  # repeated pairs summed; BialgebraPresentation drops zero sums
+    for pair, coeff in _each(terms, _parse_coproduct_term, pos):
+        image[pair] = image.get(pair, 0) + coeff
+    return image
 
 
-def _parse_coproduct_term(term, pos, k):
+def _parse_coproduct_term(term, pos):
     left = _get(term, "left", list)
     right = _get(term, "right", list)
     coeff = _field(term, "coeff", parse_rational, types=None)
-    word = [_index_of(lab, pos, "generator") for lab in left]
-    word += [k + _index_of(lab, pos, "generator") for lab in right]
-    return NCPoly.monomial(tuple(word), coeff)
+    pair = tuple(tuple(_index_of(lab, pos, "generator") for lab in w) for w in (left, right))
+    return pair, coeff
 
 
 def _parse_antipode_entry(entry, pos):
@@ -666,12 +668,14 @@ def serialize_algebra_presentation(p) -> dict:
     return doc
 
 
-def _delta_terms(poly: NCPoly, labels, k: int) -> list:
+def _delta_terms(image: dict, labels, k: int) -> list:
+    # decreasing deglex on left + right, the right letters above the k generators
+    pairs = sorted(image, key=lambda p: (len(p[0] + p[1]), p[0] + (k,), p[1]), reverse=True)
     out = []
-    for w, c in poly.sorted_terms():
-        left, right = _split_tensor_word(w, k)
+    for left, right in pairs:
+        coeff = format_rational(image[left, right])
         left, right = [labels[g] for g in left], [labels[g] for g in right]
-        out.append({"left": left, "right": right, "coeff": format_rational(c)})
+        out.append({"left": left, "right": right, "coeff": coeff})
     return out
 
 

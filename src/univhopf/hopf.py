@@ -3,9 +3,10 @@
 Finite-dimensional data and the differential graded fixture are checked by
 the one sparse axiom checker, ``coact.check_axioms``.
 
-Presentation-level data carries comultiplication images inside the
-tensor-square algebra of the presentation: the left copy is generators
-0..k-1, the right copy k..2k-1, read back only by ``_split_tensor_word``.
+Presentation-level data carries each comultiplication image in A (x) A as
+a dict {(left word, right word): coefficient} over the pairs of words of A,
+a product of pairs being the pair of concatenations; no other module reads
+inside that encoding.
 
 The Hopf envelope is computed as a truncated presentation: one copy of the
 input bialgebra per level 0..N, multiplication reversed on odd levels and
@@ -19,12 +20,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import prod
 
-from ._linalg import Vec
+from ._linalg import Vec, exact
 from .errors import InputError, PreconditionError
 from .finmonoid import FinMonoid, unit_group
 from .coact import (
     MatrixPresentation,
     check_axioms,
+    check_exact,
     sparse_maps,
 )
 from .ncalg import (
@@ -32,7 +34,6 @@ from .ncalg import (
     NCPoly,
     RewriteSystem,
     complete_rules_up_to,
-    nc_evaluate,
     reduce_normal_form,
 )
 
@@ -147,16 +148,19 @@ def skew_primitive_hopf(order: int) -> FinDimHopf:
 class BialgebraPresentation:
     """A presented algebra with generator-level coalgebra data.
 
-    ``delta[g]`` is the coproduct of generator g written in the tensor-square
-    algebra of ``algebra``, whose left copy is generators 0..k-1 and right
-    copy k..2k-1; ``counit[g]`` is rational.  ``matrix`` is the generic-matrix
-    presentation of ``algebra`` it was built on, if any.
-    Well-definedness on the relations is a checked property, not assumed.
+    ``delta[g]`` is the coproduct of generator g, a dict {(left word, right
+    word): coefficient} over words of ``algebra``, kept with zeros dropped
+    and integral coefficients as ``int``; ``counit[g]`` is rational.  Raises
+    InputError on a coefficient or counit value that is not an ``int`` or a
+    ``Fraction``, or a key that is not a pair of words in the generators.
+    ``matrix`` is the generic-matrix presentation of ``algebra`` it was
+    built on, if any.  Well-definedness on the relations is a checked
+    property, not assumed.
     """
 
     algebra: AlgebraPresentation
-    delta: tuple  # NCPoly over 2k generators, one per generator
-    counit: tuple  # Fraction per generator
+    delta: tuple  # {(left word, right word): coefficient}, one per generator
+    counit: tuple  # int or Fraction per generator
     matrix: MatrixPresentation | None = None  # the matrix frame it came from
 
     def __post_init__(self):
@@ -165,10 +169,18 @@ class BialgebraPresentation:
             raise InputError("matrix frame presents a different algebra")
         if len(self.delta) != k or len(self.counit) != k:
             raise InputError("coalgebra data must cover every generator")
-        for p in self.delta:
-            for w in p.terms:
-                if any(g < 0 or g >= 2 * k for g in w):
+        check_exact("counit value", self.counit)
+        for image in self.delta:
+            if not isinstance(image, dict):
+                raise InputError("coproduct image is not a dict of word pairs")
+            for key in image:
+                if not isinstance(key, tuple) or list(map(type, key)) != [tuple, tuple]:
+                    raise InputError("coproduct image key is not a pair of words")
+                if any(not isinstance(g, int) or not 0 <= g < k for g in key[0] + key[1]):
                     raise InputError("coproduct image uses unknown generators")
+            check_exact("coproduct coefficient", image.values())
+        delta = tuple({key: exact(c) for key, c in d.items() if c} for d in self.delta)
+        object.__setattr__(self, "delta", delta)
 
 
 def universal_bialgebra_structure(mp: MatrixPresentation) -> BialgebraPresentation:
@@ -179,10 +191,9 @@ def universal_bialgebra_structure(mp: MatrixPresentation) -> BialgebraPresentati
     """
     if not mp.blocks:
         raise PreconditionError("presentation does not carry square matrix blocks")
-    k = mp.algebra.num_gens
     members, pos = dict(mp.blocks), mp.pos
     delta = tuple(
-        NCPoly({(pos[(i, l)], k + pos[(l, j)]): 1 for l in members[block]})
+        {((pos[(i, l)],), (pos[(l, j)],)): 1 for l in members[block]}
         for block, i, j in mp.gen_index
     )
     counit = tuple(Fraction(1 if i == j else 0) for _, i, j in mp.gen_index)
@@ -192,16 +203,21 @@ def universal_bialgebra_structure(mp: MatrixPresentation) -> BialgebraPresentati
 @dataclass(frozen=True)
 class WellDefinedVerdict:
     status: str  # "pass" | "fail" | "inconclusive"
-    witness: tuple | None  # (relation index, offending normal form or scalar)
+    witness: tuple | None  # (relation index, offending pair dict or scalar)
 
 
-def _split_tensor_word(word, total_gens: int):
-    """The left and right factors of a word of the tensor square, whose
-    letters below total_gens are the left copy and the rest the right copy
-    shifted by total_gens; the copies commute, so their order is lost."""
-    left = [g for g in word if g < total_gens]
-    right = [g - total_gens for g in word if g >= total_gens]
-    return tuple(left), tuple(right)
+def _image(rel: NCPoly, delta) -> dict:
+    """Delta(rel) in A (x) A as a pair dict, zeros dropped: each word's
+    image is the product of its letters' images, (a, b)(c, d) = (ac, bd)."""
+    out = {}
+    for w, c in rel.terms.items():
+        terms = [(((), ()), c)]
+        for g in w:
+            image = delta[g].items()
+            terms = [((a + e, b + f), x * y) for (a, b), x in terms for (e, f), y in image]
+        for key, x in terms:
+            out[key] = out.get(key, 0) + x
+    return {key: exact(x) for key, x in out.items() if x}
 
 
 def _regroup(terms) -> dict:
@@ -213,24 +229,21 @@ def _regroup(terms) -> dict:
     return {b: NCPoly(row) for b, row in out.items()}
 
 
-def _reduce_tensor_square(p: NCPoly, system: RewriteSystem) -> NCPoly:
-    """p in A (x) A reduced factor by factor with the system of A: the left
-    factors per right word, then the right factors per left normal word.
-    The normal words of A (x) A are the pairs of normal words of A
-    (Bergman's diamond lemma), each written left word then shifted right
-    word."""
-    k = system.num_gens
-    lefts = _regroup((_split_tensor_word(w, k), c) for w, c in p.terms.items())
+def _reduce_tensor_square(image: dict, system: RewriteSystem) -> dict:
+    """A pair dict of A (x) A reduced factor by factor with the system of A:
+    the left factors per right word, then the right factors per left normal
+    word.  The normal words of A (x) A are the pairs of normal words of A
+    (Bergman's diamond lemma)."""
     rights = _regroup(
         ((right, left), c)
-        for right, poly in lefts.items()
+        for right, poly in _regroup(image.items()).items()
         for left, c in reduce_normal_form(poly, system).terms.items()
     )
-    out = {}
-    for left, poly in rights.items():
-        for right, c in reduce_normal_form(poly, system).terms.items():
-            out[left + tuple(g + k for g in right)] = c
-    return NCPoly._trusted(out)
+    return {
+        (left, right): c
+        for left, poly in rights.items()
+        for right, c in reduce_normal_form(poly, system).terms.items()
+    }
 
 
 def check_comap_well_defined(
@@ -241,9 +254,9 @@ def check_comap_well_defined(
     The images are reduced factor by factor with the algebra's own bounded
     completion (``_reduce_tensor_square``).  Every rule lies in the ideal,
     so normal form 0 passes.  A nonzero one refutes well-definedness only
-    when the completion is confluent up to the bound and the image stays
-    within it: then both factors of every word do, and the pairs of normal
-    words are independent in A (x) A.
+    when the completion is confluent up to the bound and the image (each
+    pair of total length) stays within it: then both factors of every pair
+    do, and the pairs of normal words are independent in A (x) A.
     """
     system = complete_rules_up_to(b.algebra, degree_bound)
     inconclusive = None
@@ -251,12 +264,12 @@ def check_comap_well_defined(
         eps_value = sum(c * prod(b.counit[g] for g in w) for w, c in rel.terms.items())
         if eps_value != 0:
             return WellDefinedVerdict("fail", (idx, eps_value))
-        image = nc_evaluate(rel, b.delta)
-        if image.degree() > degree_bound:
+        image = _image(rel, b.delta)
+        if max((len(l) + len(r) for l, r in image), default=0) > degree_bound:
             inconclusive = (idx, None)
             continue
         nf = _reduce_tensor_square(image, system)
-        if not nf.is_zero():
+        if nf:
             if system.confluent_up_to:
                 return WellDefinedVerdict("fail", (idx, nf))
             inconclusive = (idx, nf)
@@ -332,13 +345,11 @@ def hopf_envelope_presentation(
     def lift_poly(p, n):
         return NCPoly({lift_word(w, n): c for w, c in p.terms.items()})
 
-    def lift_delta_word(word, n):
-        # left then right (interleavings agree modulo the tensor-square
-        # commutators); odd levels flip the tensor factors
-        left, right = _split_tensor_word(word, k)
+    def lift_pair(left, right, n):
+        # odd levels flip the tensor factors
         if n % 2:
             left, right = right, left
-        return lift_word(left, n) + tuple(total + g for g in lift_word(right, n))
+        return lift_word(left, n), lift_word(right, n)
 
     labels = tuple(
         f"{label}^({n})" for n in range(levels + 1) for label in b.algebra.gen_labels
@@ -348,26 +359,21 @@ def hopf_envelope_presentation(
     for n in range(levels + 1):
         relations.extend(lift_poly(rel, n) for rel in b.algebra.relations)
         delta.extend(
-            NCPoly({lift_delta_word(w, n): c for w, c in p.terms.items()}) for p in b.delta
+            {lift_pair(l, r, n): c for (l, r), c in image.items()} for image in b.delta
         )
         if n >= 1:
             # convolution identities for the level below, now that its
-            # antipode images exist
+            # antipode images exist: sum S(a1) a2 = eps = sum a1 S(a2)
             prev = n - 1
             for g in range(k):
-                env_gen = prev * k + g
-                image = delta[env_gen]
-                s_conv = NCPoly.zero()
-                conv_s = NCPoly.zero()
-                for w, c in image.sorted_terms():
-                    left, right = _split_tensor_word(w, total)
+                s_conv, conv_s = {(): -b.counit[g]}, {(): -b.counit[g]}
+                for (left, right), c in delta[prev * k + g].items():
                     s_left = tuple(x + k for x in reversed(left))
                     s_right = tuple(x + k for x in reversed(right))
-                    s_conv = s_conv + NCPoly.monomial(s_left + right, c)
-                    conv_s = conv_s + NCPoly.monomial(left + s_right, c)
-                eps_term = NCPoly.one().scale(b.counit[g])
-                relations.append(s_conv - eps_term)
-                relations.append(conv_s - eps_term)
+                    s_conv[s_left + right] = s_conv.get(s_left + right, 0) + c
+                    conv_s[left + s_right] = conv_s.get(left + s_right, 0) + c
+                relations.append(NCPoly(s_conv))
+                relations.append(NCPoly(conv_s))
 
     algebra = AlgebraPresentation(total, labels, tuple(relations))
     bial = BialgebraPresentation(algebra, tuple(delta), tuple(b.counit) * (levels + 1))

@@ -158,17 +158,6 @@ def _nonzero(terms: dict) -> NCPoly:
     return NCPoly._trusted({w: exact(c) for w, c in terms.items() if c})
 
 
-def nc_evaluate(p: NCPoly, images) -> NCPoly:
-    """Evaluate p by substituting images[g] (an NCPoly) for each generator g."""
-    out = NCPoly.zero()
-    for w, c in p.sorted_terms():
-        term = NCPoly.one()
-        for g in w:
-            term = term * images[g]
-        out = out + term.scale(c)
-    return out
-
-
 @dataclass(frozen=True)
 class AlgebraPresentation:
     num_gens: int

@@ -268,9 +268,6 @@ class FinVectMagma:
                 if not isinstance(c, Fraction):
                     raise InputError(f"non-exact coefficient in tensor {name!r}")
 
-    def op_entry(self, name, out, inp) -> Fraction:
-        return self.tensors[name].get((tuple(out), tuple(inp)), Fraction(0))
-
 
 def coordinate_identities(a: FinVectMagma, b: FinVectMagma, frame):
     """The identities that make rho: a -> b (x) Q, with coefficients q_ij (i

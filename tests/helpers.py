@@ -7,7 +7,7 @@ from itertools import product
 from pathlib import Path
 
 from univhopf import documents
-from univhopf._linalg import frac, unit_vec, vec
+from univhopf._linalg import frac, vec
 from univhopf.coact import (
     FDAlgebra,
     FDCoalgebra,
@@ -33,6 +33,8 @@ from univhopf.signature import (
     set_magma_from_monoid_table,
     unital_signature,
 )
+
+from oracles import unit_vec
 
 F = Fraction
 

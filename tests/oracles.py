@@ -14,8 +14,10 @@ skips for groups with a free abelian factor, and the linear solves and
 dense comodule axiom loops that the RREF pivot read of support coordinates
 and the one axiom checker replaced, the tensor-square presentation, whose
 completion and truncated ideal check the factor-by-factor reduction of
-coproduct images, the staged Smith diagonal that the one-loop Smith form replaced, the monoid
-associativity triple loop that the row-per-step check replaced, the slice scan
+coproduct images, written into it by interleave and evaluated on relations
+by the substitution evaluator nc_evaluate, the staged Smith diagonal that
+the one-loop Smith form replaced, the monoid associativity triple loop that
+the row-per-step check replaced, the slice scan
 that interreduction's substring factor test replaced, the dense i, j, k
 multiplication and comultiplication loops that the sparse structure tables
 of the finite-dimensional algebras and coalgebras replaced, and the rank modulo a
@@ -26,7 +28,7 @@ from fractions import Fraction
 from functools import partial
 from itertools import chain, permutations, product
 
-from univhopf._linalg import rref, row_space_basis, unit_vec, vec
+from univhopf._linalg import rref, row_space_basis, vec
 from univhopf.coact import FDCoalgebra, TensorValuedMap
 from univhopf.errors import InputError, PreconditionError
 from univhopf.grouppres import (
@@ -51,6 +53,10 @@ F = Fraction
 
 def zero_vec(n):
     return (Fraction(0),) * n
+
+
+def unit_vec(n, i):
+    return tuple(Fraction(1 if j == i else 0) for j in range(n))
 
 
 def solve(a, b):
@@ -308,12 +314,17 @@ def iterated_rho_matrix(rho, q_alg, power):
     return current
 
 
+def op_entry(vm, name, out, inp):
+    """The coefficient of e_out in operation name applied to e_inp."""
+    return vm.tensors[name].get((tuple(out), tuple(inp)), Fraction(0))
+
+
 def op_matrix(vm, name, s, t):
     rows = []
     for out in product(range(vm.dim), repeat=t):
         row = []
         for inp in product(range(vm.dim), repeat=s):
-            row.append(vm.op_entry(name, out, inp))
+            row.append(op_entry(vm, name, out, inp))
         rows.append(tuple(row))
     return tuple(rows)
 
@@ -756,6 +767,24 @@ def embed_tensor(left, right, k):
     """Represent left (x) right inside the 2k-generator tensor-square algebra."""
     shifted = NCPoly({tuple(g + k for g in w): c for w, c in right.terms.items()})
     return left * shifted
+
+
+def interleave(pairs, k):
+    """A coproduct image {(left word, right word): coefficient} as an element
+    of the tensor_square_presentation: each pair written as its left word
+    followed by its right word shifted by k."""
+    return NCPoly({left + tuple(g + k for g in right): c for (left, right), c in pairs.items()})
+
+
+def nc_evaluate(p, images):
+    """Evaluate p by substituting images[g] (an NCPoly) for each generator g."""
+    out = NCPoly.zero()
+    for w, c in p.sorted_terms():
+        term = NCPoly.one()
+        for g in w:
+            term = term * images[g]
+        out = out + term.scale(c)
+    return out
 
 
 def has_factor(words, factor):

@@ -6,6 +6,7 @@ import pytest
 
 from univhopf._linalg import rank
 from univhopf.coact import (
+    TensorValuedMap,
     FDAlgebra,
     FDCoalgebra,
     MatrixPresentation,
@@ -268,6 +269,16 @@ def test_identity_coaction_into_scalars():
     rho = tensor_valued_map(2, 2, 1, [[[1], [0]], [[0], [1]]])
     ok, witness = is_comeasuring(rho, q1, a, a)
     assert ok, witness
+
+
+def test_a_float_coefficient_raises_input_error_at_either_entry_point():
+    q1 = fd_algebra([[[1]]], [1])
+    a = dual_numbers()
+    entries = (((0.5,), (0,)), ((0,), (1,)))
+    with pytest.raises(InputError, match="non-exact coefficient"):
+        is_comeasuring(TensorValuedMap(2, 2, 1, entries), q1, a, a)
+    with pytest.raises(InputError, match="non-exact coefficient"):
+        factor_through_universal(tambara_presentation(a, a), TensorValuedMap(2, 2, 1, entries), q1)
 
 
 def test_perturbed_coaction_fails_with_witness():

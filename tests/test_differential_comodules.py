@@ -13,7 +13,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from univhopf._linalg import rank, unit_vec
+from univhopf._linalg import rank
 from univhopf.coact import (
     comodule_axiom_failures,
     support_of_comodule,
@@ -31,6 +31,7 @@ from oracles import (
     dense_support_of_comodule,
     dense_support_of_map,
     solve,
+    unit_vec,
     zero_vec,
 )
 

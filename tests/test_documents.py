@@ -43,6 +43,7 @@ from helpers import (
     tensor_valued_map,
     thin_chain_category,
 )
+from oracles import op_entry
 
 F = Fraction
 
@@ -73,9 +74,9 @@ def test_fd_algebra_from_a_vect_magma_equals_its_dense_table():
         n, fd = vm.dim, docs.fd_algebra_from_vect_magma(vm)
         rng = range(n)
         assert fd.mult == tuple(
-            tuple(tuple(vm.op_entry(mu, (k,), (i, j)) for k in rng) for j in rng) for i in rng
+            tuple(tuple(op_entry(vm, mu, (k,), (i, j)) for k in rng) for j in rng) for i in rng
         )
-        assert fd.unit == tuple(vm.op_entry(un, (k,), ()) for k in rng)
+        assert fd.unit == tuple(op_entry(vm, un, (k,), ()) for k in rng)
         assert {type(x) for row in fd.mult for v in row for x in v} == {F}
 
 

@@ -16,11 +16,10 @@ from univhopf.ncalg import (
     complete_rules_up_to,
     dim_normal_words,
     ideal_member_up_to,
-    nc_evaluate,
     reduce_normal_form,
 )
 
-from oracles import embed_tensor, tensor_square_presentation
+from oracles import embed_tensor, nc_evaluate, tensor_square_presentation
 
 F = Fraction
 x = NCPoly.gen(0)

@@ -1,7 +1,8 @@
 """Checks that must hold under ``python -O``, which strips assert statements:
 the bounded-completion certificate and the explicit invariant checks, and
-no assert statement in the library at all; and a library that imports
-nothing outside the standard library."""
+no assert statement in the library at all; a library that imports
+nothing outside the standard library; and no library module importing
+another's private name."""
 
 import ast
 import subprocess
@@ -92,3 +93,18 @@ def test_library_imports_only_the_standard_library():
                 if name.partition(".")[0] not in sys.stdlib_module_names
             ]
     assert not found, "the runtime is stdlib-only: " + ", ".join(found)
+
+
+def test_library_imports_no_private_name_of_another_module():
+    found = []
+    for path in sorted((HERE.parent / "src" / "univhopf").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level or (node.module or "").partition(".")[0] == "univhopf":
+                found += [
+                    f"{path.name}:{node.lineno} {alias.name}"
+                    for alias in node.names
+                    if alias.name.startswith("_")
+                ]
+    assert not found, "a private name is read only in its own module: " + ", ".join(found)
