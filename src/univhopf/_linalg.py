@@ -3,16 +3,25 @@ here are tuples (of tuples) of Fraction.  ``exact`` turns an integral
 rational into the equal ``int``, the form in which ncalg keeps integral
 polynomial coefficients and coact's sparse structure tables (and the
 products computed on them) keep integral constants: an ``int`` compares and
-hashes equal to its Fraction and is far cheaper to add and multiply."""
+hashes equal to its Fraction and is far cheaper to add and multiply.
+
+``check_exact`` is the one test of an exact scalar, called by every entry
+point that takes rational data: an ``int`` or a Fraction, nothing else."""
 
 from fractions import Fraction
+
+from .errors import InputError
 
 Vec = tuple[Fraction, ...]
 Mat = tuple[Vec, ...]
 
 
-def frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+def check_exact(what, xs):
+    """Raise InputError("non-exact <what>") unless every x in xs is an int or
+    a Fraction."""
+    for x in xs:
+        if not isinstance(x, (int, Fraction)):
+            raise InputError(f"non-exact {what}")
 
 
 def exact(x):
@@ -21,7 +30,7 @@ def exact(x):
 
 
 def vec(xs) -> Vec:
-    return tuple(frac(x) for x in xs)
+    return tuple(x if isinstance(x, Fraction) else Fraction(x) for x in xs)
 
 
 def rref(rows) -> tuple[Mat, tuple[int, ...]]:

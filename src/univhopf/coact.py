@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 
-from ._linalg import Vec, exact, rank, row_space_basis, rref, vec
+from ._linalg import Vec, check_exact, exact, rank, row_space_basis, rref
 from .errors import InputError, PreconditionError
 from .grading import Grading, grading_support
 from .ncalg import AlgebraPresentation, NCPoly
@@ -244,19 +244,14 @@ def _sparse(x) -> dict:
     return {i: exact(c) for i, c in enumerate(x) if c}
 
 
-def check_exact(what, xs):
-    if not all(isinstance(x, (int, Fraction)) for x in xs):
-        raise InputError(f"non-exact {what}")
-
-
 def sparse_maps(n, mult=None, unit=None, delta=None, counit=None, antipode=None):
     """check_axioms keyword arguments for dense structure constants on the
     basis 0..n-1; S(e_j) is column j of the antipode matrix.
 
     Raises InputError unless the given constants fit dimension n: mult[i][j],
     unit and counit are n-vectors, delta[i] maps index pairs in range to
-    Fraction coefficients and antipode is n x n, every other constant an
-    int or a Fraction.  The maps hold the constants with zeros dropped and
+    coefficients and antipode is n x n, every constant an int or a
+    Fraction.  The maps hold the constants with zeros dropped and
     integral ones as ints.
     """
 
@@ -282,11 +277,10 @@ def sparse_maps(n, mult=None, unit=None, delta=None, counit=None, antipode=None)
         if len(delta) != n:
             raise InputError("coalgebra data shape mismatch")
         for row in delta:
-            for (j, k), c in row.items():
+            for j, k in row:
                 if not (0 <= j < n and 0 <= k < n):
                     raise InputError("comultiplication index out of range")
-                if not isinstance(c, Fraction):
-                    raise InputError("non-exact comultiplication coefficient")
+            check_exact("comultiplication coefficient", row.values())
         rows = [{jk: exact(c) for jk, c in row.items() if c} for row in delta]
         maps["delta"] = rows.__getitem__
     if counit is not None:
@@ -474,11 +468,7 @@ class FamilyMap:
         for m in self.matrices:
             if len(m) != self.dim_out or any(len(r) != self.dim_in for r in m):
                 raise InputError("family matrix shape mismatch")
-
-
-def family_map(dim_in, dim_out, matrices) -> FamilyMap:
-    ms = tuple(tuple(vec(r) for r in m) for m in matrices)
-    return FamilyMap(len(ms), dim_in, dim_out, ms)
+        check_exact("family matrix entry", (x for m in self.matrices for r in m for x in r))
 
 
 def cosupport_of_map(psi: FamilyMap):

@@ -1,15 +1,15 @@
 """The self-describing JSON document schema shared by all commands.
 
 Every document is one JSON object with a top-level "kind".  Rationals are
-strings "p/q" with q > 0 and gcd(p, q) = 1 (bare "p" for integers); labels
-and generator names are strings.  Every malformed document is rejected with
-an InputError whose message starts with the path to the offending field
-("$.delta[1][0].coeff: ...").  parse_document alone writes that path: a bad
-field raises with no path, and each parse step puts its key or list index in
-front as the error unwinds (_at).  Serialization is canonical and
-deterministic: parse followed by serialize is the identity on canonical
-documents.  document_to_json writes the text of json.dumps(doc, indent=1)
-byte for byte, with its strings and int lists written by C calls.
+strings "p/q" (q > 0, gcd(p, q) = 1) or "p" in ASCII digits, with no leading
+0 and no sign on 0; labels and generator names are strings.  Every malformed
+document is rejected with an InputError whose message starts with the path
+to the offending field ("$.delta[1][0].coeff: ...").  parse_document alone
+writes that path: a bad field raises with no path, and each parse step puts
+its key or list index in front as the error unwinds (_at).  Serialization is
+canonical and deterministic: parse followed by serialize is the identity on
+canonical documents.  document_to_json writes the text of json.dumps(doc,
+indent=1) byte for byte, with its strings and int lists written by C calls.
 """
 
 import json
@@ -94,6 +94,10 @@ def parse_rational(s) -> Fraction:
     try:
         p = int(num)
         q = int(den) if sep else 1
+        # int() also reads " 2", "+3", "007", "-0" and "1_0": take only what
+        # format_rational writes, so that serializing gives s back
+        if str(p) != num or sep and str(q) != den:
+            raise ValueError
     except ValueError:
         raise _BadField(f"malformed rational {s!r}") from None
     if q <= 0:

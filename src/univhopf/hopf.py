@@ -20,15 +20,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import prod
 
-from ._linalg import Vec, exact
+from ._linalg import Vec, check_exact, exact
 from .errors import InputError, PreconditionError
 from .finmonoid import FinMonoid, unit_group
-from .coact import (
-    MatrixPresentation,
-    check_axioms,
-    check_exact,
-    sparse_maps,
-)
+from .coact import MatrixPresentation, check_axioms, sparse_maps
 from .ncalg import (
     AlgebraPresentation,
     NCPoly,
@@ -362,8 +357,8 @@ def hopf_envelope_presentation(
             {lift_pair(l, r, n): c for (l, r), c in image.items()} for image in b.delta
         )
         if n >= 1:
-            # convolution identities for the level below, now that its
-            # antipode images exist: sum S(a1) a2 = eps = sum a1 S(a2)
+            # convolution identities sum S(a1) a2 = eps = sum a1 S(a2) for the
+            # level below, whose antipode images now exist; 0 = 0 is skipped
             prev = n - 1
             for g in range(k):
                 s_conv, conv_s = {(): -b.counit[g]}, {(): -b.counit[g]}
@@ -372,8 +367,7 @@ def hopf_envelope_presentation(
                     s_right = tuple(x + k for x in reversed(right))
                     s_conv[s_left + right] = s_conv.get(s_left + right, 0) + c
                     conv_s[left + s_right] = conv_s.get(left + s_right, 0) + c
-                relations.append(NCPoly(s_conv))
-                relations.append(NCPoly(conv_s))
+                relations += [p for p in (NCPoly(s_conv), NCPoly(conv_s)) if not p.is_zero()]
 
     algebra = AlgebraPresentation(total, labels, tuple(relations))
     bial = BialgebraPresentation(algebra, tuple(delta), tuple(b.counit) * (levels + 1))

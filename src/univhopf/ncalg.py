@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 
-from ._linalg import exact, frac
+from ._linalg import check_exact, exact
 from .errors import InputError
 
 DEFAULT_DEGREE_BOUND = 6
@@ -61,16 +61,16 @@ def deglex_key(w: Word):
 
 class NCPoly:
     """A noncommutative polynomial: finite map from words to nonzero
-    rationals, ``int`` when integral."""
+    rationals, ``int`` when integral, built from ints and Fractions only."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
         clean = {}
         for w, c in (terms or {}).items():
-            c = exact(c if isinstance(c, int) else frac(c))
-            if c != 0:
-                clean[tuple(w)] = c
+            check_exact("polynomial coefficient", (c,))
+            if c:
+                clean[tuple(w)] = exact(c)
         self.terms = clean
 
     @classmethod
@@ -123,7 +123,8 @@ class NCPoly:
         return NCPoly._trusted({w: -c for w, c in self.terms.items()})
 
     def scale(self, c) -> "NCPoly":
-        c = exact(c if isinstance(c, int) else frac(c))
+        check_exact("scalar", (c,))
+        c = exact(c)
         if not c:
             return NCPoly._trusted({})
         return _nonzero({w: c * x for w, x in self.terms.items()})

@@ -10,10 +10,9 @@ that need monoid laws validate them separately.
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 
-from ._linalg import exact
+from ._linalg import check_exact, exact
 from .errors import InputError, ResourceLimitError
 
 DEFAULT_ENUM_CAP = 10_000_000
@@ -242,14 +241,14 @@ class FinVectMagma:
     """An operation-equipped space over Q, by sparse structure tensors.
 
     ``tensors[name]`` maps (out multi-index, in multi-index) to a nonzero
-    rational: the coefficient of the out basis tensor in the image of the in
-    basis tensor.
+    rational, an int or a Fraction: the coefficient of the out basis tensor
+    in the image of the in basis tensor.
     """
 
     signature: OmegaSignature
     dim: int
     basis_labels: tuple[str, ...]
-    tensors: dict  # name -> {(out idx, in idx): Fraction}
+    tensors: dict  # name -> {(out idx, in idx): int or Fraction}
 
     def __post_init__(self):
         if self.dim < 0:
@@ -260,13 +259,12 @@ class FinVectMagma:
         for name, s, t in self.signature.ops:
             if name not in self.tensors:
                 raise InputError(f"missing structure tensor for {name!r}")
-            for (out, inp), c in self.tensors[name].items():
+            for out, inp in self.tensors[name]:
                 if len(out) != t or len(inp) != s:
                     raise InputError(f"bad multi-index arity in tensor {name!r}")
                 if any(i not in rng for i in out + inp):
                     raise InputError(f"index out of range in tensor {name!r}")
-                if not isinstance(c, Fraction):
-                    raise InputError(f"non-exact coefficient in tensor {name!r}")
+            check_exact(f"coefficient in tensor {name!r}", self.tensors[name].values())
 
 
 def coordinate_identities(a: FinVectMagma, b: FinVectMagma, frame):
@@ -321,6 +319,7 @@ def is_linear_omega_morphism(m, a: FinVectMagma, b: FinVectMagma) -> bool:
         raise InputError("magmas do not share a signature")
     if len(m) != b.dim or any(len(row) != a.dim for row in m):
         raise InputError("matrix shape does not match the dimensions")
+    check_exact("matrix entry", (x for row in m for x in row))
     frame = {(i, j) for i, row in enumerate(m) for j, x in enumerate(row) if x}
     for _, _, _, terms in coordinate_identities(a, b, frame):
         if sum(c * math.prod(m[i][j] for i, j in pairs) for c, pairs in terms) != 0:

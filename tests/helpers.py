@@ -7,8 +7,9 @@ from itertools import product
 from pathlib import Path
 
 from univhopf import documents
-from univhopf._linalg import frac, vec
+from univhopf._linalg import vec
 from univhopf.coact import (
+    FamilyMap,
     FDAlgebra,
     FDCoalgebra,
     TensorValuedMap,
@@ -37,6 +38,10 @@ from univhopf.signature import (
 from oracles import unit_vec
 
 F = Fraction
+
+
+def frac(x) -> Fraction:
+    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 def is_exact_coefficient(c) -> bool:
@@ -72,6 +77,11 @@ def tensor_valued_map(dim_in, dim_out, dim_coeff, entries) -> TensorValuedMap:
         dim_coeff,
         tuple(tuple(vec(q) for q in row) for row in entries),
     )
+
+
+def family_map(dim_in, dim_out, matrices) -> FamilyMap:
+    ms = tuple(tuple(vec(r) for r in m) for m in matrices)
+    return FamilyMap(len(ms), dim_in, dim_out, ms)
 
 
 def fd_algebra(mult_rows, unit) -> FDAlgebra:

@@ -20,7 +20,6 @@ from univhopf.cli import run
 from univhopf.coact import (
     cosupport_of_map,
     factor_through_universal,
-    family_map,
     is_comeasuring,
     is_tensor_epimorphism,
     manin_end_presentation,
@@ -57,6 +56,7 @@ from univhopf.setsuniversal import (
 from univhopf.signature import unital_signature
 
 from helpers import (
+    family_map,
     compose_with_matrix,
     chain_monoid_a3_eq_a,
     dual_numbers_grading,

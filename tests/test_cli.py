@@ -457,6 +457,16 @@ def test_a_repeated_delta_term_exits_2_at_its_second_position(tmp_path):
     assert (code, out, err) == (2, "", "error: $.delta[1][1]: duplicate delta term\n")
 
 
+@pytest.mark.parametrize(
+    "value", ["1_000", " 2", "+3", "\u0663", "2/ 3", "007", "-0", "2/07", "1/-0", "3\n"]
+)
+def test_a_rational_not_in_written_form_exits_2_at_its_path(tmp_path, value):
+    hopf = docs.serialize_hopf_fd(group_algebra_hopf(cyclic_monoid(2)))
+    hopf["counit"][1] = value
+    code, out, err = invoke(["check-hopf", write(tmp_path, "h.json", hopf)])
+    assert (code, out, err) == (2, "", f"error: $.counit[1]: malformed rational {value!r}\n")
+
+
 def test_hopf_envelope_rejects_hopf_input(tmp_path):
     from univhopf.coact import manin_end_presentation
     from univhopf.hopf import hopf_envelope_presentation, universal_bialgebra_structure

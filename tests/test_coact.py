@@ -12,7 +12,6 @@ from univhopf.coact import (
     MatrixPresentation,
     cosupport_of_map,
     factor_through_universal,
-    family_map,
     is_comeasuring,
     is_tensor_epimorphism,
     manin_end_presentation,
@@ -29,6 +28,7 @@ from univhopf.signature import FinVectMagma, OmegaSignature, unital_signature
 from oracles import comeasuring_oracle, coords_in_span, mat_mul
 from helpers import random_q_algebra, random_unital_magma
 from helpers import (
+    family_map,
     compose_with_matrix,
     dual_numbers,
     dual_numbers_grading,
@@ -464,7 +464,7 @@ def test_grading_coaction_support_spans_used_labels_only():
 def test_structure_shapes_are_validated():
     one = (F(1),)
     bad = (
-        lambda: FDCoalgebra(1, ({(0, 0): 1},), one),  # inexact coefficient
+        lambda: FDCoalgebra(1, ({(0, 0): 1.0},), one),  # inexact coefficient
         lambda: FDCoalgebra(1, ({(0, 1): F(1)},), one),
         lambda: FDCoalgebra(1, ({(0, 0): F(1)},), (F(1), F(0))),
         lambda: FDAlgebra(1, (((F(1), F(0)),),), one),
@@ -479,6 +479,7 @@ def test_structure_shapes_are_validated():
     # int constants stay accepted
     FDAlgebra(1, (((1,),),), (1,))
     FDCoalgebra(1, ({(0, 0): F(1)},), (1,))
+    FDCoalgebra(1, ({(0, 0): 1},), one)
 
 
 @pytest.mark.parametrize(

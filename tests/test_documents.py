@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from univhopf import documents as docs
 from univhopf.coact import (
-    family_map,
     manin_end_presentation,
     tambara_presentation,
 )
@@ -27,6 +26,7 @@ from univhopf.setsuniversal import SetComodFrame
 from univhopf.grading import Grading
 
 from helpers import (
+    family_map,
     cyclic_monoid,
     dual_numbers_grading,
     group_algebra_hopf,
@@ -59,6 +59,17 @@ def test_rational_parsing():
     for bad in ("2/4", "1/-2", "1/0", "x", "3/1", 7):
         with pytest.raises(InputError):
             docs.parse_rational(bad)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.fractions(), st.text(alphabet="0123456789-/+ _\u0663", max_size=6))
+def test_parse_rational_accepts_exactly_the_written_form(x, s):
+    assert docs.parse_rational(docs.format_rational(x)) == x
+    try:
+        parsed = docs.parse_rational(s)
+    except InputError:
+        return
+    assert docs.format_rational(parsed) == s
 
 
 def test_format_rational():

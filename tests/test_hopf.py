@@ -383,6 +383,18 @@ def test_envelope_level_two_generators_redundant_for_group_likes():
     assert reduce_normal_form(NCPoly.gen(2), system) == NCPoly.gen(0)
 
 
+def test_envelope_skips_the_convolution_identity_zero_equals_zero():
+    # k<x>/(x) with Delta x = 0 and eps x = 0 is the field k; its
+    # convolution identity for x reads 0 = 0 and is no relation
+    field = AlgebraPresentation(1, ("x",), (NCPoly.gen(0),))
+    bial = BialgebraPresentation(field, ({},), (0,))
+    assert check_comap_well_defined(bial, 4).status == "pass"
+    for levels in (1, 2):
+        env = hopf_envelope_presentation(bial, levels, 4)
+        assert env.algebra.relations == tuple(NCPoly.gen(n) for n in range(levels + 1))
+        assert check_comap_well_defined(env.bialgebra, 4).status == "pass"
+
+
 def test_envelope_antipode_levels_and_metadata():
     bial = universal_bialgebra_structure(manin_end_presentation(dual_numbers_grading()))
     env = hopf_envelope_presentation(bial, 2, 6)

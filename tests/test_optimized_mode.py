@@ -1,13 +1,26 @@
 """Checks that must hold under ``python -O``, which strips assert statements:
 the bounded-completion certificate and the explicit invariant checks, and
 no assert statement in the library at all; a library that imports
-nothing outside the standard library; and no library module importing
-another's private name."""
+nothing outside the standard library; no library module importing
+another's private name; and one exactness gate, ``_linalg.check_exact``,
+behind every entry point that takes rational data."""
 
 import ast
 import subprocess
 import sys
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
+
+import pytest
+
+from univhopf.coact import FamilyMap, FDAlgebra, FDCoalgebra, TensorValuedMap, cosupport_of_map
+from univhopf.errors import InputError
+from univhopf.hopf import BialgebraPresentation, FinDimHopf, check_hopf_axioms_fd
+from univhopf.ncalg import AlgebraPresentation, NCPoly
+from univhopf.signature import FinVectMagma, is_linear_omega_morphism, unital_signature
+
+from helpers import rational_line
 
 HERE = Path(__file__).resolve().parent
 
@@ -108,3 +121,56 @@ def test_library_imports_no_private_name_of_another_module():
                     if alias.name.startswith("_")
                 ]
     assert not found, "a private name is read only in its own module: " + ", ".join(found)
+
+
+def test_only_linalg_decides_what_is_exact():
+    found = []
+    for path in sorted((HERE.parent / "src" / "univhopf").glob("*.py")):
+        if path.name == "_linalg.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Constant) and "non-exact" in str(node.value):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, "exactness is decided by _linalg.check_exact: " + ", ".join(found)
+
+
+def _line(c):
+    """Q as a unital algebra whose product has the coefficient c."""
+    tensors = {"mu": {((0,), (0, 0)): c}, "unit": {((0,), ()): 1}}
+    return FinVectMagma(unital_signature(), 1, ("1",), tensors)
+
+
+_UNIT_ALGEBRA = FDAlgebra(1, (((1,),),), (1,))
+_GENERATOR = AlgebraPresentation(1, ("g",), ())
+
+# each builds from the scalar c, whose exact value is 1, a comparable result
+GATED = {
+    "NCPoly": lambda c: NCPoly({(0,): c}),
+    "NCPoly.scale": lambda c: NCPoly.gen(0).scale(c),
+    "NCPoly.monomial": lambda c: NCPoly.monomial((0,), c),
+    "FinVectMagma": _line,
+    "TensorValuedMap": lambda c: TensorValuedMap(1, 1, 1, (((c,),),)).entries,
+    "FamilyMap": lambda c: cosupport_of_map(FamilyMap(1, 1, 1, (((c,),),))),
+    "FDAlgebra constants": lambda c: FDAlgebra(1, (((c,),),), (c,)).product_of([]),
+    "FDAlgebra.product_of": lambda c: _UNIT_ALGEBRA.product_of([(c,), (1,)]),
+    "FDCoalgebra delta": lambda c: FDCoalgebra(1, ({(0, 0): c},), (1,)).delta,
+    "FDCoalgebra counit": lambda c: FDCoalgebra(1, ({(0, 0): 1},), (c,)).counit,
+    "FinDimHopf": lambda c: check_hopf_axioms_fd(
+        FinDimHopf(1, (((1,),),), (1,), ({(0, 0): 1},), (1,), ((c,),))
+    ),
+    "BialgebraPresentation": lambda c: BialgebraPresentation(
+        _GENERATOR, ({((0,), (0,)): c},), (c,)
+    ).delta,
+    "is_linear_omega_morphism": lambda c: is_linear_omega_morphism(
+        ((c,),), rational_line(), rational_line()
+    ),
+}
+
+
+@pytest.mark.parametrize("name", GATED)
+def test_every_rational_entry_point_takes_int_or_fraction_only(name):
+    build = GATED[name]
+    assert build(1) == build(Fraction(1))
+    for inexact in (1.0, "1", Decimal(1)):
+        with pytest.raises(InputError, match="^non-exact "):
+            build(inexact)
