@@ -6,16 +6,25 @@ strings "p/q" (q > 0, gcd(p, q) = 1) or "p" in ASCII digits, with no leading
 document is rejected with an InputError whose message starts with the path
 to the offending field ("$.delta[1][0].coeff: ...").  parse_document alone
 writes that path: a bad field raises with no path, and each parse step puts
-its key or list index in front as the error unwinds (_at).  Serialization is
-canonical and deterministic: parse followed by serialize is the identity on
-canonical documents.  document_to_json writes the text of json.dumps(doc,
-indent=1) byte for byte, with its strings and int lists written by C calls.
+its key or list index in front as the error unwinds (_at).
+
+A table-shaped field (a list of ints, of int rows, of flat records, a set
+magma's table, a tensor, a composition table) is read whole: one test in C
+of the types and shapes of all its items (_uniform), then one comprehension
+builds the value.  Only when that test fails is the field walked entry by
+entry, and the walk raises at the first bad entry; so the walk is the one
+reader's error locator, run on bad input only.  Serialization is canonical
+and deterministic: parse followed by serialize is the identity on canonical
+documents.  document_to_json writes the text of json.dumps(doc, indent=1)
+byte for byte, with its strings, int lists, int rows and int records written
+by C calls.
 """
 
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
+from itertools import chain, repeat
 from math import gcd
 from operator import countOf
 
@@ -88,6 +97,52 @@ def _record(obj, *fields):
     return tuple([_get(obj, key, types) for key, types in fields])
 
 
+# The bulk readers.  Each tests a whole field with _uniform and builds its
+# value in one comprehension; when a test fails it calls the per-entry walk
+# (_each, _keyed, _field), which raises today's message at the first bad
+# entry.  A bulk test only ever refuses more than the walk does: exact types
+# (no int or str subclass, no bool) and exact lists and dicts.
+
+
+def _uniform(kind, xs):
+    """True iff every item of the list xs is exactly of type kind, in C."""
+    return countOf(map(type, xs), kind) == len(xs)
+
+
+def _column(records, key):
+    """The values of key in the records, a list of dicts; None where missing."""
+    return list(map(dict.get, records, repeat(key)))
+
+
+def _are_records(xs):
+    return type(xs) is list and _uniform(dict, xs)
+
+
+def _are_int_rows(rows):
+    """True iff rows is a list of lists of exact ints."""
+    return (
+        type(rows) is list
+        and _uniform(list, rows)
+        and _uniform(int, list(chain.from_iterable(rows)))
+    )
+
+
+def _int_rows(rows):
+    """The tuple of _int_list(row) over the items of the list rows."""
+    if _are_int_rows(rows):
+        return tuple(map(tuple, rows))
+    return _each(rows, _int_list)
+
+
+def _records(xs, *fields):
+    """The tuple of _record(x, *fields) over the items x of the list xs."""
+    if _are_records(xs):
+        columns = [_column(xs, key) for key, _ in fields]
+        if all(map(_uniform, [types for _, types in fields], columns)):
+            return tuple(zip(*columns))
+    return _each(xs, _record, *fields)
+
+
 def parse_rational(s) -> Fraction:
     _expect(isinstance(s, str), "rationals are strings 'p/q'")
     num, sep, den = s.partition("/")
@@ -117,11 +172,21 @@ def format_rational(x: Fraction) -> str:
 
 
 def _int_list(xs):
-    _expect(isinstance(xs, list), "expected a list of integers")
-    for i, x in enumerate(xs):
-        if type(x) is not int and (not isinstance(x, int) or isinstance(x, bool)):
-            raise _BadField("expected an integer", i)
+    if type(xs) is not list or not _uniform(int, xs):
+        _expect(isinstance(xs, list), "expected a list of integers")
+        for i, x in enumerate(xs):
+            if type(x) is not int and (not isinstance(x, int) or isinstance(x, bool)):
+                raise _BadField("expected an integer", i)
     return tuple(xs)
+
+
+def _rationals(strings):
+    """{s: parse_rational(s)} over the distinct strings, or None when one of
+    them is malformed."""
+    try:
+        return {s: parse_rational(s) for s in set(strings)}
+    except _BadField:
+        return None
 
 
 def _label_index(labels):
@@ -145,7 +210,7 @@ def _index_of(label, pos, what):
 
 
 def _parse_signature(doc) -> OmegaSignature:
-    ops = _field(doc, "ops", _each, _record, ("name", str), ("in", int), ("out", int))
+    ops = _field(doc, "ops", _records, ("name", str), ("in", int), ("out", int))
     return OmegaSignature(ops)
 
 
@@ -169,10 +234,19 @@ def _keyed(entries, parse, what):
 
 
 def _parse_tensor(entries):
-    """{(out, in): coeff} without its zero coefficients; a repeated
-    (out, in) is rejected, whether its coefficients are zero or not."""
-    table = _keyed(entries, _parse_tensor_entry, "tensor entry")
-    return {key: c for key, c in table.items() if c != 0}
+    """{(out, in): coeff}, a zero coefficient left for FinVectMagma to drop;
+    a repeated (out, in) is rejected, whether its coefficients are zero or
+    not.  Each distinct coefficient string is read once."""
+    if _are_records(entries):
+        outs, ins, coeffs = [_column(entries, key) for key in ("out", "in", "coeff")]
+        ok = _are_int_rows(outs) and _are_int_rows(ins) and _uniform(str, coeffs)
+        values = _rationals(coeffs) if ok else None
+        if values is not None:
+            keys = zip(map(tuple, outs), map(tuple, ins))
+            table = dict(zip(keys, map(values.__getitem__, coeffs)))
+            if len(table) == len(entries):
+                return table
+    return _keyed(entries, _parse_tensor_entry, "tensor entry")
 
 
 def _parse_tensor_entry(e):
@@ -188,6 +262,12 @@ def _parse_set_magma(doc) -> FinSetMagma:
 
 
 def _parse_table(entries):
+    if _are_records(entries):
+        ins, outs = _column(entries, "in"), _column(entries, "out")
+        if _are_int_rows(ins) and _are_int_rows(outs):
+            table = dict(zip(map(tuple, ins), map(tuple, outs)))
+            if len(table) == len(entries):
+                return table
     return _keyed(entries, _parse_table_entry, "table entry")
 
 
@@ -196,7 +276,7 @@ def _parse_table_entry(e):
 
 
 def _parse_monoid_table(doc) -> FinMonoid:
-    return FinMonoid(_field(doc, "table", _each, _int_list), _get(doc, "unit", int))
+    return FinMonoid(_field(doc, "table", _int_rows), _get(doc, "unit", int))
 
 
 def _parse_grading(doc) -> Grading:
@@ -362,7 +442,7 @@ def _parse_relation(terms, pos):
 
 
 def _parse_matrix_index(mi, algebra):
-    gen_index = _field(mi, "gen_index", _each, _record, ("block", str), ("i", int), ("j", int))
+    gen_index = _field(mi, "gen_index", _records, ("block", str), ("i", int), ("j", int))
     blocks = _field(mi, "blocks", _each, _parse_block)
     return MatrixPresentation(algebra, gen_index, blocks)
 
@@ -435,7 +515,7 @@ def _parse_hopf_fd(doc) -> FinDimHopf:
 
 def _parse_category(doc) -> FiniteCategory:
     objects = _get(doc, "objects", int)
-    morphisms = _field(doc, "morphisms", _each, _record, ("dom", int), ("cod", int))
+    morphisms = _field(doc, "morphisms", _records, ("dom", int), ("cod", int))
     identity = _field(doc, "identity", _int_list)
     compose = _field(doc, "compose", _parse_compose)
     dom = tuple(d for d, _ in morphisms)
@@ -444,6 +524,10 @@ def _parse_category(doc) -> FiniteCategory:
 
 
 def _parse_compose(triples):
+    if _are_int_rows(triples) and countOf(map(len, triples), 3) == len(triples):
+        compose = {(g, f): h for g, f, h in triples}
+        if len(compose) == len(triples):
+            return compose
     compose = {}
     for i, triple in enumerate(triples):
         _expect(isinstance(triple, list) and len(triple) == 3, "expected [g, f, h]", i)
@@ -474,7 +558,7 @@ def _parse_map_set(doc):
     if maps == "all":
         return "all"
     _expect(isinstance(maps, list), "expected 'all' or a list of maps", "maps")
-    return list(_at(("maps",), _each, maps, _int_list))
+    return list(_at(("maps",), _int_rows, maps))
 
 
 _PARSERS = {
@@ -750,13 +834,19 @@ def serialize_map_set(maps) -> dict:
 
 def document_to_json(doc: dict) -> str:
     """json.dumps(doc, indent=1) + "\n", byte for byte, without json's
-    pure-Python indenting encoder: a list of exact ints or of exact strs is
-    written in one join."""
+    pure-Python indenting encoder: a list of exact ints, strs, bools or
+    Nones is written in one join, and a list of int rows or of records with
+    the same keys and int values in one % template."""
     return _json_text(doc, "") + "\n"
 
 
-# the values written in one C call each; bool is no int here
-_EXACT = {str: encode_basestring_ascii, int: int.__repr__}
+# the scalars written in one C call each, by type: bool is no int here
+_EXACT = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
 
 
 def _json_text(x, pad):
@@ -776,13 +866,50 @@ def _json_text(x, pad):
             return "[]"
         inner = pad + " "
         sep = ",\n" + inner
-        kind = type(x[0])
+        first = x[0]
+        kind, body = type(first), None
         if kind in _EXACT and countOf(map(type, x), kind) == len(x):
-            items = map(_EXACT[kind], x)
-        else:
-            items = [_json_text(v, inner) for v in x]
-        return f"[\n{inner}{sep.join(items)}\n{pad}]"
-    return json.dumps(x)  # a scalar other than an exact str or int, by json's C encoder
+            body = sep.join(map(_EXACT[kind], x))
+        # any other list is refused from its first item: only a list that
+        # starts with an int row or an int-valued record is tested whole
+        elif kind is list and first and type(first[0]) is int:
+            body = _int_rows_text(x, inner, sep)
+        elif kind is dict and first and type(next(iter(first.values()))) is int:
+            body = _int_records_text(x, inner, sep)
+        if body is None:
+            body = sep.join([_json_text(v, inner) for v in x])
+        return f"[\n{inner}{body}\n{pad}]"
+    return json.dumps(x)  # a float, or what json rejects, by json's C encoder
+
+
+def _int_rows_text(rows, pad, sep):
+    """The rows, a list of lists of exact ints, written at pad and joined by
+    sep, in one % template; None for any other list."""
+    if not _are_int_rows(rows):
+        return None
+    inner = pad + " "
+    row_sep = ",\n" + inner
+    template = {0: "[]"}  # the text of a row by its length, "%d" per int
+    for k in set(map(len, rows)) - {0}:
+        template[k] = f"[\n{inner}{row_sep.join(['%d'] * k)}\n{pad}]"
+    return sep.join(map(template.__getitem__, map(len, rows))) % tuple(chain.from_iterable(rows))
+
+
+def _int_records_text(records, pad, sep):
+    """The records, dicts with the keys of the first in its order and exact
+    int values, written at pad and joined by sep, in one % template; None
+    for any other list."""
+    if not _are_records(records):
+        return None
+    keys = tuple(records[0])
+    values = list(chain.from_iterable(map(dict.values, records)))
+    if countOf(map(tuple, records), keys) != len(records) or not _uniform(int, values):
+        return None
+    inner = pad + " "
+    field_sep = ",\n" + inner
+    fields = field_sep.join([_json_key(k).replace("%", "%%") + ": %d" for k in keys])
+    template = f"{{\n{inner}{fields}\n{pad}}}"
+    return sep.join([template] * len(records)) % tuple(values)
 
 
 def _json_key(k):

@@ -338,7 +338,8 @@ def hopf_envelope_presentation(
         return tuple(reversed(shifted)) if n % 2 else shifted
 
     def lift_poly(p, n):
-        return NCPoly({lift_word(w, n): c for w, c in p.terms.items()})
+        # lift_word is injective and keeps the clean coefficients
+        return NCPoly._trusted({lift_word(w, n): c for w, c in p.terms.items()})
 
     def lift_pair(left, right, n):
         # odd levels flip the tensor factors

@@ -9,6 +9,7 @@ representative.
 """
 
 from dataclasses import dataclass, field
+from operator import countOf, itemgetter
 from random import Random
 from types import MappingProxyType
 
@@ -60,27 +61,15 @@ class FiniteCategory:
             i = self.identity[x]
             if not 0 <= i < m or dom[i] != x or cod[i] != x:
                 raise InputError(f"identity of object {x} is not an endomorphism")
-        fault = self._composition_fault()
-        if fault is not None:
-            raise InputError(fault)
-        # after[g][f] = g after f: the laws read one row per morphism instead
-        # of building and hashing a (g, f) key per lookup
-        after = [{} for _ in range(m)]
-        for (g, f), h in compose.items():
-            after[g][f] = h
-        for x in range(n):
-            i = self.identity[x]
-            for f in sorted({*self._outgoing[x], *self._incoming[x]}):
-                if dom[f] == x and after[f][i] != f:
-                    raise PreconditionError("right identity law fails")
-                if cod[f] == x and after[i][f] != f:
-                    raise PreconditionError("left identity law fails")
-        for h, h_after in enumerate(after):
-            for g in self._incoming[dom[h]]:
-                hg_after, g_after = after[h_after[g]], after[g]
-                for f in self._incoming[dom[g]]:
-                    if hg_after[f] != h_after[g_after[f]]:
-                        raise PreconditionError("composition is not associative")
+        if not self._well_composed():
+            fault = self._composition_fault()
+            if fault is not None:
+                raise InputError(fault)
+        # with at most one morphism per hom set, both sides of each identity
+        # law and of each associativity law are the one morphism of their
+        # hom set, since composites are well typed: the laws hold
+        if len(self._hom) < m:
+            self._check_laws()
         lio = tuple(
             x
             for x in range(n)
@@ -90,6 +79,66 @@ class FiniteCategory:
         object.__setattr__(
             self, "_lio_edges", {(a, b): (a, b) in self._hom for a in lio for b in lio}
         )
+
+    def _check_laws(self):
+        """Raise PreconditionError unless the identity laws and associativity
+        hold, the composition being well typed."""
+        dom, cod, identity = self.dom, self.cod, self.identity
+        m = len(dom)
+        # after[g][f] = g after f: the laws read one row per morphism instead
+        # of building and hashing a (g, f) key per lookup
+        after = [{} for _ in range(m)]
+        for (g, f), h in self.compose.items():
+            after[g][f] = h
+        # f after the identity of dom f, and the identity of cod f after f,
+        # for all f at once; the walk only tells which law fails first
+        ids, id_of = list(range(m)), identity.__getitem__
+        right = list(map(dict.__getitem__, after, map(id_of, dom)))
+        left = list(map(dict.__getitem__, map(after.__getitem__, map(id_of, cod)), ids))
+        if right != ids or left != ids:
+            for x in range(self.num_objects):
+                i = identity[x]
+                for f in sorted({*self._outgoing[x], *self._incoming[x]}):
+                    if dom[f] == x and after[f][i] != f:
+                        raise PreconditionError("right identity law fails")
+                    if cod[f] == x and after[i][f] != f:
+                        raise PreconditionError("left identity law fails")
+        # (h g) f = h (g f) over all f into dom g, one row per (h, g): the
+        # row of hg read at those f against the row of h read through g's.
+        # When only the identity enters dom g, the identity laws already
+        # give (h g) 1 = h g = h (g 1), and a one-item itemgetter returns
+        # no tuple, so that object is skipped
+        reads = [itemgetter(*fs) if len(fs) > 1 else None for fs in self._incoming]
+        for h, h_after in enumerate(after):
+            through = h_after.__getitem__
+            for g in self._incoming[dom[h]]:
+                read = reads[dom[g]]
+                if read is not None and read(after[h_after[g]]) != tuple(
+                    map(through, read(after[g]))
+                ):
+                    raise PreconditionError("composition is not associative")
+
+    def _well_composed(self):
+        """True iff compose is defined exactly on the composable pairs, with
+        composites of the right type and in range: whole-list tests in C.
+        When it is False, _composition_fault names the first fault."""
+        dom, cod, compose = self.dom, self.cod, self.compose
+        pairs = sum(len(i) * len(o) for i, o in zip(self._incoming, self._outgoing))
+        try:
+            if len(compose) != pairs or countOf(map(len, compose), 2) != pairs:
+                return False
+            gs = list(map(itemgetter(0), compose))
+            fs = list(map(itemgetter(1), compose))
+            hs = list(compose.values())
+            at_g, at_f, at_h = itemgetter(*gs), itemgetter(*fs), itemgetter(*hs)
+            return (
+                all(map(range(len(dom)).__contains__, set(gs + fs + hs)))
+                and at_f(cod) == at_g(dom)
+                and at_h(dom) == at_f(dom)
+                and at_h(cod) == at_g(cod)
+            )
+        except TypeError:  # no pairs, or a key or composite the walk raises on
+            return False
 
     def _composition_fault(self):
         """Why compose is not defined exactly on the composable pairs with

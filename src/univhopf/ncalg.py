@@ -311,7 +311,7 @@ def _add_and_interreduce(rules: list, pending: list) -> None:
         if requeued:
             for i in requeued:
                 old_lw, old_rhs = rules[i]
-                pending.append(NCPoly.monomial(old_lw) - old_rhs)
+                pending.append(NCPoly._trusted({old_lw: 1}) - old_rhs)
                 del table[old_lw]
                 per_length[len(old_lw)] -= 1
                 if not per_length[len(old_lw)]:
@@ -367,7 +367,7 @@ def complete_rules_up_to(
             f"degree bound {degree_bound} is below the maximal relation degree {max_rel_deg}"
         )
     rules: list[tuple[Word, NCPoly]] = []
-    pending = [NCPoly(r.terms) for r in pres.relations]
+    pending = list(pres.relations)  # clean NCPolys, never mutated
     _add_and_interreduce(rules, pending)
     confluent = False
     skipped = 0

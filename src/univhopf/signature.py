@@ -10,7 +10,8 @@ that need monoid laws validate them separately.
 
 import math
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
+from operator import countOf, itemgetter
 
 from ._linalg import check_exact, exact
 from .errors import InputError, ResourceLimitError
@@ -57,17 +58,34 @@ class FinSetMagma:
     def __post_init__(self):
         if self.size < 0:
             raise InputError("negative carrier size")
-        # the test of x in range(size), applied from C over each tuple
+        # the test of x in range(size), applied from C to the distinct
+        # values of all tuples at once; the walk over the entries only
+        # names the first bad one
         in_range = range(self.size).__contains__
         for name, s, t in self.signature.ops:
             if name not in self.tables:
                 raise InputError(f"missing table for operation {name!r}")
             table = self.tables[name]
-            expected = self.size**s
+            # size**s is formed only below 2**4096: a larger one is no
+            # table's length, and forming or writing it could exhaust
+            # memory or pass str's digit limit
+            small = self.size < 2 or s <= 64 and self.size < 2**64
+            expected = self.size**s if small else f"{self.size}**{s}"
             if len(table) != expected:
                 raise InputError(
                     f"table for {name!r} has {len(table)} entries, expected {expected}"
                 )
+            outs = table.values()
+            try:
+                if (
+                    countOf(map(len, table), s) == len(table)
+                    and countOf(map(len, outs), t) == len(table)
+                    and all(map(in_range, set(chain.from_iterable(table))))
+                    and all(map(in_range, set(chain.from_iterable(outs))))
+                ):
+                    continue
+            except TypeError:  # an entry the walk raises on at its turn
+                pass
             for key, out in table.items():
                 if len(key) != s or not all(map(in_range, key)):
                     raise InputError(f"bad input tuple {key} for {name!r}")
@@ -242,7 +260,9 @@ class FinVectMagma:
 
     ``tensors[name]`` maps (out multi-index, in multi-index) to a nonzero
     rational, an int or a Fraction: the coefficient of the out basis tensor
-    in the image of the in basis tensor.
+    in the image of the in basis tensor.  The constructor keeps a copy of
+    each tensor without its zero coefficients, so no reader takes a stored
+    zero for structure.
     """
 
     signature: OmegaSignature
@@ -256,15 +276,37 @@ class FinVectMagma:
         if len(self.basis_labels) != self.dim:
             raise InputError("basis label count does not match the dimension")
         rng = range(self.dim)
+        tensors = dict(self.tensors)
         for name, s, t in self.signature.ops:
-            if name not in self.tensors:
+            if name not in tensors:
                 raise InputError(f"missing structure tensor for {name!r}")
-            for out, inp in self.tensors[name]:
-                if len(out) != t or len(inp) != s:
-                    raise InputError(f"bad multi-index arity in tensor {name!r}")
-                if any(i not in rng for i in out + inp):
-                    raise InputError(f"index out of range in tensor {name!r}")
-            check_exact(f"coefficient in tensor {name!r}", self.tensors[name].values())
+            tensor = tensors[name]
+            if not _well_indexed(tensor, s, t, rng.__contains__):
+                # the first bad key, in entry order, names the fault
+                for out, inp in tensor:
+                    if len(out) != t or len(inp) != s:
+                        raise InputError(f"bad multi-index arity in tensor {name!r}")
+                    if any(i not in rng for i in out + inp):
+                        raise InputError(f"index out of range in tensor {name!r}")
+            check_exact(f"coefficient in tensor {name!r}", tensor.values())
+            tensors[name] = {key: c for key, c in tensor.items() if c}
+        object.__setattr__(self, "tensors", tensors)
+
+
+def _well_indexed(tensor, s, t, in_range):
+    """True iff every key of tensor is a pair (out, in) of t and s indices
+    in range: whole-list tests in C over all keys."""
+    n = len(tensor)
+    keys = list(tensor)
+    try:
+        return (
+            countOf(map(len, keys), 2) == n
+            and countOf(map(len, map(itemgetter(0), keys)), t) == n
+            and countOf(map(len, map(itemgetter(1), keys)), s) == n
+            and all(map(in_range, set(chain.from_iterable(chain.from_iterable(keys)))))
+        )
+    except TypeError:  # a key the walk raises on at its turn
+        return False
 
 
 def coordinate_identities(a: FinVectMagma, b: FinVectMagma, frame):

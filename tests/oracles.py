@@ -1306,3 +1306,44 @@ def staged_smith_diagonal(rows, ncols):
         diag.append(abs(m[t][t]))
         t += 1
     return diag
+
+
+# ---------------------------------------------------------------------------
+# the per-entry index checks that the magma constructors replaced by
+# whole-list tests
+
+
+def scan_validate_set_magma(signature, size, tables):
+    """Raise what FinSetMagma raises on bad tables, entry by entry."""
+    if size < 0:
+        raise InputError("negative carrier size")
+    for name, s, t in signature.ops:
+        if name not in tables:
+            raise InputError(f"missing table for operation {name!r}")
+        table = tables[name]
+        if len(table) != size**s:
+            raise InputError(f"table for {name!r} has {len(table)} entries, expected {size**s}")
+        for key, out in table.items():
+            if len(key) != s or any(x not in range(size) for x in key):
+                raise InputError(f"bad input tuple {key} for {name!r}")
+            if len(out) != t or any(x not in range(size) for x in out):
+                raise InputError(f"bad output tuple {out} for {name!r}")
+
+
+def scan_validate_vect_magma(signature, dim, basis_labels, tensors):
+    """Raise what FinVectMagma raises on bad tensors, entry by entry."""
+    if dim < 0:
+        raise InputError("negative dimension")
+    if len(basis_labels) != dim:
+        raise InputError("basis label count does not match the dimension")
+    for name, s, t in signature.ops:
+        if name not in tensors:
+            raise InputError(f"missing structure tensor for {name!r}")
+        for (out, inp), c in tensors[name].items():
+            if len(out) != t or len(inp) != s:
+                raise InputError(f"bad multi-index arity in tensor {name!r}")
+            if any(i not in range(dim) for i in out + inp):
+                raise InputError(f"index out of range in tensor {name!r}")
+        for c in tensors[name].values():
+            if not isinstance(c, (int, Fraction)):
+                raise InputError(f"non-exact coefficient in tensor {name!r}")

@@ -17,7 +17,7 @@ from univhopf.grouppres import (
     todd_coxeter_order,
 )
 from univhopf.finmonoid import monoid_from_rows
-from univhopf.signature import unital_signature
+from univhopf.signature import FinVectMagma, unital_signature
 
 from helpers import (
     coarsen_by_map,
@@ -81,6 +81,19 @@ def test_universal_group_dual_numbers_is_free_rank_one():
     simplified, _ = tietze_simplify(pres)
     assert simplified.num_gens == 1 and simplified.relators == ()
     assert set(gen_map) == {"0", "1"}
+
+
+@pytest.mark.parametrize("zero", [0, F(0)])
+def test_a_stored_zero_coefficient_is_no_structure(zero):
+    # x * x = 0 * 1 written out: the universal group of deg 1 = 0, deg x = 1
+    # stays Z, where counting the entry as structure gave Z/2
+    plain = dual_numbers()
+    tensors = {name: dict(t) for name, t in plain.tensors.items()}
+    tensors["mu"][((0,), (1, 1))] = zero
+    algebra = FinVectMagma(plain.signature, 2, plain.basis_labels, tensors)
+    assert algebra.tensors == plain.tensors
+    pres, _ = universal_group_of_grading(Grading(algebra, ("0", "1"), (0, 1)))
+    assert abelian_invariants(pres) == [0]
 
 
 def test_universal_group_pauli():

@@ -1,9 +1,14 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from univhopf.errors import InputError, ResourceLimitError
 from univhopf.signature import (
+    FinSetMagma,
+    FinVectMagma,
     OmegaSignature,
     enumerate_set_homs,
     is_linear_omega_morphism,
@@ -20,6 +25,7 @@ from helpers import (
     make_vect_magma,
     rational_line,
 )
+from oracles import scan_validate_set_magma, scan_validate_vect_magma
 
 F = Fraction
 
@@ -177,3 +183,77 @@ def test_vect_magma_duplicate_entry_rejected():
                 "unit": [((0,), (), 1)],
             },
         )
+
+
+def test_a_table_length_is_checked_without_forming_a_huge_power():
+    # 2 ** (2 ** 70) cannot be formed, and 10 ** 6400 has more digits than
+    # str writes
+    with pytest.raises(InputError, match=r"has 0 entries, expected 2\*\*1180591620717411303424$"):
+        FinSetMagma(OmegaSignature((("op", 2**70, 1),)), 2, {"op": {}})
+    with pytest.raises(InputError, match=r"has 0 entries, expected 1(0){100}\*\*64$"):
+        FinSetMagma(OmegaSignature((("op", 64, 1),)), 10**100, {"op": {}})
+
+
+# ---------------------------------------------------------------------------
+# the whole-list index tests of the magma constructors against the per-entry
+# scan, with faults planted at any entry
+
+_SIGNATURES = st.lists(
+    st.sampled_from([("mu", 2, 1), ("unit", 0, 1), ("pair", 1, 2), ("op3", 3, 1)]),
+    min_size=1, max_size=3, unique=True,
+).map(lambda ops: OmegaSignature(tuple(ops)))
+# an index out of range or of the wrong type, or a tuple of the wrong length
+_BAD_INDEX = st.sampled_from([-1, 3, 2**70, 1.5, 1.0, True, "x", None])
+
+
+def _rejection(call, *args):
+    try:
+        call(*args)
+    except InputError as exc:
+        return str(exc)
+    return None
+
+
+def _planted(draw, tuples, size):
+    """The tuples with up to three of them damaged at a random position."""
+    tuples = list(tuples)
+    for _ in range(draw(st.integers(0, 3)) if tuples else 0):
+        k = draw(st.integers(0, len(tuples) - 1))
+        t = list(tuples[k])
+        if t and draw(st.booleans()):
+            t[draw(st.integers(0, len(t) - 1))] = draw(_BAD_INDEX)
+        else:
+            t.append(draw(st.integers(0, size)))
+        tuples[k] = tuple(t)
+    return tuples
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data(), _SIGNATURES, st.integers(1, 3))
+def test_set_magma_index_checks_match_the_scan(data, sig, size):
+    tables = {}
+    for name, s, t in sig.ops:
+        keys = list(product(range(size), repeat=s))
+        outs = [tuple(data.draw(st.integers(0, size - 1)) for _ in range(t)) for _ in keys]
+        keys = _planted(data.draw, keys, size)
+        tables[name] = dict(zip(keys, _planted(data.draw, outs, size)))
+    args = (sig, size, tables)
+    assert _rejection(FinSetMagma, *args) == _rejection(scan_validate_set_magma, *args)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data(), _SIGNATURES, st.integers(1, 3))
+def test_vect_magma_index_checks_match_the_scan(data, sig, dim):
+    index = st.integers(0, dim - 1)
+    tensors = {}
+    for name, s, t in sig.ops:
+        entries = data.draw(st.lists(
+            st.tuples(st.tuples(*[index] * t), st.tuples(*[index] * s)), max_size=6, unique=True
+        ))
+        outs = _planted(data.draw, [out for out, _ in entries], dim)
+        keys = list(zip(outs, _planted(data.draw, [inp for _, inp in entries], dim)))
+        coeffs = data.draw(st.lists(st.sampled_from([0, 1, F(1, 2), F(0), 0.5]),
+                                    min_size=len(keys), max_size=len(keys)))
+        tensors[name] = dict(zip(keys, coeffs))
+    args = (sig, dim, tuple(map(str, range(dim))), tensors)
+    assert _rejection(FinVectMagma, *args) == _rejection(scan_validate_vect_magma, *args)
