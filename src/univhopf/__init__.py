@@ -50,7 +50,6 @@ from .hopf import (
     check_hopf_axioms_fd,
     dg_hopf_fixture,
     hopf_envelope_presentation,
-    sets_cofree_hopf,
     universal_bialgebra_structure,
 )
 from .lio import (

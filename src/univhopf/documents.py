@@ -143,7 +143,8 @@ def _records(xs, *fields):
     return _each(xs, _record, *fields)
 
 
-def parse_rational(s) -> Fraction:
+def parse_rational(s) -> int | Fraction:
+    """The rational s, an int when integral (the form _linalg.exact keeps)."""
     _expect(isinstance(s, str), "rationals are strings 'p/q'")
     num, sep, den = s.partition("/")
     try:
@@ -161,7 +162,7 @@ def parse_rational(s) -> Fraction:
         raise _BadField(f"rational {s!r} is not in lowest terms")
     if sep and q == 1:
         raise _BadField(f"rational {s!r} must be written without /1")
-    return Fraction(p, q)
+    return p if q == 1 else Fraction(p, q)
 
 
 def format_rational(x: Fraction) -> str:
@@ -321,10 +322,10 @@ def fd_algebra_from_vect_magma(vm: FinVectMagma) -> FDAlgebra:
     n, zero = vm.dim, Fraction(0)
     mult = [[[zero] * n for _ in range(n)] for _ in range(n)]
     for ((k,), (i, j)), c in vm.tensors[mu].items():
-        mult[i][j][k] = c
+        mult[i][j][k] = Fraction(c)
     unit = [zero] * n
     for ((k,), ()), c in vm.tensors[un].items():
-        unit[k] = c
+        unit[k] = Fraction(c)
     return FDAlgebra(n, tuple(tuple(map(tuple, row)) for row in mult), tuple(unit))
 
 

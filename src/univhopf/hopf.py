@@ -22,7 +22,6 @@ from math import prod
 
 from ._linalg import Vec, check_exact, exact
 from .errors import InputError, PreconditionError
-from .finmonoid import FinMonoid, unit_group
 from .coact import MatrixPresentation, check_axioms, sparse_maps
 from .ncalg import (
     AlgebraPresentation,
@@ -373,12 +372,6 @@ def hopf_envelope_presentation(
     algebra = AlgebraPresentation(total, labels, tuple(relations))
     bial = BialgebraPresentation(algebra, tuple(delta), tuple(b.counit) * (levels + 1))
     return HopfPresentation(bial, levels, degree_bound)
-
-
-def sets_cofree_hopf(m: FinMonoid) -> FinMonoid:
-    """The cofree side in the set-based world: the group of invertible elements."""
-    g, _ = unit_group(m)
-    return g
 
 
 # ---------------------------------------------------------------------------

@@ -90,19 +90,13 @@ class FiniteCategory:
         after = [{} for _ in range(m)]
         for (g, f), h in self.compose.items():
             after[g][f] = h
-        # f after the identity of dom f, and the identity of cod f after f,
-        # for all f at once; the walk only tells which law fails first
-        ids, id_of = list(range(m)), identity.__getitem__
-        right = list(map(dict.__getitem__, after, map(id_of, dom)))
-        left = list(map(dict.__getitem__, map(after.__getitem__, map(id_of, cod)), ids))
-        if right != ids or left != ids:
-            for x in range(self.num_objects):
-                i = identity[x]
-                for f in sorted({*self._outgoing[x], *self._incoming[x]}):
-                    if dom[f] == x and after[f][i] != f:
-                        raise PreconditionError("right identity law fails")
-                    if cod[f] == x and after[i][f] != f:
-                        raise PreconditionError("left identity law fails")
+        for x in range(self.num_objects):
+            i = identity[x]
+            for f in sorted({*self._outgoing[x], *self._incoming[x]}):
+                if dom[f] == x and after[f][i] != f:
+                    raise PreconditionError("right identity law fails")
+                if cod[f] == x and after[i][f] != f:
+                    raise PreconditionError("left identity law fails")
         # (h g) f = h (g f) over all f into dom g, one row per (h, g): the
         # row of hg read at those f against the row of h read through g's.
         # When only the identity enters dom g, the identity laws already

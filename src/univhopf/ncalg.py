@@ -9,8 +9,8 @@ confluent.
 
 Reduction looks rules up by leading word: a dict probed with the factors of
 a word at the distinct leading-word lengths only, the first position and
-then the lowest-listed rule winning.  Terms are rewritten from a max-heap in
-decreasing deglex order, so a word found irreducible is final.
+then the lowest-listed rule winning.  The deglex-largest pending term is
+rewritten first, so a word found irreducible is final.
 
 A bounded system is flagged confluent only when its last overlap pass
 produced no new rule and either skipped no overlap for the bound (then
@@ -39,9 +39,7 @@ private field: completing the same instance again returns that system, so
 equal presentation built separately completes on its own.
 """
 
-import heapq
 from bisect import insort
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
@@ -230,23 +228,16 @@ def _redex(word: Word, index):
     return None
 
 
-def _heap_key(w: Word):
-    # heapq pops its smallest entry first: this key pops the deglex-largest
-    return (-len(w), tuple(-g for g in w), w)
-
-
 def _reduce(p: NCPoly, index) -> NCPoly:
     """Rewrite the deglex-largest reducible term until none is left.
 
-    Terms leave a max-heap in decreasing deglex order.  Every replacement
-    term is smaller than the word it replaces, so a popped irreducible word
-    is final."""
+    The largest pending word is taken next.  Every replacement term is
+    smaller than the word it replaces, so an irreducible word taken is
+    final."""
     pending = dict(p.terms)
-    heap = [_heap_key(w) for w in pending]
-    heapq.heapify(heap)
     out = {}
-    while heap:
-        w = heapq.heappop(heap)[2]
+    while pending:
+        w = max(pending, key=deglex_key)
         c = pending.pop(w)
         if not c:
             continue
@@ -258,11 +249,7 @@ def _reduce(p: NCPoly, index) -> NCPoly:
         prefix, suffix = w[:start], w[end:]
         for v, d in rhs.terms.items():
             u = prefix + v + suffix
-            if u in pending:
-                pending[u] += c * d
-            else:
-                pending[u] = c * d
-                heapq.heappush(heap, _heap_key(u))
+            pending[u] = pending.get(u, 0) + c * d
     return NCPoly._trusted(out)
 
 
@@ -295,10 +282,10 @@ def _add_and_interreduce(rules: list, pending: list) -> None:
     no factor straddles two words.  The empty word is a factor of every rule.
     The index is updated in place: each new rule takes the next serial
     number, so the lowest-listed rule still wins a tie, and the rule and text
-    lists are rebuilt only when some rule goes back to pending.
+    lists are rebuilt only when some rule goes back to pending.  A length
+    whose last rule went back stays listed: it costs _redex a missed probe.
     """
     index = table, lengths = _rule_index(rules)
-    per_length = Counter(map(len, table))
     serial = len(rules)
     texts = [_text(chain((lw,), rhs.terms)) for lw, rhs in rules]
     while pending:
@@ -313,17 +300,13 @@ def _add_and_interreduce(rules: list, pending: list) -> None:
                 old_lw, old_rhs = rules[i]
                 pending.append(NCPoly._trusted({old_lw: 1}) - old_rhs)
                 del table[old_lw]
-                per_length[len(old_lw)] -= 1
-                if not per_length[len(old_lw)]:
-                    lengths.remove(len(old_lw))
             gone = set(requeued)
             rules[:] = [r for i, r in enumerate(rules) if i not in gone]
             texts = [t for i, t in enumerate(texts) if i not in gone]
         table[lw] = (serial, rhs)
         serial += 1
-        if not per_length[len(lw)]:
+        if len(lw) not in lengths:
             insort(lengths, len(lw))
-        per_length[len(lw)] += 1
         rules.append((lw, rhs))
         texts.append(_text(chain((lw,), rhs.terms)))
 

@@ -13,6 +13,8 @@ from univhopf.coact import (
     FDAlgebra,
     FDCoalgebra,
     TensorValuedMap,
+    manin_end_presentation,
+    tambara_presentation,
 )
 from univhopf.errors import InputError, PreconditionError
 from univhopf.finmonoid import (
@@ -544,6 +546,19 @@ def corpus_gradings(seed=42):
         for family, (kind, value) in _corpus_group_documents(seed).items()
         if kind == "grading"
     }
+
+
+def corpus_algebra_presentations(seed):
+    """The algebra of each Manin end and Tambara presentation of the
+    benchmark's ``presentations`` workload for the seed."""
+    out = []
+    for job in _bench_module("gen").generate("presentations", seed):
+        values = [documents.parse_input_document(text)[1] for text in job["docs"]]
+        if job["params"]["variant"] == "manin":
+            out.append(manin_end_presentation(values[0]).algebra)
+        else:
+            out.append(tambara_presentation(values[0], values[1]).algebra)
+    return out
 
 
 def corpus_membership_answers(seed):

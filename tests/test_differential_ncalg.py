@@ -1,4 +1,4 @@
-"""Differential tests: the indexed, heap-ordered reducer and the completion
+"""Differential tests: the indexed, deglex-ordered reducer and the completion
 built on it against the linear-scan reducer and completion in oracles.py,
 on random rule lists and small presentations over 2-3 generators.
 Interreduction's substring factor test against the slice scan it replaced;
@@ -6,10 +6,12 @@ the coefficient types that come out; the normal-word counts of a
 confluent completion against the rank modulo a prime of the products
 u r v, which does not use the completion; and the normal words of a
 system flagged confluent, two degrees beyond its bound, checked
-independent modulo those products."""
+independent modulo those products; and those counts under a permutation of
+the generators."""
 
 from fractions import Fraction
 from itertools import product
+from random import Random
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -38,7 +40,11 @@ from oracles import (
     truncated_ideal_pivots,
     truncated_ideal_rank_mod_p,
 )
-from helpers import corpus_membership_answers, is_exact_coefficient
+from helpers import (
+    corpus_algebra_presentations,
+    corpus_membership_answers,
+    is_exact_coefficient,
+)
 
 F = Fraction
 ORACLE_STEPS = 3_000
@@ -108,8 +114,9 @@ def test_first_listed_rule_wins_at_a_position():
 @settings(max_examples=300, deadline=None)
 @given(data=st.data(), case=rule_lists())
 def test_indexed_reduction_matches_linear_scan(data, case):
+    # up to 30 terms: far more pending terms than the corpus ever holds (8)
     num_gens, rules = case
-    p = data.draw(polys(num_gens, 5))
+    p = data.draw(st.one_of(polys(num_gens, 5), polys(num_gens, 5, max_terms=30)))
     assert _reduce(p, _rule_index(rules)) == scan_reduce(p, rules)
 
 
@@ -315,3 +322,49 @@ def test_certain_non_members_stay_outside_the_truncated_ideal():
             assert reduce_mod_pivots(poly.terms, pivots), poly
             checked += 1
     assert (checked, skipped) == (77, 23)
+
+
+def _permuted(pres, perm):
+    """The presentation with generator g renamed perm[g]."""
+    labels = tuple(label for _, label in sorted(zip(perm, pres.gen_labels)))
+    relations = tuple(
+        NCPoly({tuple(perm[g] for g in w): c for w, c in r.terms.items()})
+        for r in pres.relations
+    )
+    return AlgebraPresentation(pres.num_gens, labels, relations)
+
+
+def _normal_word_counts(system):
+    return [dim_normal_words(system, k) for k in range(system.degree_bound + 1)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), pres=presentations(), bound=st.integers(3, 4))
+def test_normal_word_counts_do_not_depend_on_the_generator_order(data, pres, bound):
+    # the normal words of a confluent system of degree k count the k-th
+    # filtered piece of the algebra, which no renaming of generators changes
+    perm = data.draw(st.permutations(range(pres.num_gens)))
+    other = _permuted(pres, perm)
+    _oracle_completion(pres, bound)
+    _oracle_completion(other, bound)
+    system, permuted = complete_rules_up_to(pres, bound), complete_rules_up_to(other, bound)
+    assume(system.confluent_up_to and permuted.confluent_up_to)
+    assert _normal_word_counts(system) == _normal_word_counts(permuted)
+
+
+def test_corpus_normal_word_counts_do_not_depend_on_the_generator_order():
+    # each Manin end and Tambara algebra of the benchmark corpus at bound 4,
+    # under 3 random generator orders
+    rng, compared, pairs = Random(18), 0, 0
+    for seed in (42, 7, 1201, 1409):
+        for pres in corpus_algebra_presentations(seed):
+            system = complete_rules_up_to(pres, 4)
+            for _ in range(3):
+                perm = list(range(pres.num_gens))
+                rng.shuffle(perm)
+                permuted = complete_rules_up_to(_permuted(pres, perm), 4)
+                pairs += 1
+                if system.confluent_up_to and permuted.confluent_up_to:
+                    assert _normal_word_counts(system) == _normal_word_counts(permuted), pres
+                    compared += 1
+    assert (compared, pairs) == (282, 300)

@@ -64,6 +64,7 @@ _MANIN_END_BIALGEBRA = docs.serialize_bialgebra_presentation(
 
 def test_rational_parsing():
     assert docs.parse_rational("3") == F(3)
+    assert type(docs.parse_rational("3")) is int
     assert docs.parse_rational("-7/2") == F(-7, 2)
     for bad in ("2/4", "1/-2", "1/0", "x", "3/1", 7):
         with pytest.raises(InputError):

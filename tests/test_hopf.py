@@ -8,6 +8,7 @@ from univhopf.errors import InputError, PreconditionError
 from univhopf.finmonoid import (
     grothendieck_group,
     monoid_from_rows,
+    unit_group,
 )
 from univhopf.grouppres import todd_coxeter_order
 from univhopf.hopf import (
@@ -20,7 +21,6 @@ from univhopf.hopf import (
     check_hopf_axioms_fd,
     dg_hopf_fixture,
     hopf_envelope_presentation,
-    sets_cofree_hopf,
     skew_primitive_hopf,
     universal_bialgebra_structure,
 )
@@ -470,10 +470,10 @@ def test_sets_hopf_envelope_is_group_completion():
 
 
 def test_sets_cofree_hopf_is_unit_group():
-    assert sets_cofree_hopf(full_transformation_monoid(2)).size == 2
-    assert sets_cofree_hopf(klein_four()).size == 4
+    assert unit_group(full_transformation_monoid(2))[0].size == 2
+    assert unit_group(klein_four())[0].size == 4
     idem = monoid_from_rows([[0, 1], [1, 1]], 0)
-    assert sets_cofree_hopf(idem).size == 1
+    assert unit_group(idem)[0].size == 1
 
 
 def test_dg_fixture_all_axioms_pass():
