@@ -71,9 +71,9 @@ def validate_grading(grading: Grading):
     assign = grading.assignment
     for name, s, t in alg.signature.ops:
         out_labels_by_input: dict = {}
-        for (out, inp), _ in sorted(alg.tensors[name].items()):
-            in_labels = tuple(assign[j] for j in inp)
-            out_labels = tuple(assign[i] for i in out)
+        for out, inp in sorted(alg.tensors[name]):
+            in_labels = tuple(map(assign.__getitem__, inp))
+            out_labels = tuple(map(assign.__getitem__, out))
             prev = out_labels_by_input.setdefault(in_labels, out_labels)
             if prev != out_labels:
                 return False, {

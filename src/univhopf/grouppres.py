@@ -71,11 +71,8 @@ class GroupPresentation:
 
 def presentation(num_gens, relators, gen_labels=None) -> GroupPresentation:
     """Build a presentation, freely reducing relators and dropping trivial ones."""
-    reduced = []
-    for w in relators:
-        r = free_reduce_word(w)
-        if r and r not in reduced:
-            reduced.append(r)
+    reduced = dict.fromkeys(map(free_reduce_word, relators))
+    reduced.pop((), None)
     return GroupPresentation(
         num_gens, tuple(reduced), tuple(gen_labels) if gen_labels else None
     )

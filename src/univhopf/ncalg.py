@@ -7,10 +7,11 @@ ambiguities among leading words up to a degree bound only; ideal membership
 beyond the bound is reported as uncertain unless the bounded system is
 confluent.
 
-Reduction looks rules up by leading word: a dict probed with the factors of
-a word at the distinct leading-word lengths only, the first position and
-then the lowest-listed rule winning.  The deglex-largest pending term is
-rewritten first, so a word found irreducible is final.
+A rewrite system is reduced: no leading word is a factor of another, so one
+rule at most matches at a position and normal forms do not depend on the
+order of the rules.  Reduction probes a dict of leading words with a word's
+factors at the leading-word lengths, first position first; the deglex-largest
+pending term is rewritten first, so a word found irreducible is final.
 
 A bounded system is flagged confluent only when its last overlap pass
 produced no new rule and either skipped no overlap for the bound (then
@@ -186,11 +187,13 @@ class RewriteSystem:
     _index: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        seen = set()
+        if any(not 0 <= g < self.num_gens for lw, _ in self.rules for g in lw):
+            raise InputError("generator index out of range in a leading word")
+        # reduced: each leading word occurs once in the text of all of them
+        text = _text(lw for lw, _ in self.rules)
         for lw, rhs in self.rules:
-            if lw in seen:
-                raise InputError("duplicate leading word")
-            seen.add(lw)
+            if text.count(_text((lw,))) != 1:
+                raise InputError("a leading word is a factor of another")
             for w in rhs.terms:
                 if deglex_key(w) >= deglex_key(lw):
                     raise InputError("rule right side is not deglex-smaller")
@@ -198,33 +201,28 @@ class RewriteSystem:
 
 
 def _rule_index(rules):
-    """Leading word -> (first list index, rhs), and the distinct leading-word
-    lengths in increasing order."""
-    table = {}
-    for i, (lw, rhs) in enumerate(rules):
-        table.setdefault(lw, (i, rhs))
+    """Leading word -> rhs, and the distinct leading-word lengths in
+    increasing order."""
+    table = dict(rules)
     return table, sorted({len(lw) for lw in table})
 
 
 def _redex(word: Word, index):
-    """(start, end, rhs) of the first position holding a leading word, the
-    lowest-listed rule winning a tie at that position; None if the word is
+    """(start, end, rhs) of the first position holding a leading word, which
+    in a reduced system is the only one there; None if the word is
     irreducible.  The empty word is probed at position 0 too, where only the
     empty leading word of a constant relation matches it: once the ideal
     contains 1, every word rewrites to 0."""
     table, lengths = index
     n = len(word)
     for pos in range(max(n, 1)):
-        best = None
         for length in lengths:
             end = pos + length
             if end > n:
                 break
-            hit = table.get(word[pos:end])
-            if hit is not None and (best is None or hit[0] < best[0]):
-                best = (hit[0], end, hit[1])
-        if best is not None:
-            return pos, best[1], best[2]
+            rhs = table.get(word[pos:end])
+            if rhs is not None:
+                return pos, end, rhs
     return None
 
 
@@ -275,18 +273,18 @@ def _text(words) -> str:
 
 def _add_and_interreduce(rules: list, pending: list) -> None:
     """Drain pending polynomials into the rule list, keeping it inter-reduced.
-    The rules must have distinct leading words.
+    The rules must form a reduced system, and they still do after: a new
+    leading word is irreducible by the rules, since its polynomial was
+    reduced by them, and every rule that contains it goes back to pending.
 
     A rule goes back to pending when the new leading word is a factor of one
     of its words: a substring of its _text, since NUL is in no word's text, so
     no factor straddles two words.  The empty word is a factor of every rule.
-    The index is updated in place: each new rule takes the next serial
-    number, so the lowest-listed rule still wins a tie, and the rule and text
-    lists are rebuilt only when some rule goes back to pending.  A length
-    whose last rule went back stays listed: it costs _redex a missed probe.
+    The index is updated in place, and the rule and text lists are rebuilt
+    only when some rule goes back to pending.  A length whose last rule went
+    back stays listed: it costs _redex a missed probe.
     """
     index = table, lengths = _rule_index(rules)
-    serial = len(rules)
     texts = [_text(chain((lw,), rhs.terms)) for lw, rhs in rules]
     while pending:
         p = _reduce(pending.pop(0), index)
@@ -303,8 +301,7 @@ def _add_and_interreduce(rules: list, pending: list) -> None:
             gone = set(requeued)
             rules[:] = [r for i, r in enumerate(rules) if i not in gone]
             texts = [t for i, t in enumerate(texts) if i not in gone]
-        table[lw] = (serial, rhs)
-        serial += 1
+        table[lw] = rhs
         if len(lw) not in lengths:
             insort(lengths, len(lw))
         rules.append((lw, rhs))

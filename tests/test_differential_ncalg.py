@@ -6,8 +6,8 @@ the coefficient types that come out; the normal-word counts of a
 confluent completion against the rank modulo a prime of the products
 u r v, which does not use the completion; and the normal words of a
 system flagged confluent, two degrees beyond its bound, checked
-independent modulo those products; and those counts under a permutation of
-the generators."""
+independent modulo those products; those counts under a permutation of
+the generators; and normal forms under a shuffle of a system's rules."""
 
 from fractions import Fraction
 from itertools import product
@@ -20,6 +20,7 @@ from univhopf.documents import format_rational
 from univhopf.ncalg import (
     AlgebraPresentation,
     NCPoly,
+    RewriteSystem,
     _add_and_interreduce,
     _reduce,
     _rule_index,
@@ -67,13 +68,13 @@ def polys(draw, num_gens, max_len, max_terms=4, min_len=0):
 
 @st.composite
 def rule_lists(draw):
-    """Rules lw -> rhs with rhs deglex-smaller, leading words drawn from a
-    small pool so that duplicates and rules sharing a position occur."""
+    """A reduced system lw -> rhs with rhs deglex-smaller: leading words from
+    a small pool, less the words that are factors of another pool word, so
+    that leading words overlap but none contains another."""
     num_gens = draw(st.integers(2, 3))
-    pool = draw(st.lists(words(num_gens, 1, 3), min_size=1, max_size=4))
+    pool = draw(st.lists(words(num_gens, 1, 3), min_size=1, max_size=4, unique=True))
     rules = []
-    for _ in range(draw(st.integers(1, 6))):
-        lw = draw(st.sampled_from(pool))
+    for lw in [w for w in pool if not any(w != v and has_factor((v,), w) for v in pool)]:
         smaller = words(num_gens, 0, len(lw)).filter(lambda w: deglex_key(w) < deglex_key(lw))
         rhs = draw(st.dictionaries(smaller, COEFFS, max_size=3))
         rules.append((lw, NCPoly(rhs)))
@@ -100,15 +101,6 @@ def _oracle_completion(pres, bound):
 
 def _homogeneous(pres):
     return all(len({len(w) for w in r.terms}) == 1 for r in pres.relations)
-
-
-def test_first_listed_rule_wins_at_a_position():
-    # x and xy both start at position 0 of xy: the first listed one rewrites
-    y, two = NCPoly.gen(1), NCPoly.one().scale(2)
-    xy = NCPoly.monomial((0, 1))
-    assert _reduce(xy, _rule_index([((0,), NCPoly.one()), ((0, 1), two)])) == y
-    assert _reduce(xy, _rule_index([((0, 1), two), ((0,), NCPoly.one())])) == two
-    assert _reduce(xy, _rule_index([((0,), two), ((0,), NCPoly.one())])) == y.scale(2)
 
 
 @settings(max_examples=300, deadline=None)
@@ -142,6 +134,24 @@ def test_certified_system_reduces_like_a_higher_bound(data, pres):
     for _ in range(3):
         p = data.draw(polys(pres.num_gens, bound))
         assert reduce_normal_form(p, system) == reduce_normal_form(p, higher)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), pres=presentations())
+def test_normal_forms_do_not_depend_on_the_rule_order(data, pres):
+    bound = 4
+    _oracle_completion(pres, bound)
+    system = complete_rules_up_to(pres, bound)
+    shuffled = RewriteSystem(
+        system.num_gens,
+        tuple(data.draw(st.permutations(system.rules))),
+        bound,
+        system.confluent_up_to,
+        system.overlaps_skipped,
+    )
+    for _ in range(3):
+        p = data.draw(polys(pres.num_gens, bound, max_terms=6))
+        assert reduce_normal_form(p, shuffled) == reduce_normal_form(p, system)
 
 
 @st.composite

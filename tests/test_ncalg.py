@@ -202,6 +202,23 @@ def test_overlaps_skipped_defaults_to_zero():
     assert reduce_normal_form(NCPoly.monomial((0, 0, 0)), system) == x
 
 
+@pytest.mark.parametrize(
+    "rules, message",
+    [
+        ((((0, 1), x), ((0, 1), one)), "factor of another"),  # a repeated leading word
+        ((((0,), one), ((0, 1), x)), "factor of another"),  # x is a factor of xy
+        ((((1, 0, 1), x), ((0,), one)), "factor of another"),  # ... and of yxy, inside it
+        ((((), NCPoly.zero()), ((0,), one)), "factor of another"),  # 1 beside another rule
+        ((((-1,), one), ((0,), one)), "out of range"),  # would be the separator NUL
+        ((((-2,), one),), "out of range"),
+        ((((2,), one),), "out of range"),
+    ],
+)
+def test_a_rewrite_system_is_reduced(rules, message):
+    with pytest.raises(InputError, match=message):
+        RewriteSystem(2, rules, 4, True)
+
+
 COLLAPSE_SCRIPT = """
 from univhopf.ncalg import AlgebraPresentation, NCPoly, complete_rules_up_to, dim_normal_words
 a, one = NCPoly.gen(0), NCPoly.one()
