@@ -9,7 +9,6 @@ codes: 0 success, 1 usage, 2 parse/schema error, 3 precondition violation,
 import argparse
 import sys
 from contextlib import redirect_stderr, redirect_stdout
-from functools import cache
 
 from . import documents as docs
 from .coact import (
@@ -286,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_parser = cache(build_parser)  # built once, on first use
+_PARSER = build_parser()  # one per process: parse_args leaves it unchanged
 
 
 def _emit(doc: dict, fmt: str, stdout) -> None:
@@ -302,7 +301,7 @@ def run(argv, stdout=None, stderr=None) -> int:
     try:
         # argparse prints usage, errors and --help to sys.stdout/sys.stderr
         with redirect_stdout(stdout), redirect_stderr(stderr):
-            args = _parser().parse_args(argv)
+            args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     handler, arity = _HANDLERS[args.command]

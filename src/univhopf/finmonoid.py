@@ -28,7 +28,11 @@ class FinMonoid:
             )
         if any(len(row) != n for row in self.table):
             raise InputError("multiplication table is not square")
-        if not all(map(rng.__contains__, chain.from_iterable(self.table))):
+        try:  # each distinct entry once; an unhashable one is no index
+            entries = set(chain.from_iterable(self.table))
+        except TypeError:
+            entries = (None,)
+        if not all(map(rng.__contains__, entries)):
             raise InputError("table entry out of range")
         if self.unit not in rng:
             raise InputError("unit index out of range")

@@ -7,11 +7,29 @@ ambiguities among leading words up to a degree bound only; ideal membership
 beyond the bound is reported as uncertain unless the bounded system is
 confluent.
 
+Inside the rewriting core a word is a string: generator g is the letter
+chr(g + 1), so string order is generator order, deglex is (len(w), w) on
+strings too, slices, dict probes and factor tests run in C, and NUL is in
+no word.  Words are converted once at the boundary: completion converts the
+relations in and its rules out, and a ``RewriteSystem`` converts its rules
+into a string index once.  ``NCPoly``, ``RewriteSystem.rules``, documents
+and ``hopf`` keep tuple words; inside completion a polynomial is a plain
+dict {string word: coefficient}.
+
 A rewrite system is reduced: no leading word is a factor of another, so one
 rule at most matches at a position and normal forms do not depend on the
 order of the rules.  Reduction probes a dict of leading words with a word's
-factors at the leading-word lengths, first position first; the deglex-largest
-pending term is rewritten first, so a word found irreducible is final.
+factors at the leading-word lengths, first position first.
+
+Reduction is linear: the normal form of a sum of c w is the sum of the
+c nf(w), and nf(w) depends only on w and the rules, not on the polynomial
+that w came in.  So a word's normal form is computed once per rule index
+and kept in a memo that goes with that index: a fresh one for each overlap
+pass, whose index is fixed; one that interreduction clears whenever it
+changes its index; and one owned by each ``RewriteSystem``, keyed by tuple
+words, which every ``reduce_normal_form`` on it reuses.  No memo outlives
+its index, so a hit is exactly what computing the normal form again would
+give.
 
 A bounded system is flagged confluent only when its last overlap pass
 produced no new rule and either skipped no overlap for the bound (then
@@ -43,7 +61,6 @@ equal presentation built separately completes on its own.
 from bisect import insort
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
 
 from ._linalg import check_exact, exact
 from .errors import InputError
@@ -177,6 +194,15 @@ class AlgebraPresentation:
                     raise InputError("generator index out of range in relation")
 
 
+def _to_str(w: Word) -> str:
+    """A tuple word as a string word: generator g is the letter chr(g + 1)."""
+    return "".join([chr(g + 1) for g in w])
+
+
+def _to_tuple(s: str) -> Word:
+    return tuple([ord(x) - 1 for x in s])
+
+
 @dataclass(frozen=True, eq=False)
 class RewriteSystem:
     num_gens: int
@@ -185,29 +211,37 @@ class RewriteSystem:
     confluent_up_to: bool
     overlaps_skipped: int = 0  # by the degree bound, in the last overlap pass
     _index: tuple = field(init=False, repr=False, compare=False)
+    # tuple word -> its normal form, a dict of tuple words
+    _normal_forms: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if any(not 0 <= g < self.num_gens for lw, _ in self.rules for g in lw):
             raise InputError("generator index out of range in a leading word")
+        if any(not 0 <= g < self.num_gens for _, rhs in self.rules for w in rhs.terms for g in w):
+            raise InputError("generator index out of range in a rule right side")
+        leading = [_to_str(lw) for lw, _ in self.rules]
         # reduced: each leading word occurs once in the text of all of them
-        text = _text(lw for lw, _ in self.rules)
-        for lw, rhs in self.rules:
-            if text.count(_text((lw,))) != 1:
+        text = "\0".join(leading)
+        for lw, (word, rhs) in zip(leading, self.rules):
+            if text.count(lw) != 1:
                 raise InputError("a leading word is a factor of another")
             for w in rhs.terms:
-                if deglex_key(w) >= deglex_key(lw):
+                if deglex_key(w) >= deglex_key(word):
                     raise InputError("rule right side is not deglex-smaller")
-        object.__setattr__(self, "_index", _rule_index(self.rules))
+        table = {
+            lw: {_to_str(w): c for w, c in rhs.terms.items()}
+            for lw, (_, rhs) in zip(leading, self.rules)
+        }
+        object.__setattr__(self, "_index", (table, _lengths(table)))
+        object.__setattr__(self, "_normal_forms", {})
 
 
-def _rule_index(rules):
-    """Leading word -> rhs, and the distinct leading-word lengths in
-    increasing order."""
-    table = dict(rules)
-    return table, sorted({len(lw) for lw in table})
+def _lengths(table) -> list:
+    """The distinct leading-word lengths of a rule table, in increasing order."""
+    return sorted({len(lw) for lw in table})
 
 
-def _redex(word: Word, index):
+def _redex(word: str, index):
     """(start, end, rhs) of the first position holding a leading word, which
     in a reduced system is the only one there; None if the word is
     irreducible.  The empty word is probed at position 0 too, where only the
@@ -215,7 +249,7 @@ def _redex(word: Word, index):
     contains 1, every word rewrites to 0."""
     table, lengths = index
     n = len(word)
-    for pos in range(max(n, 1)):
+    for pos in range(n or 1):
         for length in lengths:
             end = pos + length
             if end > n:
@@ -226,77 +260,111 @@ def _redex(word: Word, index):
     return None
 
 
-def _reduce(p: NCPoly, index) -> NCPoly:
-    """Rewrite the deglex-largest reducible term until none is left.
-
-    The largest pending word is taken next.  Every replacement term is
-    smaller than the word it replaces, so an irreducible word taken is
-    final."""
-    pending = dict(p.terms)
+def _linear(terms: dict, memo: dict) -> dict:
+    """The sum of c * memo[w] over the terms c w, zeros dropped."""
     out = {}
-    while pending:
-        w = max(pending, key=deglex_key)
-        c = pending.pop(w)
-        if not c:
+    for w, c in terms.items():
+        for v, d in memo[w].items():
+            out[v] = out.get(v, 0) + c * d
+    return {v: exact(x) for v, x in out.items() if x}
+
+
+def _fill(words: list, index, memo: dict) -> None:
+    """Put the normal form of each word into memo, with that of every word
+    met on the way; the list of words is used up.  A word's rewrite is
+    expanded on an explicit stack, not by recursion, since a chain of
+    single-term rules may be thousands long; every replacement word is
+    deglex-smaller, so the stack empties."""
+    todo = words
+    replaced = {}  # word -> its one-step rewrite {replacement word: coefficient}
+    while todo:
+        w = todo[-1]
+        if w in memo:
+            todo.pop()
             continue
-        hit = _redex(w, index)
-        if hit is None:
-            out[w] = exact(c)
-            continue
-        start, end, rhs = hit
-        prefix, suffix = w[:start], w[end:]
-        for v, d in rhs.terms.items():
-            u = prefix + v + suffix
-            pending[u] = pending.get(u, 0) + c * d
-    return NCPoly._trusted(out)
+        step = replaced.get(w)
+        if step is None:
+            hit = _redex(w, index)
+            if hit is None:
+                memo[w] = {w: 1}
+                todo.pop()
+                continue
+            start, end, rhs = hit
+            prefix, suffix = w[:start], w[end:]
+            step = replaced[w] = {prefix + v + suffix: d for v, d in rhs.items()}
+            missing = [u for u in step if u not in memo]
+            if missing:
+                todo += missing
+                continue
+        todo.pop()
+        memo[w] = _linear(step, memo)
+
+
+def _reduce(p: dict, index, memo: dict) -> dict:
+    """The normal form of a polynomial of string words, by linearity: the
+    sum of its words' normal forms, each found in memo or computed into it."""
+    missing = [w for w in p if w not in memo]
+    if missing:
+        _fill(missing, index, memo)
+    return _linear(p, memo)
 
 
 def reduce_normal_form(p: NCPoly, system: RewriteSystem) -> NCPoly:
     """Rewrite until no term contains a rule's leading word; terminates since
-    every step is deglex-decreasing."""
-    return _reduce(p, system._index)
+    every step is deglex-decreasing.  The normal form of each word of p is
+    kept in the system, so later calls on the system reuse it."""
+    memo = system._normal_forms
+    missing = {w: _to_str(w) for w in p.terms if w not in memo}
+    if missing:
+        words = {}  # string word -> normal form, for this call
+        _fill(list(missing.values()), system._index, words)
+        for w, s in missing.items():
+            memo[w] = {_to_tuple(v): c for v, c in words[s].items()}
+    return NCPoly._trusted(_linear(p.terms, memo))
 
 
-def _orient(p: NCPoly) -> tuple[Word, NCPoly]:
-    lw = p.leading_word()
-    lc = p.terms[lw]
+def _orient(p: dict) -> tuple[str, dict]:
+    """A nonzero polynomial of string words as the rule lw -> rhs."""
+    lw = max(p, key=deglex_key)
+    lc = p[lw]
     if lc == 1:
-        return lw, NCPoly._trusted({w: -c for w, c in p.terms.items() if w != lw})
-    rest = NCPoly._trusted({w: c for w, c in p.terms.items() if w != lw})
-    return lw, rest if lc == -1 else rest.scale(Fraction(-1) / lc)
-
-
-def _text(words) -> str:
-    """The words as one string: generator g is chr(g + 1), words joined by NUL."""
-    return "\0".join(["".join([chr(g + 1) for g in w]) for w in words])
+        return lw, {w: -c for w, c in p.items() if w != lw}
+    if lc == -1:
+        return lw, {w: c for w, c in p.items() if w != lw}
+    f = Fraction(-1) / lc
+    return lw, {w: exact(f * c) for w, c in p.items() if w != lw}
 
 
 def _add_and_interreduce(rules: list, pending: list) -> None:
     """Drain pending polynomials into the rule list, keeping it inter-reduced.
-    The rules must form a reduced system, and they still do after: a new
-    leading word is irreducible by the rules, since its polynomial was
-    reduced by them, and every rule that contains it goes back to pending.
+    Rules and polynomials are on string words.  The rules must form a
+    reduced system, and they still do after: a new leading word is
+    irreducible by the rules, since its polynomial was reduced by them, and
+    every rule that contains it goes back to pending.
 
     A rule goes back to pending when the new leading word is a factor of one
-    of its words: a substring of its _text, since NUL is in no word's text, so
-    no factor straddles two words.  The empty word is a factor of every rule.
-    The index is updated in place, and the rule and text lists are rebuilt
-    only when some rule goes back to pending.  A length whose last rule went
-    back stays listed: it costs _redex a missed probe.
+    of its words: a substring of its words joined by NUL, which is in no
+    word, so no factor straddles two words.  The empty word is a factor of
+    every rule.  The index is updated in place, and the rule and text lists
+    are rebuilt only when some rule goes back to pending.  A length whose
+    last rule went back stays listed: it costs _redex a missed probe.  The
+    memo of normal forms is cleared whenever the index changes.
     """
-    index = table, lengths = _rule_index(rules)
-    texts = [_text(chain((lw,), rhs.terms)) for lw, rhs in rules]
+    table = dict(rules)
+    lengths = _lengths(table)
+    index = table, lengths
+    texts = ["\0".join([lw, *rhs]) for lw, rhs in rules]
+    memo = {}
     while pending:
-        p = _reduce(pending.pop(0), index)
-        if p.is_zero():
+        p = _reduce(pending.pop(0), index, memo)
+        if not p:
             continue
         lw, rhs = _orient(p)
-        factor = _text((lw,))
-        requeued = [i for i, text in enumerate(texts) if factor in text]
+        requeued = [i for i, text in enumerate(texts) if lw in text]
         if requeued:
             for i in requeued:
                 old_lw, old_rhs = rules[i]
-                pending.append(NCPoly._trusted({old_lw: 1}) - old_rhs)
+                pending.append({old_lw: 1, **{w: -c for w, c in old_rhs.items()}})
                 del table[old_lw]
             gone = set(requeued)
             rules[:] = [r for i, r in enumerate(rules) if i not in gone]
@@ -305,7 +373,8 @@ def _add_and_interreduce(rules: list, pending: list) -> None:
         if len(lw) not in lengths:
             insort(lengths, len(lw))
         rules.append((lw, rhs))
-        texts.append(_text(chain((lw,), rhs.terms)))
+        texts.append("\0".join([lw, *rhs]))
+        memo.clear()
 
 
 def _overlaps(rules):
@@ -346,17 +415,18 @@ def complete_rules_up_to(
         raise InputError(
             f"degree bound {degree_bound} is below the maximal relation degree {max_rel_deg}"
         )
-    rules: list[tuple[Word, NCPoly]] = []
-    pending = list(pres.relations)  # clean NCPolys, never mutated
-    _add_and_interreduce(rules, pending)
+    rules: list[tuple[str, dict]] = []
+    relations = [{_to_str(w): c for w, c in r.terms.items()} for r in pres.relations]
+    _add_and_interreduce(rules, relations)
     confluent = False
     skipped = 0
     previous = {}
     for _ in range(_COMPLETION_PASS_CAP):
         rules.sort(key=lambda r: deglex_key(r[0]))
-        index = _rule_index(rules)
+        table = dict(rules)
+        index, memo = (table, _lengths(table)), {}
         fresh = {lw for lw, rhs in rules if rhs != previous.get(lw)}
-        previous = dict(rules)
+        previous = table
         new_polys = []
         skipped = 0
         for lw1, rhs1, lw2, rhs2, k in _overlaps(rules):
@@ -367,18 +437,22 @@ def complete_rules_up_to(
                 continue  # reduced in the previous pass
             # superposition lw1 . lw2[k:] = lw1[:-k] . lw2
             tail, head = lw2[k:], lw1[: len(lw1) - k]
-            s = {v + tail: c for v, c in rhs1.terms.items()}
-            for v, c in rhs2.terms.items():
+            s = {v + tail: c for v, c in rhs1.items()}
+            for v, c in rhs2.items():
                 s[head + v] = s.get(head + v, 0) - c
-            s = _reduce(_nonzero(s), index)
-            if not s.is_zero():
+            s = _reduce(s, index, memo)
+            if s:
                 new_polys.append(s)
         if not new_polys:
             confluent = skipped == 0 or all(map(_is_homogeneous, pres.relations))
             break
         _add_and_interreduce(rules, new_polys)
     rules.sort(key=lambda r: deglex_key(r[0]))
-    system = RewriteSystem(pres.num_gens, tuple(rules), degree_bound, confluent, skipped)
+    out = tuple(
+        (_to_tuple(lw), NCPoly._trusted({_to_tuple(w): c for w, c in rhs.items()}))
+        for lw, rhs in rules
+    )
+    system = RewriteSystem(pres.num_gens, out, degree_bound, confluent, skipped)
     pres._completions[degree_bound] = system
     return system
 
@@ -408,15 +482,16 @@ def dim_normal_words(system: RewriteSystem, degree: int) -> int:
         n = len(word)
         return any(word[n - length :] in table for length in lengths if length <= n)
 
+    letters = [chr(g + 1) for g in range(system.num_gens)]
     count = 0
-    stack = [] if ends_reducible(()) else [()]
+    stack = [] if ends_reducible("") else [""]
     while stack:
         w = stack.pop()
         if len(w) == degree:
             count += 1
             continue
-        for g in range(system.num_gens):
-            nxt = w + (g,)
+        for x in letters:
+            nxt = w + x
             if not ends_reducible(nxt):
                 stack.append(nxt)
     return count

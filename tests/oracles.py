@@ -41,10 +41,9 @@ from univhopf.hopf import AxiomReport
 from univhopf.ncalg import (
     AlgebraPresentation,
     NCPoly,
-    _orient,
-    _reduce,
-    _rule_index,
+    RewriteSystem,
     deglex_key,
+    reduce_normal_form,
 )
 from univhopf.signature import is_set_homomorphism
 
@@ -796,12 +795,13 @@ def has_factor(words, factor):
 def slice_scan_add_and_interreduce(rules, pending):
     """Interreduction with the factor test a slice scan over every word of
     every rule, as before the substring search."""
-    index = _rule_index(rules)
+    system = _as_rewrite_system(rules)
     while pending:
-        p = _reduce(pending.pop(0), index)
+        p = reduce_normal_form(pending.pop(0), system)
         if p.is_zero():
             continue
-        lw, rhs = _orient(p)
+        lw = p.leading_word()
+        rhs = NCPoly({w: c for w, c in p.terms.items() if w != lw}).scale(F(-1) / p.terms[lw])
         keep = []
         for old_lw, old_rhs in rules:
             if has_factor(chain((old_lw,), old_rhs.terms), lw):
@@ -810,7 +810,16 @@ def slice_scan_add_and_interreduce(rules, pending):
                 keep.append((old_lw, old_rhs))
         keep.append((lw, rhs))
         rules[:] = keep
-        index = _rule_index(rules)
+        system = _as_rewrite_system(rules)
+
+
+def _as_rewrite_system(rules):
+    """A reduced rule list of tuple words as a RewriteSystem over enough
+    generators for every word of it, bounded by its longest leading word."""
+    words = [w for lw, rhs in rules for w in chain((lw,), rhs.terms)]
+    num_gens = 1 + max((g for w in words for g in w), default=-1)
+    bound = max((len(lw) for lw, _ in rules), default=0)
+    return RewriteSystem(num_gens, tuple(rules), bound, False)
 
 
 PRIME = 2**61 - 1

@@ -1,6 +1,7 @@
-"""Differential tests: the indexed, deglex-ordered reducer and the completion
-built on it against the linear-scan reducer and completion in oracles.py,
-on random rule lists and small presentations over 2-3 generators.
+"""Differential tests: the indexed reducer, cold and with the normal forms
+its system kept from earlier reductions, and the completion built on it
+against the linear-scan reducer and completion in oracles.py, on random
+rule lists and small presentations over 2-3 generators.
 Interreduction's substring factor test against the slice scan it replaced;
 the coefficient types that come out; the normal-word counts of a
 confluent completion against the rank modulo a prime of the products
@@ -22,8 +23,6 @@ from univhopf.ncalg import (
     NCPoly,
     RewriteSystem,
     _add_and_interreduce,
-    _reduce,
-    _rule_index,
     complete_rules_up_to,
     deglex_key,
     dim_normal_words,
@@ -109,7 +108,22 @@ def test_indexed_reduction_matches_linear_scan(data, case):
     # up to 30 terms: far more pending terms than the corpus ever holds (8)
     num_gens, rules = case
     p = data.draw(st.one_of(polys(num_gens, 5), polys(num_gens, 5, max_terms=30)))
-    assert _reduce(p, _rule_index(rules)) == scan_reduce(p, rules)
+    system = RewriteSystem(num_gens, tuple(rules), 5, False)
+    assert reduce_normal_form(p, system) == scan_reduce(p, rules)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), case=rule_lists())
+def test_a_warm_memo_reduces_like_the_linear_scan(data, case):
+    # one system reduces 3-6 polynomials in two drawn orders, so later
+    # reductions read the normal forms that earlier ones kept; right sides
+    # are drawn freely, so other rules reduce some of them
+    num_gens, rules = case
+    system = RewriteSystem(num_gens, tuple(rules), 5, False)
+    ps = data.draw(st.lists(polys(num_gens, 5), min_size=3, max_size=6))
+    for _ in range(2):
+        for p in data.draw(st.permutations(ps)):
+            assert reduce_normal_form(p, system) == scan_reduce(p, rules)
 
 
 @settings(max_examples=100, deadline=None)
@@ -168,11 +182,27 @@ def pending_lists(draw):
     return batches
 
 
+def _letters(w):
+    """A tuple word as interreduction reads it: generator g is chr(g + 1)."""
+    return "".join(chr(g + 1) for g in w)
+
+
+def _letter_terms(p):
+    return {_letters(w): c for w, c in p.terms.items()}
+
+
+def _word(s):
+    return tuple(ord(x) - 1 for x in s)
+
+
 def _interreduce_both(rules, pending):
-    """The rule lists that the substring test and the slice scan build."""
-    ours, scanned = list(rules), list(rules)
-    _add_and_interreduce(ours, list(pending))
+    """The rule lists that the substring test and the slice scan build, both
+    on tuple words."""
+    ours = [(_letters(lw), _letter_terms(rhs)) for lw, rhs in rules]
+    _add_and_interreduce(ours, [_letter_terms(p) for p in pending])
+    scanned = list(rules)
     slice_scan_add_and_interreduce(scanned, list(pending))
+    ours = [(_word(lw), NCPoly({_word(w): c for w, c in rhs.items()})) for lw, rhs in ours]
     return ours, scanned
 
 

@@ -202,6 +202,15 @@ def test_overlaps_skipped_defaults_to_zero():
     assert reduce_normal_form(NCPoly.monomial((0, 0, 0)), system) == x
 
 
+def test_a_chain_of_thousands_of_rules_reduces_without_recursion():
+    # x_i -> x_(i-1): x_2999 takes 2,999 rewrites, more than Python's
+    # default recursion limit of 1,000 frames
+    n = 3000
+    rules = tuple(((i,), NCPoly.gen(i - 1)) for i in range(1, n))
+    system = RewriteSystem(n, rules, 1, True)
+    assert reduce_normal_form(NCPoly.gen(n - 1), system) == x
+
+
 @pytest.mark.parametrize(
     "rules, message",
     [
@@ -212,6 +221,8 @@ def test_overlaps_skipped_defaults_to_zero():
         ((((-1,), one), ((0,), one)), "out of range"),  # would be the separator NUL
         ((((-2,), one),), "out of range"),
         ((((2,), one),), "out of range"),
+        ((((1,), NCPoly.monomial((-2,))),), "out of range"),  # no letter at all
+        ((((0, 1), NCPoly.monomial((2,))),), "out of range"),
     ],
 )
 def test_a_rewrite_system_is_reduced(rules, message):

@@ -2,8 +2,9 @@
 the bounded-completion certificate and the explicit invariant checks, and
 no assert statement in the library at all; a library that imports
 nothing outside the standard library; no library module importing
-another's private name; and one exactness gate, ``_linalg.check_exact``,
-behind every entry point that takes rational data."""
+another's private name; no process-wide memo; and one exactness gate,
+``_linalg.check_exact``, behind every entry point that takes rational
+data."""
 
 import ast
 import subprocess
@@ -121,6 +122,24 @@ def test_library_imports_no_private_name_of_another_module():
                     if alias.name.startswith("_")
                 ]
     assert not found, "a private name is read only in its own module: " + ", ".join(found)
+
+
+def test_library_keeps_no_process_wide_memo():
+    # the benchmark runs the same jobs every cycle, so a functools memo
+    # would time cache hits; a memo owned by an object, such as a
+    # RewriteSystem's normal forms or a cached_property, goes with it
+    memos = {"cache", "lru_cache"}
+    found = []
+    for path in sorted((HERE.parent / "src" / "univhopf").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                names = [node.attr] if node.value.id == "functools" else []
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names if name in memos]
+    assert not found, "no process-wide memo: " + ", ".join(found)
 
 
 def test_only_linalg_decides_what_is_exact():
