@@ -13,7 +13,17 @@ input bialgebra per level 0..N, multiplication reversed on odd levels and
 comultiplication flipped on odd levels, the antipode moving level n to level
 n+1, and the convolution identities imposed on generators of levels below N.
 Every output records its (levels, degree) truncation; claims about the
-envelope are meaningful up to that truncation only.
+envelope are meaningful up to that truncation only.  When the caller has
+completed the base at the envelope's degree bound to a system that skipped
+no overlap, the envelope's presentation carries that system as the seed of
+its completion: the base rules stand on level 0, and the completion takes in
+their lifts to levels 1..N and the convolution identities, so it does not
+rebuild what the base's completion found (see ``ncalg``).  The relations,
+which documents serialize, are the same either way.
+
+``check_comap_well_defined`` reduces an image in A (x) A by linearity: the
+normal form of c (l, r) is c nf(l) (x) nf(r), with each word's normal form
+computed once per system.
 """
 
 from dataclasses import dataclass, field
@@ -28,7 +38,7 @@ from .ncalg import (
     NCPoly,
     RewriteSystem,
     complete_rules_up_to,
-    reduce_normal_form,
+    word_normal_forms,
 )
 
 DEFAULT_ANTIPODE_LEVELS = 3
@@ -144,7 +154,8 @@ class BialgebraPresentation:
 
     ``delta[g]`` is the coproduct of generator g, a dict {(left word, right
     word): coefficient} over words of ``algebra``, kept with zeros dropped
-    and integral coefficients as ``int``; ``counit[g]`` is rational.  Raises
+    and integral coefficients as ``int``; ``counit[g]`` is rational, kept as
+    ``int`` when integral.  Raises
     InputError on a coefficient or counit value that is not an ``int`` or a
     ``Fraction``, or a key that is not a pair of words in the generators.
     ``matrix`` is the generic-matrix presentation of ``algebra`` it was
@@ -175,6 +186,7 @@ class BialgebraPresentation:
             check_exact("coproduct coefficient", image.values())
         delta = tuple({key: exact(c) for key, c in d.items() if c} for d in self.delta)
         object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "counit", tuple(map(exact, self.counit)))
 
 
 def universal_bialgebra_structure(mp: MatrixPresentation) -> BialgebraPresentation:
@@ -214,30 +226,19 @@ def _image(rel: NCPoly, delta) -> dict:
     return {key: exact(x) for key, x in out.items() if x}
 
 
-def _regroup(terms) -> dict:
-    """{b: the sum of c * a} over the items ((a, b), c)."""
-    out = {}
-    for (a, b), c in terms:
-        row = out.setdefault(b, {})
-        row[a] = row.get(a, 0) + c
-    return {b: NCPoly(row) for b, row in out.items()}
-
-
 def _reduce_tensor_square(image: dict, system: RewriteSystem) -> dict:
-    """A pair dict of A (x) A reduced factor by factor with the system of A:
-    the left factors per right word, then the right factors per left normal
-    word.  The normal words of A (x) A are the pairs of normal words of A
-    (Bergman's diamond lemma)."""
-    rights = _regroup(
-        ((right, left), c)
-        for right, poly in _regroup(image.items()).items()
-        for left, c in reduce_normal_form(poly, system).terms.items()
-    )
-    return {
-        (left, right): c
-        for left, poly in rights.items()
-        for right, c in reduce_normal_form(poly, system).terms.items()
-    }
+    """A pair dict of A (x) A reduced with the system of A, zeros dropped.
+    The normal words of A (x) A are the pairs of normal words of A
+    (Bergman's diamond lemma), and reduction is linear, so the normal form
+    of the sum of c (l, r) is the sum of c nf(l) (x) nf(r), read from the
+    system's normal forms of words."""
+    nf = word_normal_forms({w for pair in image for w in pair}, system)
+    out = {}
+    for (left, right), c in image.items():
+        for u, x in nf[left].items():
+            for v, y in nf[right].items():
+                out[(u, v)] = out.get((u, v), 0) + c * x * y
+    return {key: exact(x) for key, x in out.items() if x}
 
 
 def check_comap_well_defined(
@@ -245,12 +246,13 @@ def check_comap_well_defined(
 ) -> WellDefinedVerdict:
     """Push every relation through Delta and eps and reduce in the tensor square.
 
-    The images are reduced factor by factor with the algebra's own bounded
-    completion (``_reduce_tensor_square``).  Every rule lies in the ideal,
-    so normal form 0 passes.  A nonzero one refutes well-definedness only
-    when the completion is confluent up to the bound and the image (each
-    pair of total length) stays within it: then both factors of every pair
-    do, and the pairs of normal words are independent in A (x) A.
+    The images are reduced with the algebra's own bounded completion, one
+    normal form per word of a factor (``_reduce_tensor_square``).  Every
+    rule lies in the ideal, so normal form 0 passes.  A nonzero one refutes
+    well-definedness only when the completion is confluent up to the bound
+    and the image (each pair of total length) stays within it: then both
+    factors of every pair do, and the pairs of normal words are independent
+    in A (x) A.
     """
     system = complete_rules_up_to(b.algebra, degree_bound)
     inconclusive = None
@@ -349,7 +351,15 @@ def hopf_envelope_presentation(
     labels = tuple(
         f"{label}^({n})" for n in range(levels + 1) for label in b.algebra.gen_labels
     )
+    # the base's system, if its caller completed it at this bound and it is
+    # the reduced Groebner basis in every degree, not a truncated one
+    base = b.algebra._completions.get(degree_bound)
+    if base is not None and (not base.confluent_up_to or base.overlaps_skipped):
+        base = None
+    rules = () if base is None else base.rules
+    basis = [NCPoly._trusted({lw: 1, **(-rhs).terms}) for lw, rhs in rules]
     relations = []
+    intake = []  # what completion takes in beside the base rules on level 0
     delta = []
     for n in range(levels + 1):
         relations.extend(lift_poly(rel, n) for rel in b.algebra.relations)
@@ -357,6 +367,7 @@ def hopf_envelope_presentation(
             {lift_pair(l, r, n): c for (l, r), c in image.items()} for image in b.delta
         )
         if n >= 1:
+            intake.extend(lift_poly(p, n) for p in basis)
             # convolution identities sum S(a1) a2 = eps = sum a1 S(a2) for the
             # level below, whose antipode images now exist; 0 = 0 is skipped
             prev = n - 1
@@ -367,9 +378,12 @@ def hopf_envelope_presentation(
                     s_right = tuple(x + k for x in reversed(right))
                     s_conv[s_left + right] = s_conv.get(s_left + right, 0) + c
                     conv_s[left + s_right] = conv_s.get(left + s_right, 0) + c
-                relations += [p for p in (NCPoly(s_conv), NCPoly(conv_s)) if not p.is_zero()]
+                conv = [p for p in (NCPoly(s_conv), NCPoly(conv_s)) if not p.is_zero()]
+                relations += conv
+                intake += conv
 
-    algebra = AlgebraPresentation(total, labels, tuple(relations))
+    seed = None if base is None else (degree_bound, base.rules, tuple(intake))
+    algebra = AlgebraPresentation(total, labels, tuple(relations), _seed=seed)
     bial = BialgebraPresentation(algebra, tuple(delta), tuple(b.counit) * (levels + 1))
     return HopfPresentation(bial, levels, degree_bound)
 

@@ -52,6 +52,26 @@ the bound is resolvable, and the old ones would reduce to 0 as well.  This
 is Buchberger's criterion as organised by Gebauer and Möller (1988).
 Interreduction keeps its rule index in place across a drain.
 
+Completion takes the relations, and each pass's overlap remainders, in
+increasing deglex order of their leading words (a stable sort).  A new
+leading word is then rarely a factor of an earlier rule, so few rules go
+back to pending, and the order of the relations matters only among
+relations with one leading word.
+
+A presentation may carry a seed: a reduced system and polynomials that
+together generate its ideal.  ``hopf`` gives a Hopf envelope the complete
+system of its base (confluent with no overlap skipped, so the reduced
+Groebner basis of the base ideal in every degree) on level 0, with the
+lifts of those rules to the other levels and the convolution identities as
+the polynomials.  Completion at the seed's bound starts from the seed's
+rules, takes in its polynomials, and lets the rules stand as the first
+pass's previous list, so an overlap of two base rules that are still
+unchanged is not reduced again.  That is sound by the argument above: the
+base completion resolved every such overlap by the base rules, and each
+base rule that interreduction removed was re-queued and reduced by the
+rules that replaced it, so the overlap stays resolvable relative to deglex
+(Bergman).  At another bound, completion starts from the relations.
+
 A presentation keeps the system it was completed to, per degree bound, in a
 private field: completing the same instance again returns that system, so
 ``hopf.check_comap_well_defined`` reuses a completion its caller made.  An
@@ -182,6 +202,10 @@ class AlgebraPresentation:
     relations: tuple[NCPoly, ...]
     # degree bound -> the RewriteSystem complete_rules_up_to returned
     _completions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # (degree bound, rules, polynomials): completion at that bound starts
+    # from these reduced rules and takes in these polynomials, not the
+    # relations, which generate the same ideal with the rules
+    _seed: tuple | None = field(default=None, repr=False, compare=False, kw_only=True)
 
     def __post_init__(self):
         if len(self.gen_labels) != self.num_gens:
@@ -309,18 +333,25 @@ def _reduce(p: dict, index, memo: dict) -> dict:
     return _linear(p, memo)
 
 
+def word_normal_forms(words, system: RewriteSystem) -> dict:
+    """The system's memo {tuple word: its normal form, a dict of tuple words},
+    holding at least the given words; callers only read it.  Each missing
+    normal form is computed once and kept, so later calls reuse it."""
+    memo = system._normal_forms
+    missing = {w: _to_str(w) for w in words if w not in memo}
+    if missing:
+        found = {}  # string word -> normal form, for this call
+        _fill(list(missing.values()), system._index, found)
+        for w, s in missing.items():
+            memo[w] = {_to_tuple(v): c for v, c in found[s].items()}
+    return memo
+
+
 def reduce_normal_form(p: NCPoly, system: RewriteSystem) -> NCPoly:
     """Rewrite until no term contains a rule's leading word; terminates since
-    every step is deglex-decreasing.  The normal form of each word of p is
-    kept in the system, so later calls on the system reuse it."""
-    memo = system._normal_forms
-    missing = {w: _to_str(w) for w in p.terms if w not in memo}
-    if missing:
-        words = {}  # string word -> normal form, for this call
-        _fill(list(missing.values()), system._index, words)
-        for w, s in missing.items():
-            memo[w] = {_to_tuple(v): c for v, c in words[s].items()}
-    return NCPoly._trusted(_linear(p.terms, memo))
+    every step is deglex-decreasing.  By linearity, the sum of the c nf(w)
+    over the terms c w of p, from ``word_normal_forms``."""
+    return NCPoly._trusted(_linear(p.terms, word_normal_forms(p.terms, system)))
 
 
 def _orient(p: dict) -> tuple[str, dict]:
@@ -392,6 +423,15 @@ def _overlaps(rules):
             yield lw1, rhs1, rules[j][0], rules[j][1], k
 
 
+def _str_terms(p: NCPoly) -> dict:
+    return {_to_str(w): c for w, c in p.terms.items()}
+
+
+def _leading_key(p: dict):
+    """The deglex key of the leading word of a polynomial of string words."""
+    return max(map(deglex_key, p))
+
+
 def _is_homogeneous(p: NCPoly) -> bool:
     return len({len(w) for w in p.terms}) <= 1
 
@@ -415,12 +455,16 @@ def complete_rules_up_to(
         raise InputError(
             f"degree bound {degree_bound} is below the maximal relation degree {max_rel_deg}"
         )
-    rules: list[tuple[str, dict]] = []
-    relations = [{_to_str(w): c for w, c in r.terms.items()} for r in pres.relations]
-    _add_and_interreduce(rules, relations)
+    if pres._seed is not None and pres._seed[0] == degree_bound:
+        _, start, intake = pres._seed
+        rules = [(_to_str(lw), _str_terms(rhs)) for lw, rhs in start]
+    else:
+        rules, intake = [], pres.relations
+    # the seed's rules stand as the previous pass's: their overlaps resolve
+    previous = dict(rules)
+    _add_and_interreduce(rules, sorted(map(_str_terms, intake), key=_leading_key))
     confluent = False
     skipped = 0
-    previous = {}
     for _ in range(_COMPLETION_PASS_CAP):
         rules.sort(key=lambda r: deglex_key(r[0]))
         table = dict(rules)
@@ -446,6 +490,7 @@ def complete_rules_up_to(
         if not new_polys:
             confluent = skipped == 0 or all(map(_is_homogeneous, pres.relations))
             break
+        new_polys.sort(key=_leading_key)
         _add_and_interreduce(rules, new_polys)
     rules.sort(key=lambda r: deglex_key(r[0]))
     out = tuple(

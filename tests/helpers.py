@@ -25,7 +25,7 @@ from univhopf.finmonoid import (
 )
 from univhopf.grading import Grading, universal_group_of_grading
 from univhopf.grouppres import GroupPresentation
-from univhopf.hopf import FinDimHopf
+from univhopf.hopf import FinDimHopf, universal_bialgebra_structure
 from univhopf.lio import FiniteCategory, FunctorData
 from univhopf.setsuniversal import SetComodFrame
 from univhopf.signature import (
@@ -50,6 +50,16 @@ def is_exact_coefficient(c) -> bool:
     """An int, or a Fraction that is not integral: never a float, and never
     an integral Fraction."""
     return type(c) is int or (type(c) is Fraction and c.denominator > 1)
+
+
+def completion_record(system):
+    """What a completion decides, for comparing two of them: each rule with
+    its coefficients and their types, the confluence flag and the skipped
+    overlaps."""
+    rules = [
+        (lw, {w: (c, type(c)) for w, c in rhs.terms.items()}) for lw, rhs in system.rules
+    ]
+    return rules, system.confluent_up_to, system.overlaps_skipped
 
 
 def make_vect_magma(signature, dim, basis_labels, entries) -> FinVectMagma:
@@ -548,17 +558,25 @@ def corpus_gradings(seed=42):
     }
 
 
-def corpus_algebra_presentations(seed):
-    """The algebra of each Manin end and Tambara presentation of the
-    benchmark's ``presentations`` workload for the seed."""
+def corpus_bialgebras(seed):
+    """The universal bialgebra of each Manin end and Tambara presentation
+    of the benchmark's ``presentations`` workload for the seed, each built
+    anew, so that none holds a completion."""
     out = []
     for job in _bench_module("gen").generate("presentations", seed):
         values = [documents.parse_input_document(text)[1] for text in job["docs"]]
         if job["params"]["variant"] == "manin":
-            out.append(manin_end_presentation(values[0]).algebra)
+            mp = manin_end_presentation(values[0])
         else:
-            out.append(tambara_presentation(values[0], values[1]).algebra)
+            mp = tambara_presentation(values[0], values[1])
+        out.append(universal_bialgebra_structure(mp))
     return out
+
+
+def corpus_algebra_presentations(seed):
+    """The algebra of each Manin end and Tambara presentation of the
+    benchmark's ``presentations`` workload for the seed."""
+    return [bial.algebra for bial in corpus_bialgebras(seed)]
 
 
 def corpus_membership_answers(seed):

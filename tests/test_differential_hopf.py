@@ -4,12 +4,14 @@ algebras, and on a differential graded structure with a wrong antipode;
 and the verdicts and normal forms of check_comap_well_defined against the
 tensor-square presentation in oracles.py, its truncated ideal and its
 completion, on small presentations whose generators are primitive or
-group-like."""
+group-like; and the completion of a Hopf envelope seeded with its base's
+complete system against the one from its relations, on those
+presentations and on the benchmark corpus."""
 
 from fractions import Fraction
 from math import prod
 
-from hypothesis import assume, event, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from univhopf.coact import FDAlgebra, FDCoalgebra, check_axioms
@@ -24,11 +26,18 @@ from univhopf.hopf import (
     _reduce_tensor_square,
     check_comap_well_defined,
     check_hopf_axioms_fd,
+    hopf_envelope_presentation,
     skew_primitive_hopf,
 )
 from univhopf.ncalg import AlgebraPresentation, NCPoly, complete_rules_up_to
 
-from helpers import cyclic_monoid, group_algebra_hopf, klein_four
+from helpers import (
+    completion_record,
+    corpus_bialgebras,
+    cyclic_monoid,
+    group_algebra_hopf,
+    klein_four,
+)
 from oracles import (
     BudgetExceeded,
     dense_hopf_axioms,
@@ -313,3 +322,80 @@ def test_a_confluent_square_completion_gives_the_factor_normal_form(bial, bound)
         if image.degree() <= bound:
             nf = _reduce_tensor_square(_image(rel, bial.delta), system)
             assert interleave(nf, k) == scan_reduce(image, rules), rel
+
+
+# ---------------------------------------------------------------------------
+# Hopf envelopes seeded with the base's complete system
+
+
+def _anew(bial):
+    """An equal bialgebra that holds no completion."""
+    a = bial.algebra
+    algebra = AlgebraPresentation(a.num_gens, a.gen_labels, a.relations)
+    return BialgebraPresentation(algebra, bial.delta, bial.counit)
+
+
+_PRIMITIVE_AND_GROUP_LIKE = ({((0,), ()): 1, ((), (0,)): 1}, {((1,), (1,)): 1})
+
+
+@settings(max_examples=150, deadline=None)
+@given(bial=bialgebras(), bound=st.integers(3, 4), levels=st.integers(1, 2))
+# aab = baa completes in every degree, its envelope is not confluent at 3
+@example(
+    BialgebraPresentation(
+        AlgebraPresentation(2, ("a", "b"), (NCPoly({(0, 0, 1): 1, (1, 0, 0): -1}),)),
+        _PRIMITIVE_AND_GROUP_LIKE,
+        (0, 1),
+    ),
+    3,
+    1,
+)
+# a^3 = 0 skips overlaps at 3, so its envelope is not seeded
+@example(
+    BialgebraPresentation(
+        AlgebraPresentation(1, ("a",), (NCPoly({(0, 0, 0): 2}),)),
+        _PRIMITIVE_AND_GROUP_LIKE[:1],
+        (0,),
+    ),
+    3,
+    1,
+)
+def test_a_seeded_envelope_completes_like_an_unseeded_one(bial, bound, levels):
+    # the envelope of a completed base starts from the base's system when
+    # that skipped no overlap; that of an equal base built anew, which holds
+    # no completion, starts from its relations.  A confluent result is the
+    # unique reduced system; a truncated one must agree as well
+    fresh = _anew(bial)
+    try:
+        scan_completion(bial.algebra, bound, ORACLE_STEPS)
+        env = hopf_envelope_presentation(fresh, levels, bound).algebra
+        scan_completion(env, bound, ORACLE_STEPS)
+    except BudgetExceeded:
+        assume(False)
+    base = complete_rules_up_to(bial.algebra, bound)
+    seeded = hopf_envelope_presentation(bial, levels, bound).algebra
+    assert (seeded._seed is not None) == (base.confluent_up_to and not base.overlaps_skipped)
+    assert env._seed is None
+    system = complete_rules_up_to(seeded, bound)
+    event("seeded" if seeded._seed is not None else "not seeded")
+    event("confluent envelope" if system.confluent_up_to else "not confluent envelope")
+    assert completion_record(system) == completion_record(complete_rules_up_to(env, bound))
+
+
+def test_corpus_envelopes_complete_alike_seeded_or_not():
+    # every base of the benchmark corpus completes in every degree at bounds
+    # 4 and 5, so each envelope whose base was completed is seeded
+    seeded = 0
+    for seed in (42, 7, 1201, 1409):
+        for bial in corpus_bialgebras(seed):
+            fresh = _anew(bial)
+            for bound in (4, 5):
+                complete_rules_up_to(bial.algebra, bound)
+                env = hopf_envelope_presentation(bial, 1, bound).algebra
+                plain = hopf_envelope_presentation(fresh, 1, bound).algebra
+                seeded += env._seed is not None and plain._seed is None
+                system = complete_rules_up_to(env, bound)
+                assert completion_record(system) == completion_record(
+                    complete_rules_up_to(plain, bound)
+                )
+    assert seeded == 200

@@ -8,13 +8,14 @@ confluent completion against the rank modulo a prime of the products
 u r v, which does not use the completion; and the normal words of a
 system flagged confluent, two degrees beyond its bound, checked
 independent modulo those products; those counts under a permutation of
-the generators; and normal forms under a shuffle of a system's rules."""
+the generators; normal forms under a shuffle of a system's rules; and the
+system under a permutation of the relations."""
 
 from fractions import Fraction
 from itertools import product
 from random import Random
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from univhopf.documents import format_rational
@@ -41,6 +42,7 @@ from oracles import (
     truncated_ideal_rank_mod_p,
 )
 from helpers import (
+    completion_record,
     corpus_algebra_presentations,
     corpus_membership_answers,
     is_exact_coefficient,
@@ -134,6 +136,20 @@ def test_completion_matches_linear_scan(pres, bound):
     assert system.rules == rules
     assert system.overlaps_skipped == skipped
     assert system.confluent_up_to == (closed and (skipped == 0 or _homogeneous(pres)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), pres=presentations(), bound=st.integers(3, 5))
+def test_the_order_of_the_relations_does_not_change_the_system(data, pres, bound):
+    # completion takes the relations sorted by leading word, so a permutation
+    # changes only the order among relations with equal leading words
+    _oracle_completion(pres, bound)
+    system = complete_rules_up_to(pres, bound)
+    event("confluent" if system.confluent_up_to else "not confluent")
+    relations = tuple(data.draw(st.permutations(pres.relations)))
+    other = AlgebraPresentation(pres.num_gens, pres.gen_labels, relations)
+    _oracle_completion(other, bound)
+    assert completion_record(complete_rules_up_to(other, bound)) == completion_record(system)
 
 
 @settings(max_examples=100, deadline=None)

@@ -136,9 +136,9 @@ def test_two_by_two_block_coproducts_are_two_term_sums():
     mp = tambara_presentation(a, a)
     bial = universal_bialgebra_structure(mp)
     assert all(len(d) == 2 for d in bial.delta)
-    # Kronecker counit
+    # Kronecker counit, kept as int
     for g, (_, i, j) in enumerate(mp.gen_index):
-        assert bial.counit[g] == (1 if i == j else 0)
+        assert bial.counit[g] == (1 if i == j else 0) and type(bial.counit[g]) is int
 
 
 def test_matrix_coproduct_is_coassociative_symbolically():
@@ -188,6 +188,7 @@ def test_coalgebra_data_must_be_exact_and_keyed_by_pairs_of_words():
         BialgebraPresentation(pres, ({((0,), (1,)): 1},), (F(1),))
     bial = BialgebraPresentation(pres, ({((0,), (0,)): F(2, 2), ((), ()): F(0)},), (F(1),))
     assert bial.delta == (group_like,) and type(bial.delta[0][(0,), (0,)]) is int
+    assert type(bial.counit[0]) is int
     assert check_comap_well_defined(bial, 4).status == "pass"
 
 
