@@ -10,16 +10,20 @@ the abelian invariants), since the group is then infinite.
 ``tietze_simplify`` eliminates generators that occur once in a relator,
 shortest relator first, while the presentation stays no longer than its
 input, and shortens relators by pieces of others when it cannot; at most
-``effort`` passes.
+``effort`` passes, on string words inside (``_Alphabet``).
 """
 
+from collections import defaultdict
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from itertools import chain
+from operator import countOf, itemgetter
 
 from .errors import InputError
 
 DEFAULT_COSET_LIMIT = 100_000
 DEFAULT_TIETZE_EFFORT = 50
+_COLUMN_CHECK_COSETS = 16  # below, a walk costs less than columns; keep it >= 2
 
 Word = tuple[int, ...]
 
@@ -48,6 +52,9 @@ class GroupPresentation:
     def __post_init__(self):
         if self.gen_labels is not None and len(self.gen_labels) != self.num_gens:
             raise InputError("generator label count does not match")
+        letters = list(chain.from_iterable(self.relators))
+        if countOf(map(type, letters), int) != len(letters):
+            raise InputError("relator letters must be ints")
         for w in self.relators:
             for x in w:
                 if x == 0 or abs(x) > self.num_gens:
@@ -283,8 +290,30 @@ def todd_coxeter_order(
         parent.append(len(parent))
         deductions.append((c, x))
 
+    return _check_closed(table, parent, rels)
+
+
+def _check_closed(table: list, parent: list, rels: list) -> int:
+    """The number of live cosets, once every live entry is defined and live
+    and every relator (a tuple of columns) closes at every live coset; else
+    RuntimeError, naming the first coset that fails.  From
+    ``_COLUMN_CHECK_COSETS`` live cosets on, a relator first composes whole
+    columns (lists over the live cosets, renumbered) to the identity; a
+    walk coset by coset checks and names what that does not pass."""
     live = [c for c in range(len(table)) if parent[c] == c]
-    # closed-table sanity sweep
+    if len(live) >= _COLUMN_CHECK_COSETS:
+        number, identity = dict(zip(live, range(len(live)))), tuple(range(len(live)))
+        rows = map(table.__getitem__, live)
+        try:
+            cols = [list(map(number.__getitem__, col)) for col in zip(*rows)]
+        except KeyError:  # an undefined or dead entry
+            cols = None
+        if cols is not None and all(
+            reduce(lambda x, col: itemgetter(*x)(col), map(cols.__getitem__, w), identity)
+            == identity
+            for w in rels
+        ):
+            return len(live)
     for c in live:
         if any(n is None or parent[n] != n for n in table[c]):
             raise RuntimeError(f"coset table not closed at coset {c}")
@@ -298,7 +327,87 @@ def todd_coxeter_order(
 
 
 # ---------------------------------------------------------------------------
-# Tietze simplification
+# Tietze simplification, on string words
+
+
+class _Alphabet:
+    """String words over ``num_gens`` generators, one character per letter:
+    letter g+1 is chr(2g+2) and its inverse chr(2g+3), so clearing a code's
+    last bit gives its generator's letter and flipping it inverts it."""
+
+    def __init__(self, num_gens: int):
+        codes = range(2, 2 * num_gens + 2)
+        self.generators = [chr(c) for c in codes[::2]]
+        self.char = {(-1) ** c * (c // 2): chr(c) for c in codes}  # of an int letter
+        self.inverse_char = {chr(c): chr(c ^ 1) for c in codes}
+        # translate tables; the last deletes the positive letters
+        self.generator, self._inverse = {c: c & ~1 for c in codes}, {c: c ^ 1 for c in codes}
+        self._positive = dict.fromkeys(codes[::2])
+
+    def invert(self, s: str) -> str:
+        return s[::-1].translate(self._inverse)
+
+    def reduce(self, s: str) -> str:
+        out: list[str] = []
+        inverse_char = self.inverse_char
+        for c in s:
+            if out and out[-1] == inverse_char[c]:
+                out.pop()
+            else:
+                out.append(c)
+        return "".join(out)
+
+    def form(self, w: str) -> tuple[str, str]:
+        """A freely reduced relator as Tietze keeps it: its cyclically reduced
+        core, inverted when most letters are inverses, and a key shared by the
+        cyclic conjugates of it and of its inverse: the least rotation that
+        starts at its least letter, taken over its inverse's rotations too
+        when half its letters are inverses (else every conjugate of the core
+        or of its inverse orients to a conjugate of the core)."""
+        i, n, inverse_char = 0, len(w), self.inverse_char
+        while 2 * i + 1 < n and w[i] == inverse_char[w[-1 - i]]:
+            i += 1
+        w, n = w[i : n - i], n - 2 * i
+        if not w:
+            return w, w
+        twice_inverses = 2 * len(w.translate(self._positive))
+        if twice_inverses > n:
+            w = self.invert(w)
+        half = twice_inverses == n
+        bases = (w, self.invert(w)) if half else (w,)
+        # an inverse letter's generator letter is the one just below it
+        least = chr(ord(min(w)) & ~1) if half else min(w)
+        rotations = []
+        for b in bases:
+            t = b.find(least)
+            while t >= 0:
+                rotations.append(b[t:] + b[:t])
+                t = b.find(least, t + 1)
+        return w, min(rotations)
+
+
+def _shortening(rels: list, index: dict, a: _Alphabet) -> tuple[int, str] | None:
+    """``_first_shortening`` on string relators by position (None if empty),
+    with ``index``: piece length -> factor -> {(position, start)}, kept up to
+    date by the caller once this has built it for a piece length."""
+    for n, i in sorted((len(w), i) for i, w in enumerate(rels) if w):
+        rel, k = rels[i], n // 2 + 1
+        if k not in index:
+            index[k] = defaultdict(set)
+            for j, w in enumerate(rels):
+                for s in range(len(w or "") - k + 1):
+                    index[k][w[s : s + k]].add((j, s))
+        best = None  # on a tie in j, the first rotation stays
+        for b in (rel + rel, a.invert(rel) * 2):
+            for t in range(n):
+                hits = index[k].get(b[t : t + k])
+                hit = hits and min((h for h in hits if h[0] != i), default=None)
+                if hit and (best is None or hit[0] < best[0]):
+                    best = hit + (b[t + k : t + n],)
+        if best is not None:
+            j, s, rest = best
+            return j, a.reduce(rels[j][:s] + a.invert(rest) + rels[j][s + k :])
+    return None
 
 
 def _first_shortening(relators: list[Word]) -> tuple[int, Word] | None:
@@ -308,44 +417,12 @@ def _first_shortening(relators: list[Word]) -> tuple[int, Word] | None:
 
     The piece of a length-n relator has length n//2 + 1 and is replaced by the
     inverse of its complement, which is shorter, so every occurrence shortens
-    relator j.  Every relator here has length at least 2.  The factors of
-    each piece length are indexed once per call, with their (j, start) in order.
+    relator j.  Every relator here has length at least 2.
     """
-    index: dict[int, dict[Word, list[tuple[int, int]]]] = {}
-    for i in sorted(range(len(relators)), key=lambda i: (len(relators[i]), i)):
-        rel = relators[i]
-        n, k = len(rel), len(rel) // 2 + 1
-        if k not in index:
-            index[k] = {}
-            for j, w in enumerate(relators):
-                for s in range(len(w) - k + 1):
-                    index[k].setdefault(w[s : s + k], []).append((j, s))
-        best = None
-        for r, rot in enumerate(
-            b[t:] + b[:t] for b in (rel, invert_word(rel)) for t in range(n)
-        ):
-            hit = next((h for h in index[k].get(rot[:k], ()) if h[0] != i), None)
-            if hit is not None and (best is None or (hit[0], r) < best[:2]):
-                best = (hit[0], r, hit[1], rot)
-        if best is not None:
-            j, _, s, rot = best
-            w = relators[j]
-            return j, free_reduce_word(w[:s] + invert_word(rot[k:]) + w[s + k :])
-    return None
-
-
-def _relator_form(w: Word) -> tuple[Word, Word]:
-    """A freely reduced relator as Tietze keeps it: its cyclically reduced
-    core, inverted when most letters are inverses, and a key shared by the
-    cyclic conjugates of it and of its inverse (their least rotation)."""
-    w = _cyclic_reduce(w)
-    if not w:
-        return w, w
-    inverse = invert_word(w)
-    if 2 * sum(x < 0 for x in w) > len(w):
-        w, inverse = inverse, w
-    least = min(min(w), -max(w))  # the least rotation starts with it
-    return w, min(b[t:] + b[:t] for b in (w, inverse) for t, x in enumerate(b) if x == least)
+    a = _Alphabet(max(map(abs, chain.from_iterable(relators)), default=0))
+    hit = _shortening(["".join(map(a.char.__getitem__, w)) for w in relators], {}, a)
+    letter = {c: x for x, c in a.char.items()}
+    return None if hit is None else (hit[0], tuple(map(letter.__getitem__, hit[1])))
 
 
 def tietze_simplify(
@@ -355,7 +432,7 @@ def tietze_simplify(
 
     Generator elimination after Havas, Kenne, Richardson and Robertson, "A
     Tietze transformation program" (1984).  Relators are kept in
-    ``_relator_form``, and of those with one key only the first.  Each of at
+    ``_Alphabet.form``, and of those with one key only the first.  Each of at
     most ``effort`` passes eliminates generators one by one: a generator
     that occurs once in a relator is replaced, in the relators that contain
     it, by the rest of that relator, taking the shortest such relator first
@@ -365,43 +442,61 @@ def tietze_simplify(
     longer than its input.  A pass that eliminates nothing shortens one
     relator by the majority piece of a cyclic conjugate of another (or of
     its inverse) instead, and the run stops at a pass that can do neither.
-    Generators are renumbered once, at the end.  Returns the new
-    presentation together with the image of each original generator as a
-    word in the new generators.
+    Relators are string words inside, decoded at the end, where the
+    generators are renumbered once.  Returns the new presentation
+    together with the image of each original generator as a word in the new
+    generators.
     """
     if effort < 1:
         raise InputError("Tietze effort must be at least 1")
-    budget = sum(map(len, pres.relators))
-    rels: list[tuple[Word, Word] | None] = []  # (form, key) by position
-    where: dict[Word, int] = {}  # key -> position
-    touching: list[set[int]] = [set() for _ in range(pres.num_gens)]
-    eliminated: list[tuple[int, Word]] = []  # (generator, image) in order
+    a = _Alphabet(pres.num_gens)
+    budget, total = sum(map(len, pres.relators)), 0  # total: of the live relators
+    rels: list[str | None] = [None] * len(pres.relators)  # by position
+    keys: list[str | None] = rels[:]
+    where: dict[str, int] = {}  # key -> position
+    by_len: defaultdict[int, set[int]] = defaultdict(set)  # live positions
+    # the positions holding a generator, under both of its letters
+    touching = {g: set() for g in a.generators}
+    touching.update({a.inverse_char[g]: positions for g, positions in touching.items()})
+    index: dict[int, defaultdict[str, set[tuple[int, int]]]] = {}  # see _shortening
+    eliminated: dict[str, str] = {}  # generator -> image, in order
 
     def drop(q: int) -> None:
-        w, k = rels[q]
-        rels[q] = None
-        del where[k]
-        for x in w:
-            touching[abs(x) - 1].discard(q)
+        nonlocal total
+        w, rels[q] = rels[q], None
+        del where[keys[q]]
+        total -= len(w)
+        by_len[len(w)].discard(q)
+        for g in w:
+            touching[g].discard(q)
+        for k, factors in index.items():
+            for s in range(len(w) - k + 1):
+                factors[w[s : s + k]].discard((q, s))
 
-    def put(q: int, form: tuple[Word, Word]) -> None:
+    def put(q: int, form: tuple[str, str]) -> None:
         # position q is empty; the earlier of two relators with one key stays
-        p = where.get(form[1], q)
-        if form[0] and p >= q:
+        nonlocal total
+        w, key = form
+        p = where.get(key, q)
+        if w and p >= q:
             if p > q:
                 drop(p)
-            rels[q], where[form[1]] = form, q
-            for x in form[0]:
-                touching[abs(x) - 1].add(q)
+            rels[q], keys[q], where[key] = w, key, q
+            total += len(w)
+            by_len[len(w)].add(q)
+            for g in w:
+                touching[g].add(q)
+            for k, factors in index.items():
+                for s in range(len(w) - k + 1):
+                    factors[w[s : s + k]].add((q, s))
 
     def eliminate() -> bool:
         # the first candidate, if its elimination keeps the total length
         # within the budget
-        order = sorted((len(r[0]), q) for q, r in enumerate(rels) if r)
-        for _, q in order:
-            w = rels[q][0]
-            gens = [abs(x) - 1 for x in w]
-            once = [g for g in gens if gens.count(g) == 1]
+        for q in (q for n in sorted(by_len) for q in sorted(by_len[n])):
+            w = rels[q]
+            gens = w.translate(a.generator)
+            once = [g for g in set(gens) if gens.count(g) == 1]
             if once:
                 break
         else:
@@ -409,53 +504,45 @@ def tietze_simplify(
         gen = max(once)
         i = gens.index(gen)
         rest = w[i + 1 :] + w[:i]  # w[i] rest = 1 is a conjugate of w
-        image = rest if w[i] < 0 else invert_word(rest)
-        inverse = invert_word(image)
+        image = rest if w[i] != gen else a.invert(rest)
+        inverse = a.invert(image)  # neither holds gen or its inverse
         others = sorted(touching[gen] - {q})
-        new = [
-            _relator_form(free_reduce_word([
-                y for x in rels[p][0]
-                for y in ((x,) if abs(x) - 1 != gen else image if x > 0 else inverse)
-            ]))
-            for p in others
-        ]
+        ginv = a.inverse_char[gen]
+        rewritten = (rels[p].replace(gen, image).replace(ginv, inverse) for p in others)
+        new = [a.form(a.reduce(v)) for v in rewritten]
         gone = {q, *others}
         kept = {k: len(v) for v, k in new if v and where.get(k, q) in gone}
-        total = sum(n for n, _ in order)
-        if total - sum(len(rels[p][0]) for p in gone) + sum(kept.values()) > budget:
+        if total - sum(len(rels[p]) for p in gone) + sum(kept.values()) > budget:
             return False
         for p in gone:
             drop(p)
         for p, form in zip(others, new):
             put(p, form)
-        eliminated.append((gen, image))
+        eliminated[gen] = image
         return True
 
-    for w in pres.relators:
-        rels.append(None)
-        put(len(rels) - 1, _relator_form(w))
+    for q, w in enumerate(pres.relators):
+        put(q, a.form("".join(map(a.char.__getitem__, w))))
     for _ in range(effort):
         if eliminate():
             while eliminate():
                 pass
             continue
         # bounded rewriting: shorten one relator by a piece of another
-        live = [q for q, r in enumerate(rels) if r]
-        hit = _first_shortening([rels[q][0] for q in live])
+        hit = _shortening(rels, index, a)
         if hit is None:
             break
-        drop(live[hit[0]])
-        put(live[hit[0]], _relator_form(hit[1]))
+        drop(hit[0])
+        put(hit[0], a.form(hit[1]))
 
-    gone = {g for g, _ in eliminated}
-    number = {g: i + 1 for i, g in enumerate(g for g in range(pres.num_gens) if g not in gone)}
-    images = {g: (n,) for g, n in number.items()}
+    images = dict(zip(a.inverse_char, a.inverse_char))  # in the kept generators
     # an image mentions only generators kept or eliminated after it
-    for g, image in reversed(eliminated):
-        images[g] = free_reduce_word(
-            [y for x in image for y in (images[x - 1] if x > 0 else invert_word(images[-x - 1]))]
-        )
-    relators = tuple(
-        tuple(number[x - 1] if x > 0 else -number[-x - 1] for x in r[0]) for r in rels if r
-    )
-    return GroupPresentation(len(number), relators), tuple(images[g] for g in range(pres.num_gens))
+    for g, image in reversed(eliminated.items()):
+        images[g] = a.reduce("".join(map(images.__getitem__, image)))
+        images[a.inverse_char[g]] = a.invert(images[g])
+    kept = [g for g in a.generators if g not in eliminated]
+    number = {g: i + 1 for i, g in enumerate(kept)}  # letter -> new int letter
+    number.update({a.inverse_char[g]: -i for g, i in number.items()})
+    relators = tuple(tuple(map(number.__getitem__, w)) for w in rels if w)
+    images = tuple(tuple(map(number.__getitem__, images[g])) for g in a.generators)
+    return GroupPresentation(len(kept), relators), images

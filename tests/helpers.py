@@ -330,6 +330,29 @@ def coarsen_by_map(
     return out
 
 
+def permute_basis(grading: Grading, perm) -> Grading:
+    """The same grading with basis vector i renamed perm[i]: its algebra's
+    structure tensors reindexed, its basis labels and assignment moved."""
+    alg = grading.algebra
+    tensors = {
+        name: {
+            (tuple(perm[i] for i in out), tuple(perm[i] for i in inp)): c
+            for (out, inp), c in tensor.items()
+        }
+        for name, tensor in alg.tensors.items()
+    }
+    labels, assignment = [None] * alg.dim, [None] * alg.dim
+    for i, j in enumerate(perm):
+        labels[j], assignment[j] = alg.basis_labels[i], grading.assignment[i]
+    return Grading(
+        FinVectMagma(alg.signature, alg.dim, tuple(labels), tensors),
+        grading.labels,
+        tuple(assignment),
+        grading.group,
+        grading.label_elems,
+    )
+
+
 def grading_coaction(grading: Grading, elems) -> TensorValuedMap:
     """The coaction a |-> a (x) e_{deg a} into a space with the given label
     positions: elems[label position] = coefficient-space basis index."""

@@ -9,8 +9,9 @@ original relator, no more letters than the input); _first_shortening on
 hand-made ties of the rewrite order; todd_coxeter_order, Felsch's strategy
 answering at once when the abelianization has a free factor, against the
 HLT enumeration in oracles.py, from which it may only move from "unknown"
-to the order; the one-loop Smith diagonal against the staged one it
-replaced."""
+to the order, and against the group ring presented to ncalg, whose normal
+words (none shared with coset enumeration) number the group's elements;
+the one-loop Smith diagonal against the staged one it replaced."""
 
 import os
 import subprocess
@@ -22,6 +23,8 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from univhopf.grouppres import (
+    _Alphabet,
+    _cyclic_reduce,
     _first_shortening,
     _smith_diagonal,
     abelian_invariants,
@@ -31,6 +34,7 @@ from univhopf.grouppres import (
     tietze_simplify,
     todd_coxeter_order,
 )
+from univhopf.ncalg import AlgebraPresentation, NCPoly, complete_rules_up_to, dim_normal_words
 
 from helpers import corpus_group_presentations
 from oracles import enumerate_todd_coxeter, scan_tietze, staged_smith_diagonal
@@ -50,9 +54,7 @@ def test_random_presentations_match_the_scan(pres, effort):
     assert tietze_simplify(pres, effort) == scan_tietze(pres, effort)
 
 
-@pytest.mark.parametrize(
-    "family", ["grading_Z16", "grading_D5", "grading_Z3xZ3", "grothendieck_product"]
-)
+@pytest.mark.parametrize("family", sorted(corpus_group_presentations()))
 def test_corpus_presentations_match_the_scan(family):
     pres = corpus_group_presentations()[family]
     assert tietze_simplify(pres) == scan_tietze(pres)
@@ -86,6 +88,36 @@ def test_simplified_presentations_present_the_same_group(pres, effort):
         assert todd_coxeter_order(killed, 2000) == order
         if reference is not None:
             assert reference == order
+
+
+@st.composite
+def cyclic_words(draw):
+    """Cyclically reduced words in 2 generators, half of them with as many
+    inverse letters as others, where the key must look at both orientations."""
+    letters = draw(st.lists(st.sampled_from([1, -1, 2, -2]), min_size=1, max_size=8))
+    if draw(st.booleans()):
+        letters += [-x for x in letters]
+    return _cyclic_reduce(free_reduce_word(draw(st.permutations(letters))))
+
+
+@settings(max_examples=500, deadline=None)
+@given(cyclic_words(), cyclic_words(), st.integers(0, 15), st.booleans())
+def test_relator_keys_name_the_class_of_conjugates_and_inverses(u, v, shift, invert):
+    # Tietze keeps one relator per key, so a key must be shared by exactly
+    # the cyclic conjugates of a relator and of its inverse
+    a = _Alphabet(2)
+
+    def key(w):
+        return a.form("".join(map(a.char.__getitem__, w)))[1]
+
+    def conjugates(w):
+        return {b[t:] + b[:t] for b in (w, invert_word(w)) for t in range(max(len(w), 1))}
+
+    if u:
+        t = shift % len(u)
+        conjugate = u[t:] + u[:t]
+        assert key(invert_word(conjugate) if invert else conjugate) == key(u)
+    assert (key(u) == key(v)) == (v in conjugates(u))
 
 
 # Each case pins the first rewrite of _first_shortening, where a wrong
@@ -163,6 +195,45 @@ def test_enumeration_defines_only_the_cosets_the_group_needs(family, order):
     pres = corpus_group_presentations()[family]
     assert todd_coxeter_order(pres, coset_limit=order) == order
     assert todd_coxeter_order(pres, coset_limit=order - 1) is None
+
+
+def group_ring(pres):
+    """k[G] as an algebra presentation: one letter per generator and one per
+    inverse of a generator that is not an involution (g^2 a relator),
+    x X - 1 and X x - 1 for each such pair, and w - 1 for each relator."""
+    letter, num = {}, 0
+    for g in range(1, pres.num_gens + 1):
+        involution = (g, g) in pres.relators
+        letter[g], letter[-g] = num, num if involution else num + 1
+        num += 1 if involution else 2
+    one, relations = NCPoly.one(), []
+    for g in range(1, pres.num_gens + 1):
+        if letter[-g] != letter[g]:
+            x, inverse = NCPoly.gen(letter[g]), NCPoly.gen(letter[-g])
+            relations += [x * inverse - one, inverse * x - one]
+    relations += [NCPoly.monomial(tuple(letter[x] for x in w)) - one for w in pres.relators]
+    return AlgebraPresentation(num, tuple(f"x{i}" for i in range(num)), tuple(relations))
+
+
+SMALL_FINITE = {
+    family: (simple, order)
+    for family, pres in sorted(corpus_group_presentations().items())
+    if (order := todd_coxeter_order(simple := tietze_simplify(pres)[0])) is not None
+    and order <= 24
+}
+
+
+@pytest.mark.parametrize("family", sorted(SMALL_FINITE))
+def test_group_ring_normal_words_count_the_group(family):
+    # a complete rewriting system of k[G] whose words all reduce at the
+    # bound has one normal word per group element, the elements of G
+    # being a basis of k[G]
+    simple, order = SMALL_FINITE[family]
+    bound = max(map(len, simple.relators), default=0) + 2
+    system = complete_rules_up_to(group_ring(simple), bound)
+    assert system.confluent_up_to
+    assert dim_normal_words(system, bound) == 0
+    assert sum(dim_normal_words(system, d) for d in range(bound)) == order
 
 
 @st.composite

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from univhopf.errors import PreconditionError
 from univhopf.grading import (
@@ -27,6 +29,7 @@ from helpers import (
     make_vect_magma,
     pauli_algebra,
     pauli_grading,
+    permute_basis,
     split_quadratic,
     trivial_grading,
     two_product_grading,
@@ -321,3 +324,28 @@ def test_every_binary_operation_gives_relators():
     assert gen_of_label == {"a": 0, "b": 1, "c": 2}
     # a a b^-1 from mu and a a c^-1 from nu
     assert pres.relators == ((1, 1, -2), (1, 1, -3))
+
+
+GRADINGS = corpus_gradings()
+
+
+def group_answers(grading):
+    pres, _ = universal_group_of_grading(grading)
+    return abelian_invariants(pres), todd_coxeter_order(tietze_simplify(pres)[0], 2000)
+
+
+ANSWERS = {family: group_answers(g) for family, g in GRADINGS.items()}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(GRADINGS)), st.data())
+def test_relabelling_changes_no_group_answer(family, data):
+    # renaming and reordering the labels, and permuting the basis, renumber
+    # the universal group's generators and reorder its relators
+    grading = GRADINGS[family]
+    names = data.draw(st.permutations([f"h{i}" for i in range(len(grading.labels))]))
+    label_map = dict(zip(grading.labels, names))
+    order = data.draw(st.permutations(names))
+    renamed = coarsen_by_map(grading, label_map, order)
+    perm = data.draw(st.permutations(range(grading.algebra.dim)))
+    assert group_answers(permute_basis(renamed, perm)) == ANSWERS[family]

@@ -6,7 +6,9 @@ from univhopf.errors import InputError
 from univhopf.finmonoid import grothendieck_group
 from univhopf.grading import equivalent
 from univhopf.grouppres import (
+    _COLUMN_CHECK_COSETS,
     GroupPresentation,
+    _check_closed,
     abelian_invariants,
     free_reduce_word,
     invert_word,
@@ -43,6 +45,14 @@ def test_presentation_rejects_out_of_range_letters():
         GroupPresentation(1, ((2,),))
     with pytest.raises(InputError):
         GroupPresentation(1, ((0,),))
+
+
+@pytest.mark.parametrize("relators", [((1.5, 2),), ((True, True),), (("a",),), ((1, 2.0),)])
+def test_presentation_rejects_letters_that_are_not_ints(relators):
+    # a float, bool or str letter passed the range check and then failed
+    # as a list index (or, as True, counted as generator 1)
+    with pytest.raises(InputError, match="relator letters must be ints"):
+        GroupPresentation(2, relators)
 
 
 def test_abelian_invariants_free_group():
@@ -281,3 +291,41 @@ def test_one_smith_form_per_presentation(monkeypatch):
     # an equal presentation is another object with its own Smith form
     again = presentation(2, [(1, 1), (2, 2, 2), (1, 2, -1, -2)])
     assert again == z6 and todd_coxeter_order(again) == 6 and len(calls) == 2
+
+
+def _cyclic_table(n):
+    """The coset table of Z_n = <a | a^n> over the trivial subgroup: column
+    0 is a, column 1 its inverse."""
+    return [[(c + 1) % n, (c - 1) % n] for c in range(n)]
+
+
+@pytest.mark.parametrize("n", [3, _COLUMN_CHECK_COSETS, _COLUMN_CHECK_COSETS + 5])
+def test_closing_check_names_the_coset_that_fails(n):
+    # small tables are walked, larger ones checked by whole columns first;
+    # either way the error names the first failing coset
+    assert _check_closed(_cyclic_table(n), list(range(n)), [(0,) * n, (0, 1)]) == n
+    table = _cyclic_table(n)
+    table[n - 1][0] = n - 1  # a^n now ends at n - 1 from every coset
+    with pytest.raises(RuntimeError, match="^relator does not close at coset 0$"):
+        _check_closed(table, list(range(n)), [(0,) * n])
+    fixed = [[c, c] for c in range(n)]  # every coset fixed by both columns
+    table = [row[:] for row in fixed]
+    table[2][0] = 1
+    with pytest.raises(RuntimeError, match="^relator does not close at coset 2$"):
+        _check_closed(table, list(range(n)), [(1,), (0,)])
+    table = [row[:] for row in fixed]
+    table[2][1] = None
+    with pytest.raises(RuntimeError, match="^coset table not closed at coset 2$"):
+        _check_closed(table, list(range(n)), [(1,), (0,)])
+
+
+def test_closing_check_renumbers_around_dead_cosets():
+    # coset n is dead (merged into 0): live entries must avoid it
+    n = _COLUMN_CHECK_COSETS + 1
+    table = _cyclic_table(n) + [[None, None]]
+    parent = list(range(n)) + [0]
+    assert _check_closed(table, parent, [(0,) * n, (1, 0)]) == n
+    table = [[c, c] for c in range(n)] + [[None, None]]
+    table[4][1] = n
+    with pytest.raises(RuntimeError, match="^coset table not closed at coset 4$"):
+        _check_closed(table, parent, [(0,), (1,)])
